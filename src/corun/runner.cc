@@ -4,9 +4,7 @@
 #include <sstream>
 
 #include "sim/multicore.hh"
-#include "suite/arena_store.hh"
 #include "suite/runner.hh"
-#include "trace/arena.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "util/units.hh"
@@ -94,22 +92,6 @@ memberParams(const CorunOptions &options, const WorkloadProfile &profile,
     return params;
 }
 
-/**
- * The member's trace source: an arena replay when a store is attached
- * (the capture is shared between the solo baseline and every group
- * the member joins), a live generator otherwise. Identical draws
- * either way.
- */
-std::shared_ptr<trace::TraceSource>
-memberSource(const CorunOptions &options,
-             const trace::SyntheticTraceParams &params)
-{
-    if (options.arenaStore != nullptr)
-        return std::make_shared<trace::ReplaySource>(
-            options.arenaStore->acquire(params));
-    return std::make_shared<trace::SyntheticTraceGenerator>(params);
-}
-
 } // namespace
 
 double
@@ -126,13 +108,14 @@ CorunRunner::soloCycles(const WorkloadProfile &profile) const
             options_.system, 1,
             deriveSeed(deriveSeed(options_.seed, "corun-solo"),
                        profile.name));
-        const trace::SyntheticTraceParams params =
-            memberParams(options_, profile, 0);
-        trace::SyntheticTraceGenerator prefiller(params);
-        suite::prefillSteadyState(machine.mutableCore(0), prefiller);
-        const std::vector<sim::SimResult> parts =
-            machine.runEach({memberSource(options_, params)},
-                            options_.chunkOps, options_.warmupOps);
+        // With a store attached, the capture is shared between the
+        // solo baseline and every group the member joins.
+        const suite::PairTrace trace = suite::openTrace(
+            memberParams(options_, profile, 0), options_.arenaStore);
+        suite::prefillSteadyState(machine.mutableCore(0),
+                                  *trace.generator);
+        const std::vector<sim::SimResult> parts = machine.runEach(
+            {trace.source}, options_.chunkOps, options_.warmupOps);
         return parts.front().cycles;
     });
 }
@@ -162,11 +145,12 @@ CorunRunner::runGroup(const CorunGroup &group) const
     std::vector<std::shared_ptr<trace::TraceSource>> sources;
     sources.reserve(n);
     for (unsigned c = 0; c < n; ++c) {
-        const trace::SyntheticTraceParams params =
-            memberParams(options_, *group.members[c], c);
-        trace::SyntheticTraceGenerator prefiller(params);
-        suite::prefillSteadyState(machine.mutableCore(c), prefiller);
-        sources.push_back(memberSource(options_, params));
+        const suite::PairTrace trace = suite::openTrace(
+            memberParams(options_, *group.members[c], c),
+            options_.arenaStore);
+        suite::prefillSteadyState(machine.mutableCore(c),
+                                  *trace.generator);
+        sources.push_back(trace.source);
     }
 
     const std::vector<sim::SimResult> parts =

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "cluster/sse.hh"
-#include "core/characterizer.hh"
 #include "core/metrics.hh"
 #include "suite/fanout.hh"
 #include "util/logging.hh"
@@ -96,59 +95,40 @@ std::vector<PointResult>
 ExploreRunner::runPoints(const std::vector<ExplorePoint> &points,
                          const std::string &step_tag) const
 {
+    // One sweep session per point: the point's config key differs, so
+    // it gets its own runner and journal. All sessions run on the one
+    // sweep engine (suite/fanout.hh) -- with an arena store, each
+    // pair's trace is captured once and every point replays it in
+    // lockstep -- with jobs, shard and resume inherited from the
+    // suite machinery.
+    // Reserved up front: the sessions hold references into both.
+    std::vector<suite::SuiteRunner> runners;
+    std::vector<suite::ResultCache> caches;
+    runners.reserve(points.size());
+    caches.reserve(points.size());
+    std::vector<suite::FanoutSession> sessions;
+    for (const ExplorePoint &point : points) {
+        suite::RunnerOptions runner = options_.runner;
+        runner.system = point.system;
+        runners.emplace_back(std::move(runner));
+        caches.emplace_back(pointCachePath(point, step_tag),
+                            options_.resume);
+        caches.back().setShard(options_.shard);
+        sessions.push_back(
+            {runners.back(), caches.back(), options_.pairObserver});
+    }
+    const std::vector<std::vector<suite::PairResult>> sweeps =
+        suite::runFanoutSweep(
+            sessions,
+            options_.generation == workloads::SuiteGeneration::Cpu2017
+                ? workloads::cpu2017Suite()
+                : workloads::cpu2006Suite(),
+            options_.size);
+
     std::vector<PointResult> results;
     results.reserve(points.size());
-
-    if (suite::fanoutEligible(options_.runner)) {
-        // Shared-arena fan-out: every pair's trace is captured once
-        // and all points replay it in lockstep, with prefill cloning
-        // and buffer recycling across points (suite/fanout.hh). The
-        // per-point journals and results are byte-identical to the
-        // per-point sessions below.
-        std::vector<suite::FanoutSession> sessions;
-        sessions.reserve(points.size());
-        for (const ExplorePoint &point : points) {
-            suite::FanoutSession session;
-            session.runner = options_.runner;
-            session.runner.system = point.system;
-            session.cachePath = pointCachePath(point, step_tag);
-            session.observer = options_.pairObserver;
-            sessions.push_back(std::move(session));
-        }
-        suite::FanoutOptions fanout;
-        fanout.resume = options_.resume;
-        fanout.shard = options_.shard;
-        const std::vector<std::vector<suite::PairResult>> sweeps =
-            suite::runFanoutSweep(
-                sessions,
-                options_.generation == workloads::SuiteGeneration::Cpu2017
-                    ? workloads::cpu2017Suite()
-                    : workloads::cpu2006Suite(),
-                options_.size, fanout);
-        for (std::size_t i = 0; i < points.size(); ++i)
-            results.push_back(scorePoint(points[i], sweeps[i]));
-        markPareto(results);
-        return results;
-    }
-
-    for (const ExplorePoint &point : points) {
-        // One characterization session per point: the point's config
-        // key differs, so it gets its own journal file and its own
-        // in-process memo. The sweep itself runs on the ordered pool
-        // (jobs), sliced by the shard, resumed from the journal --
-        // all inherited from the suite machinery.
-        core::CharacterizerOptions session_options;
-        session_options.runner = options_.runner;
-        session_options.runner.system = point.system;
-        session_options.cachePath = pointCachePath(point, step_tag);
-        session_options.resume = options_.resume;
-        session_options.shard = options_.shard;
-        session_options.pairObserver = options_.pairObserver;
-        core::Characterizer session(session_options);
-        results.push_back(scorePoint(
-            point, session.results(options_.generation, options_.size)));
-    }
-
+    for (std::size_t i = 0; i < points.size(); ++i)
+        results.push_back(scorePoint(points[i], sweeps[i]));
     markPareto(results);
     return results;
 }

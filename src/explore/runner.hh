@@ -46,7 +46,10 @@ struct ExploreOptions
     /** Shard each point's pair sweep (explore composes with the merge
      *  toolchain per point). */
     suite::ShardSpec shard;
-    /** Forwarded to every point's sweep (live progress). */
+    /** Forwarded to every point's sweep (live progress). Its total
+     *  counts the whole runPoints() campaign -- every pair of every
+     *  point still to run -- so one progress reporter reads k/(M*N)
+     *  (see suite::FanoutSession::observer). */
     suite::SuiteRunner::PairObserver pairObserver;
 };
 
@@ -130,11 +133,10 @@ class ExploreRunner
 
     /**
      * Runs and scores an explicit point list (plan order preserved,
-     * Pareto marked over the list). Executes on the shared-arena
-     * multi-point fan-out engine (suite/fanout.hh) when the runner
-     * options are eligible -- one trace capture feeds every point per
-     * pair -- and on independent per-point characterization sessions
-     * otherwise; results and journals are identical either way.
+     * Pareto marked over the list), one sweep session per point on
+     * the sweep engine (suite/fanout.hh): with an arena store, one
+     * trace capture feeds every point per pair. Results and journals
+     * are identical to independent per-point sweeps.
      * @p step_tag namespaces the per-point journals (descent stages).
      */
     std::vector<PointResult> runPoints(

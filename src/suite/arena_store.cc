@@ -55,7 +55,10 @@ TraceArenaStore::acquire(const trace::SyntheticTraceParams &params)
 
     std::shared_ptr<const trace::TraceArena> arena;
     if (!spillDir_.empty()) {
-        if (auto loaded = trace::loadArena(spillPathFor(key))) {
+        // A well-formed spill of the wrong length (a hash collision or
+        // a foreign file under this name) recaptures like a bad one.
+        auto loaded = trace::loadArena(spillPathFor(key));
+        if (loaded != nullptr && loaded->numOps == params.numOps) {
             arena = std::move(loaded);
             spillLoads_.fetch_add(1);
         }

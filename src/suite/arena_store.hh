@@ -61,7 +61,9 @@ class TraceArenaStore
 
     /**
      * The arena for @p params: resident hit, spill reload, or fresh
-     * capture, in that order. Never returns nullptr -- an uncachable
+     * capture, in that order. A spill that fails to load, or loads
+     * with an op count other than params.numOps, is recaptured. Never
+     * returns nullptr and never throws for a bad spill -- an uncachable
      * (over-budget) arena is still captured and returned, it just
      * isn't retained. Racing captures resolve first-write-wins
      * (identical streams, so results cannot depend on the winner).

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -15,7 +16,6 @@
 namespace spec17 {
 namespace suite {
 
-using counters::PerfEvent;
 using workloads::AppInputPair;
 using workloads::WorkloadProfile;
 
@@ -44,6 +44,27 @@ appendTlbConfig(std::ostringstream &os, const sim::TlbConfig &tlb)
 {
     os << tlb.l1Entries << "," << tlb.l2Entries << "," << tlb.pageBytes
        << "," << tlb.l2HitLatency << "," << tlb.walkLatency << ";";
+}
+
+/**
+ * Clone-group key of @p hierarchy: serializes every field that
+ * shapes post-prefill cache state (all four cache geometries
+ * including way predictor, both prefetcher slots, stream geometry).
+ * Two points with equal keys may share one prefill via
+ * CpuSimulator::copyPrefillFrom.
+ */
+std::string
+hierarchyCloneKey(const sim::HierarchyConfig &hierarchy)
+{
+    std::ostringstream os;
+    appendCacheConfig(os, hierarchy.l1i);
+    appendCacheConfig(os, hierarchy.l1d);
+    appendCacheConfig(os, hierarchy.l2);
+    appendCacheConfig(os, hierarchy.l3);
+    os << hierarchy.memLatency << ";" << hierarchy.prefetcher << ";"
+       << hierarchy.l2Prefetcher << ";" << hierarchy.streamDegree << ","
+       << hierarchy.streamDistance;
+    return os.str();
 }
 
 /**
@@ -76,16 +97,26 @@ importCloneKey(const sim::SystemConfig &system)
     return os.str();
 }
 
-/** One point's simulated cell for a single-threaded pair, run over a
- *  shared replay cursor. */
-struct Cell
-{
-    /** A fresh (non-journal) result landed this sweep. */
-    bool fresh = false;
-    PairResult result;
-};
+/** One pair's cells, one per session; empty where the session's
+ *  journal already held the pair. */
+using Row = std::vector<std::optional<PairResult>>;
 
-using Row = std::vector<Cell>;
+/**
+ * True when @p options let a session's single-threaded cells run as
+ * lockstep replay cells: an arena store is attached, and nothing must
+ * observe or interrupt an attempt from inside -- no interval sampling,
+ * fault injection or watchdog deadline -- and the batched lane is on
+ * (the unbatched reference lane stays the runner's own).
+ */
+bool
+lockstepEligible(const RunnerOptions &options)
+{
+    return options.arenaStore != nullptr
+        && options.sampleIntervalOps == 0
+        && options.faultInjector == nullptr
+        && options.pairDeadlineOps == 0 && options.pairDeadlineMs == 0
+        && !options.unbatchedStepping;
+}
 
 /**
  * Bounded freelist of dead simulators whose heap buffers the next
@@ -129,15 +160,12 @@ class DonorPool
 
 /**
  * Simulates @p pair for every session index in @p active, writing
- * each point's result into @p row. Cells the shared-arena path cannot
- * reproduce exactly (multi-threaded pairs, malformed profiles, any
- * cell that faults) delegate to the point's own SuiteRunner::runPair,
- * which carries the full retry/failure-record semantics.
+ * each session's result into @p row: lockstep replay where the cell
+ * allows it, the session's own SuiteRunner::runPair otherwise.
  */
 void
 runFanoutPair(const AppInputPair &pair,
               const std::vector<FanoutSession> &sessions,
-              const std::vector<std::unique_ptr<SuiteRunner>> &runners,
               const std::vector<std::size_t> &active, Row &row,
               DonorPool &donors)
 {
@@ -145,21 +173,27 @@ runFanoutPair(const AppInputPair &pair,
     const WorkloadProfile &profile = *pair.profile;
 
     const auto fallback = [&](std::size_t p) {
-        row[p].fresh = true;
-        row[p].result = runners[p]->runPair(pair);
+        row[p] = sessions[p].runner.runPair(pair);
     };
 
     // The multicore interleaver's chunk schedule shapes shared-L3
-    // contention; it runs per point. A malformed profile is a
-    // contained per-point failure. Both take the ordinary path (the
-    // arena store still deduplicates their trace captures).
-    if (profile.numThreads > 1 || !profile.validationError().empty()) {
-        for (std::size_t p : active)
+    // contention, so it runs per session; a malformed profile is a
+    // contained per-session failure. Both take the runner's path (the
+    // arena store still deduplicates their trace captures), as do
+    // sessions the lockstep path cannot serve.
+    const bool replayable =
+        profile.numThreads == 1 && profile.validationError().empty();
+    std::vector<std::size_t> lockstep;
+    for (std::size_t p : active) {
+        if (replayable && lockstepEligible(sessions[p].runner.options()))
+            lockstep.push_back(p);
+        else
             fallback(p);
-        return;
     }
+    if (lockstep.empty())
+        return;
 
-    const RunnerOptions &base = sessions[active.front()].runner;
+    const RunnerOptions &base = sessions[lockstep.front()].runner.options();
     const workloads::BuildOptions build = attemptBuildOptions(base, 0);
     const std::uint64_t pair_seed = pairSimSeed(pair, build.seed);
 
@@ -170,7 +204,7 @@ runFanoutPair(const AppInputPair &pair,
     const std::shared_ptr<const trace::TraceArena> arena =
         base.arenaStore->acquire(generator.params());
 
-    const std::size_t n = active.size();
+    const std::size_t n = lockstep.size();
     std::vector<std::unique_ptr<sim::CpuSimulator>> recycled =
         donors.take(n);
     std::vector<std::unique_ptr<sim::CpuSimulator>> sims(n);
@@ -182,7 +216,8 @@ runFanoutPair(const AppInputPair &pair,
     std::vector<char> failed(n, 0);
 
     for (std::size_t j = 0; j < n; ++j) {
-        const RunnerOptions &point = sessions[active[j]].runner;
+        const RunnerOptions &point =
+            sessions[lockstep[j]].runner.options();
         std::unique_ptr<sim::CpuSimulator> donor;
         if (!recycled.empty()) {
             donor = std::move(recycled.back());
@@ -317,24 +352,17 @@ runFanoutPair(const AppInputPair &pair,
     for (std::size_t j = 0; j < n; ++j) {
         if (failed[j])
             continue;
-        const std::size_t p = active[j];
+        const std::size_t p = lockstep[j];
         try {
             // The exact measurement tail of the runner's single-core
-            // attempt: finalize, un-diff VSZ, subtract the warm
-            // baseline, override the footprint gauges, scale.
-            sim::SimResult sim_result = sims[j]->finish(replays[j]);
-            const std::uint64_t vsz =
-                sim_result.counters.get(PerfEvent::VszBytes);
-            sim_result.counters = sim_result.counters.diff(warm[j]);
-            sim_result.counters.set(PerfEvent::VszBytes, vsz);
-            sim_result.counters.set(PerfEvent::RssBytes,
-                                    sims[j]->footprint().rssBytes());
-            sim_result.cycles -= warm_cycles[j];
-
+            // attempt.
             PairResult result = makePairResult(pair);
-            finalizePairResult(sessions[p].runner, sim_result, result);
-            row[p].fresh = true;
-            row[p].result = std::move(result);
+            finalizePairResult(
+                sessions[p].runner.options(),
+                finishMeasuredWindow(*sims[j], replays[j], warm[j],
+                                     warm_cycles[j]),
+                result);
+            row[p] = std::move(result);
         } catch (...) {
             failed[j] = 1;
         }
@@ -346,7 +374,7 @@ runFanoutPair(const AppInputPair &pair,
     // deterministic, so the rerun diagnoses what the cell hit.
     for (std::size_t j = 0; j < n; ++j) {
         if (failed[j])
-            fallback(active[j]);
+            fallback(lockstep[j]);
     }
 
     donors.give(std::move(sims));
@@ -354,130 +382,99 @@ runFanoutPair(const AppInputPair &pair,
 
 } // namespace
 
-std::string
-hierarchyCloneKey(const sim::HierarchyConfig &hierarchy)
-{
-    std::ostringstream os;
-    appendCacheConfig(os, hierarchy.l1i);
-    appendCacheConfig(os, hierarchy.l1d);
-    appendCacheConfig(os, hierarchy.l2);
-    appendCacheConfig(os, hierarchy.l3);
-    os << hierarchy.memLatency << ";" << hierarchy.prefetcher << ";"
-       << hierarchy.l2Prefetcher << ";" << hierarchy.streamDegree << ","
-       << hierarchy.streamDistance;
-    return os.str();
-}
-
-bool
-fanoutEligible(const RunnerOptions &options)
-{
-    return options.arenaStore != nullptr
-        && options.sampleIntervalOps == 0
-        && options.telemetrySink == nullptr
-        && options.faultInjector == nullptr && !options.unbatchedStepping
-        && options.pairDeadlineOps == 0 && options.pairDeadlineMs == 0;
-}
-
 std::vector<std::vector<PairResult>>
 runFanoutSweep(const std::vector<FanoutSession> &sessions,
                const std::vector<WorkloadProfile> &suite,
-               workloads::InputSize size, const FanoutOptions &options)
+               workloads::InputSize size)
 {
-    SPEC17_ASSERT(!sessions.empty(), "fan-out sweep without points");
+    if (sessions.empty())
+        return {};
+    const RunnerOptions &base = sessions.front().runner.options();
+    const ShardSpec shard = sessions.front().cache.shard();
     for (const FanoutSession &session : sessions) {
-        SPEC17_ASSERT(fanoutEligible(session.runner),
-                      "fan-out session is not eligible "
-                      "(see fanoutEligible)");
-        SPEC17_ASSERT(session.runner.arenaStore
-                          == sessions.front().runner.arenaStore,
-                      "fan-out sessions must share one arena store");
+        const RunnerOptions &options = session.runner.options();
+        SPEC17_ASSERT(options.arenaStore == base.arenaStore
+                          && options.sampleOps == base.sampleOps
+                          && options.warmupOps == base.warmupOps
+                          && options.seed == base.seed,
+                      "sweep sessions must agree on every non-system "
+                      "runner knob");
+        SPEC17_ASSERT(session.cache.shard().index == shard.index
+                          && session.cache.shard().count == shard.count,
+                      "sweep sessions must share one shard");
     }
 
     const std::size_t m = sessions.size();
     std::vector<std::vector<PairResult>> out(m);
 
-    const auto all_pairs = suite.empty()
-        ? std::vector<AppInputPair>{}
-        : enumeratePairs(suite, size);
-    const auto pairs = shardPairs(all_pairs, options.shard);
-    const std::size_t total = pairs.size();
+    const auto pairs = shardPairs(suite.empty()
+                                      ? std::vector<AppInputPair>{}
+                                      : enumeratePairs(suite, size),
+                                  shard);
+    const std::size_t n = pairs.size();
 
-    // Per-point sweep sessions: runner, journal, replayed prefix.
-    // Each journal behaves exactly as its own runOrLoad would --
-    // complete journals contribute without observer calls, partial
-    // prefixes replay through the observer, and fresh pairs are
-    // checkpointed in canonical order as the shared pass advances.
-    std::vector<std::unique_ptr<SuiteRunner>> runners;
-    std::vector<std::unique_ptr<ResultCache>> caches;
+    // Each journal behaves exactly as a single-session sweep's: a
+    // complete journal contributes its rows without observer calls, a
+    // partial prefix replays through the observer, and fresh pairs
+    // are checkpointed in canonical order as the shared pass advances.
     std::vector<std::size_t> have(m, 0);
-    std::vector<char> complete(m, 0);
-    runners.reserve(m);
-    caches.reserve(m);
+    std::vector<char> running(m, 0);
+    std::size_t total = 0;
     for (std::size_t p = 0; p < m; ++p) {
-        runners.push_back(
-            std::make_unique<SuiteRunner>(sessions[p].runner));
-        if (sessions[p].cachePath.empty()) {
-            caches.push_back(nullptr);
-            continue;
-        }
-        auto cache = std::make_unique<ResultCache>(
-            sessions[p].cachePath, options.resume);
-        cache->setShard(options.shard);
-        ResultCache::SweepPrefix prefix =
-            cache->beginSweep(*runners[p], suite, size, pairs);
+        ResultCache::SweepPrefix prefix = sessions[p].cache.beginSweep(
+            sessions[p].runner, suite, size, pairs);
         out[p] = std::move(prefix.rows);
         have[p] = out[p].size();
-        complete[p] = prefix.complete ? 1 : 0;
-        caches.push_back(std::move(cache));
-        if (!complete[p] && sessions[p].observer) {
+        running[p] = prefix.complete ? 0 : 1;
+        total += running[p] ? n : 0;
+    }
+    for (std::size_t p = 0; p < m; ++p) {
+        if (running[p] && sessions[p].observer) {
             for (std::size_t i = 0; i < have[p]; ++i)
                 sessions[p].observer(out[p][i], i, total);
         }
     }
 
-    // The shared pass starts at the first index any point still
+    // The shared pass starts at the first index any session still
     // needs; earlier indices are fully journal-covered.
-    std::size_t start = total;
+    std::size_t start = n;
     for (std::size_t p = 0; p < m; ++p) {
-        if (!complete[p])
+        if (running[p])
             start = std::min(start, have[p]);
     }
-    const std::size_t count = total - start;
 
     DonorPool donors(m);
-    const unsigned jobs = sessions.front().runner.jobs;
     runOrderedPool<Row>(
-        count, jobs,
+        n - start, base.jobs,
         [&](std::size_t k) {
             const std::size_t i = start + k;
             Row row(m);
             std::vector<std::size_t> active;
             for (std::size_t p = 0; p < m; ++p) {
-                if (!complete[p] && have[p] <= i)
+                if (running[p] && have[p] <= i)
                     active.push_back(p);
             }
             if (!active.empty())
-                runFanoutPair(pairs[i], sessions, runners, active, row,
-                              donors);
+                runFanoutPair(pairs[i], sessions, active, row, donors);
             return row;
         },
         [&](const Row &row, std::size_t k) {
             const std::size_t i = start + k;
             for (std::size_t p = 0; p < m; ++p) {
-                if (!row[p].fresh)
+                if (!row[p])
                     continue;
-                out[p].push_back(row[p].result);
-                if (caches[p] != nullptr)
-                    caches[p]->checkpoint(*runners[p], suite, size,
-                                          out[p]);
+                out[p].push_back(*row[p]);
+                sessions[p].cache.checkpoint(sessions[p].runner, suite,
+                                             size, out[p]);
                 if (sessions[p].observer)
-                    sessions[p].observer(row[p].result, i, total);
+                    sessions[p].observer(*row[p], i, total);
             }
         });
 
     for (std::size_t p = 0; p < m; ++p) {
-        if (!complete[p] && caches[p] != nullptr)
-            caches[p]->finish(*runners[p], suite, size, out[p]);
+        if (running[p])
+            sessions[p].cache.finish(sessions[p].runner, suite, size,
+                                     out[p]);
     }
     return out;
 }

@@ -1,36 +1,42 @@
 /**
  * @file
- * Multi-point fan-out execution: runs M design points (same pair
- * enumeration, different SystemConfigs) through one shared trace
- * arena, reading each pair's captured stream once per lockstep chunk
- * instead of once per point.
+ * The sweep engine: runs M sweep sessions -- one pair enumeration
+ * under M runner configurations (design points) -- pair-major through
+ * one ordered pool, committing every session's journal in canonical
+ * order as the shared pass advances. ResultCache::runOrLoad is its
+ * one-session call; the explorer runs one session per design point.
  *
- * Three cost levers compose here (docs/performance.md):
- *  - capture-once/replay-many arenas (suite/arena_store.hh): the
- *    pair's trace is generated once and every point replays it
- *    zero-copy;
- *  - prefill-state cloning: points sharing a hierarchy configuration
- *    form a clone group -- one leader pays the steady-state prefill,
- *    siblings copy its cache state (CpuSimulator::copyPrefillFrom);
- *  - simulator buffer recycling: dead simulators from the previous
- *    pair donate their page-faulted heap buffers to the next pair's
- *    constructions (the recycle parameter).
+ * Each cell (one pair under one session) takes one of two paths:
+ *  - lockstep replay, for a single-threaded pair of a session that can
+ *    replay with nothing observing or interrupting the attempt (an
+ *    arena store attached; no interval sampling, fault injection,
+ *    watchdog deadline or unbatched reference lane). Three cost levers
+ *    compose here (docs/performance.md):
+ *     - capture-once/replay-many arenas (suite/arena_store.hh): the
+ *       pair's trace is generated once, every cell replays it
+ *       zero-copy, and each lockstep chunk is read once for all cells;
+ *     - prefill-state cloning: cells sharing a hierarchy form a clone
+ *       group -- one leader pays the steady-state prefill, siblings
+ *       copy its cache state (CpuSimulator::copyPrefillFrom);
+ *     - simulator buffer recycling: dead simulators from the previous
+ *       pair donate their page-faulted heap buffers to the next
+ *       pair's constructions.
+ *  - SuiteRunner::runPair, for every other cell: multi-threaded pairs,
+ *    malformed profiles, sessions the lockstep path cannot serve, and
+ *    any lockstep cell that faults. It carries the full retry and
+ *    failure-record semantics.
  *
- * Identity by construction: every cell reuses the runner's own
+ * Identity by construction: lockstep cells reuse the runner's own
  * derivations (attemptBuildOptions, pairSimSeed, prefillSteadyState,
- * finalizePairResult) and replay is draw-for-draw identical to live
- * generation, so a fan-out sweep's results -- and each point's
- * journal bytes -- are identical to M independent per-point sweeps.
- * Any cell the engine cannot run this way (multi-threaded pairs,
- * malformed profiles, cells that fault mid-replay) delegates to
- * SuiteRunner::runPair, which reproduces the per-point semantics
- * (retries, failure records) exactly.
+ * finishMeasuredWindow, finalizePairResult) and replay is draw-for-
+ * draw identical to live generation, so every session's results and
+ * journal bytes are identical to its runner's own runPair() sweep, at
+ * any job count.
  */
 
 #ifndef SPEC17_SUITE_FANOUT_HH_
 #define SPEC17_SUITE_FANOUT_HH_
 
-#include <string>
 #include <vector>
 
 #include "suite/result_cache.hh"
@@ -39,64 +45,38 @@
 namespace spec17 {
 namespace suite {
 
-/** One design point of a fan-out sweep. */
+/** One sweep of a campaign; the runner and journal are borrowed. */
 struct FanoutSession
 {
-    /** The point's full runner configuration (typically the shared
-     *  base with only `system` changed). Must satisfy
-     *  fanoutEligible() and share every non-system knob -- and the
-     *  arena store -- with its sibling sessions. */
-    RunnerOptions runner;
-    /** Result-journal base path for this point (the same path a
-     *  per-point ResultCache would use); empty disables journaling. */
-    std::string cachePath;
-    /** Notified after each of this point's pairs, in canonical order
-     *  (journal-replayed prefix rows included, exactly as
-     *  ResultCache::runOrLoad reports them). */
+    /** The session's runner. Its options pick the design point and
+     *  must agree with every sibling session's on every non-system
+     *  knob, the arena store included. */
+    const SuiteRunner &runner;
+    /** The session's journal, which carries resume, the shard (one
+     *  shard for all sessions) and the I/O-fault hook. An empty path
+     *  journals nothing. */
+    ResultCache &cache;
+    /**
+     * Notified after each of this session's pairs, in canonical order,
+     * journal-replayed prefix rows included (never when the journal
+     * was already complete). The index is the pair's index in the
+     * session's sweep. The total counts every pair the whole campaign
+     * reports -- N per session still running -- so one progress
+     * counter shared by all sessions reads k/(M*N).
+     */
     SuiteRunner::PairObserver observer;
 };
 
-/** Sweep-wide execution knobs shared by every session. */
-struct FanoutOptions
-{
-    /** Resume each point from its partial journal. */
-    bool resume = false;
-    /** Shard slice of the pair cross-product (shared by all points). */
-    ShardSpec shard;
-};
-
 /**
- * True when @p options can run on the fan-out engine: an arena store
- * is attached and nothing that requires live generation or per-pair
- * observation hooks is armed (interval telemetry, telemetry sink,
- * fault injection, watchdog deadlines, the unbatched reference lane).
- * Ineligible configurations should run per-point sweeps instead; the
- * results are identical either way.
- */
-bool fanoutEligible(const RunnerOptions &options);
-
-/**
- * Runs every pair of (@p suite, @p size) across all @p sessions,
- * pair-major: per pair, the arena is acquired once and all points
- * simulate it in lockstep chunks. Returns one result vector per
- * session, in session order, each byte-equivalent to that session's
- * ResultCache::runOrLoad (journals included, at any job count).
- * Sessions must be non-empty, eligible, and agree on every
- * non-system runner knob.
+ * Runs every pair of (@p suite, @p size) -- the sessions' shard slice
+ * of it -- across all @p sessions, pair-major. Returns one result
+ * vector per session, in session order, each identical to that
+ * session's single-session sweep (journal included).
  */
 std::vector<std::vector<PairResult>> runFanoutSweep(
     const std::vector<FanoutSession> &sessions,
     const std::vector<workloads::WorkloadProfile> &suite,
-    workloads::InputSize size, const FanoutOptions &options = {});
-
-/**
- * Clone-group key of @p hierarchy: serializes every field that
- * shapes post-prefill cache state (all four cache geometries
- * including way predictor, both prefetcher slots, stream geometry).
- * Two points with equal keys may share one prefill via
- * CpuSimulator::copyPrefillFrom. Exposed for tests.
- */
-std::string hierarchyCloneKey(const sim::HierarchyConfig &hierarchy);
+    workloads::InputSize size);
 
 } // namespace suite
 } // namespace spec17

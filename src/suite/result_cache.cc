@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "suite/fanout.hh"
 #include "suite/journal.hh"
 #include "util/logging.hh"
 
@@ -465,41 +466,8 @@ ResultCache::runOrLoad(const SuiteRunner &runner,
                        InputSize size,
                        const SuiteRunner::PairObserver &observer)
 {
-    const auto allPairs = suite.empty()
-        ? std::vector<workloads::AppInputPair>{}
-        : enumeratePairs(suite, size);
-    const auto pairs = shardPairs(allPairs, shard_);
-
-    SweepPrefix prefix = beginSweep(runner, suite, size, pairs);
-    if (prefix.complete)
-        return std::move(prefix.rows);
-    std::vector<PairResult> results = std::move(prefix.rows);
-
-    if (observer) {
-        for (std::size_t i = 0; i < results.size(); ++i)
-            observer(results[i], i, pairs.size());
-    }
-    const std::vector<workloads::AppInputPair> remaining(
-        pairs.begin() + static_cast<std::ptrdiff_t>(results.size()),
-        pairs.end());
-    // The remainder runs through the runner's worker pool; its
-    // observer delivers completions in canonical pair order even when
-    // jobs > 1 (and never concurrently), so every checkpoint below
-    // extends a valid journal prefix -- an interrupted sweep resumes
-    // from here instead of restarting. Quiet on unwritable paths (one
-    // warning per sweep, not one per pair).
-    runner.runPairs(
-        remaining,
-        [&](const PairResult &result, std::size_t index,
-            std::size_t total) {
-            results.push_back(result);
-            checkpoint(runner, suite, size, results);
-            if (observer)
-                observer(result, index, total);
-        },
-        results.size(), pairs.size());
-    finish(runner, suite, size, results);
-    return results;
+    return std::move(
+        runFanoutSweep({{runner, *this, observer}}, suite, size).front());
 }
 
 void

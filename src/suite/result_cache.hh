@@ -30,7 +30,7 @@
  * journal byte-identically via `spec17 merge` (suite/journal.hh).
  *
  * Parallel sweeps (RunnerOptions::jobs > 1) journal through the
- * runner's ordered observer seam: completions are delivered in
+ * ordered pool's commit seam: completions are delivered in
  * canonical pair order regardless of which worker finished first, so
  * every checkpoint is still a valid prefix and a journal truncated
  * mid-parallel-sweep resumes byte-identically.
@@ -100,6 +100,8 @@ class ResultCache
     /** Restricts sweeps to one shard of the pair cross-product. */
     void setShard(ShardSpec shard) { shard_ = shard; }
 
+    const ShardSpec &shard() const { return shard_; }
+
     /** Test-only journal-I/O injection hook; borrowed pointer,
      *  nullptr in production. */
     void setIoFaults(JournalIoFaultInjector *faults)
@@ -122,6 +124,9 @@ class ResultCache
      * (JournalConfigMismatchError). With a shard set, only the
      * shard's slice is loaded/run/journaled.
      * Profile pointers in returned results are rebound into @p suite.
+     * The sweep is the one-session call of the sweep engine
+     * (suite/fanout.hh), so single-threaded pairs replay in lockstep
+     * when the runner's options allow it.
      *
      * @param observer notified after each pair of a simulated sweep,
      *        always in canonical pair order (even when the runner
@@ -139,12 +144,10 @@ class ResultCache
 
     /**
      * @name Sweep-session seam
-     * runOrLoad() decomposed for engines that interleave many sweeps
-     * (suite/fanout.hh runs one session per design point, committing
-     * every point's journal as the shared pass advances). A session is
-     * beginSweep() once, checkpoint() after each newly completed pair,
-     * finish() at the end -- producing journal bytes identical to a
-     * runOrLoad() sweep at any job count.
+     * How the sweep engine (suite/fanout.hh) drives one journal while
+     * it interleaves many sweeps: beginSweep() once, checkpoint()
+     * after each newly completed pair, finish() at the end -- journal
+     * bytes identical at any job count and any number of sessions.
      */
     /// @{
 

@@ -56,6 +56,51 @@ prefillSteadyState(sim::CpuSimulator &core,
                                        : sim::HitLevel::L3);
 }
 
+PairTrace
+openTrace(const trace::SyntheticTraceParams &params,
+          TraceArenaStore *store, const bool *cancel,
+          telemetry::MetricsRegistry *registry, const std::string &prefix)
+{
+    PairTrace opened;
+    opened.generator =
+        std::make_shared<trace::SyntheticTraceGenerator>(params);
+    std::function<std::uint64_t()> emitted;
+    if (store != nullptr) {
+        auto replay = std::make_shared<trace::ReplaySource>(
+            store->acquire(opened.generator->params()));
+        replay->setCancelFlag(cancel);
+        emitted = [r = replay.get()] { return r->deliveredOps(); };
+        opened.source = std::move(replay);
+    } else {
+        opened.generator->setCancelFlag(cancel);
+        emitted = [g = opened.generator.get()] {
+            return g->emittedOps();
+        };
+        opened.source = opened.generator;
+    }
+    if (registry != nullptr)
+        telemetry::registerTraceMetrics(*registry, std::move(emitted),
+                                        prefix);
+    return opened;
+}
+
+sim::SimResult
+finishMeasuredWindow(sim::CpuSimulator &simulator,
+                     trace::TraceSource &source, const CounterSet &warm,
+                     double warm_cycles)
+{
+    sim::SimResult sim_result = simulator.finish(source);
+    // VSZ is a level, not a count: keep finish()'s value rather than
+    // its difference from the warm baseline.
+    const std::uint64_t vsz = sim_result.counters.get(PerfEvent::VszBytes);
+    sim_result.counters = sim_result.counters.diff(warm);
+    sim_result.counters.set(PerfEvent::VszBytes, vsz);
+    sim_result.counters.set(PerfEvent::RssBytes,
+                            simulator.footprint().rssBytes());
+    sim_result.cycles -= warm_cycles;
+    return sim_result;
+}
+
 std::string
 ShardSpec::label() const
 {
@@ -339,13 +384,15 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
                             options_.pairDeadlineMs);
     bool cancelled = false;
 
-    // Replay eligibility: the watchdog's cooperative cancel must act
-    // DURING trace generation -- a fault-injected runaway captured to
-    // completion would defeat it -- so replay stands down whenever the
-    // fault layer or a per-attempt deadline is armed.
-    const bool replay_eligible = options_.arenaStore != nullptr
-        && options_.faultInjector == nullptr
-        && options_.pairDeadlineOps == 0 && options_.pairDeadlineMs == 0;
+    // The watchdog's cooperative cancel must act DURING trace
+    // generation -- a fault-injected runaway captured to completion
+    // would defeat it -- so replay stands down whenever the fault
+    // layer or a per-attempt deadline is armed.
+    TraceArenaStore *const store = options_.faultInjector == nullptr
+            && options_.pairDeadlineOps == 0
+            && options_.pairDeadlineMs == 0
+        ? options_.arenaStore
+        : nullptr;
 
     sim::SimResult sim_result;
     if (profile.numThreads > 1) {
@@ -354,35 +401,8 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
         // known total; cooperative cancellation still bounds the
         // generators if the budget trips after the fact.
         watchdog.check(build.sampleOps, cancelled);
-        std::vector<std::shared_ptr<trace::TraceSource>> sources;
-        std::vector<std::shared_ptr<trace::SyntheticTraceGenerator>>
-            generators;
-        std::vector<std::shared_ptr<trace::ReplaySource>> replays;
         sim::MulticoreSimulator multicore(options_.system,
                                           profile.numThreads, pair_seed);
-        for (unsigned t = 0; t < profile.numThreads; ++t) {
-            sim::CpuSimulator &core = multicore.mutableCore(t);
-            if (options_.batchOps != 0)
-                core.setBatchOps(options_.batchOps);
-            core.setUnbatchedStepping(options_.unbatchedStepping);
-            // The generator is constructed even under replay: prefill
-            // reads its region layout without consuming ops, so the
-            // replayed stream still lands on warm caches.
-            auto gen = std::make_shared<trace::SyntheticTraceGenerator>(
-                workloads::buildTraceParams(pair, build, t));
-            gen->setCancelFlag(&cancelled);
-            prefillSteadyState(multicore.mutableCore(t), *gen);
-            generators.push_back(gen);
-            if (replay_eligible) {
-                auto replay = std::make_shared<trace::ReplaySource>(
-                    options_.arenaStore->acquire(gen->params()));
-                replay->setCancelFlag(&cancelled);
-                replays.push_back(replay);
-                sources.push_back(std::move(replay));
-            } else {
-                sources.push_back(gen);
-            }
-        }
 
         // Interval telemetry, coarse mode: the interleaver's chunk
         // size shapes shared-L3 contention, so chunks cannot be
@@ -392,21 +412,25 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
         // another context's warmup include that warmup traffic (the
         // contexts genuinely share the L3 during it).
         std::unique_ptr<telemetry::MetricsRegistry> registry;
-        std::unique_ptr<telemetry::IntervalSampler> sampler;
         if (options_.sampleIntervalOps > 0) {
             registry = std::make_unique<telemetry::MetricsRegistry>();
             telemetry::registerMulticoreMetrics(*registry, multicore);
-            for (unsigned t = 0; t < profile.numThreads; ++t) {
-                const std::string prefix =
-                    "core" + std::to_string(t) + ".";
-                if (replay_eligible) {
-                    telemetry::registerTraceMetrics(
-                        *registry, *replays[t], prefix);
-                } else {
-                    telemetry::registerTraceMetrics(
-                        *registry, *generators[t], prefix);
-                }
-            }
+        }
+        std::vector<std::shared_ptr<trace::TraceSource>> sources;
+        for (unsigned t = 0; t < profile.numThreads; ++t) {
+            sim::CpuSimulator &core = multicore.mutableCore(t);
+            if (options_.batchOps != 0)
+                core.setBatchOps(options_.batchOps);
+            core.setUnbatchedStepping(options_.unbatchedStepping);
+            const PairTrace trace = openTrace(
+                workloads::buildTraceParams(pair, build, t), store,
+                &cancelled, registry.get(),
+                "core" + std::to_string(t) + ".");
+            prefillSteadyState(core, *trace.generator);
+            sources.push_back(trace.source);
+        }
+        std::unique_ptr<telemetry::IntervalSampler> sampler;
+        if (registry) {
             sampler = std::make_unique<telemetry::IntervalSampler>(
                 *registry, options_.sampleIntervalOps,
                 telemetry::defaultDerivedSpecs());
@@ -436,26 +460,20 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
             sim_result.counters.get(PerfEvent::InstRetiredAny),
             cancelled);
     } else {
-        trace::SyntheticTraceGenerator generator(
-            workloads::buildTraceParams(pair, build, 0));
-        generator.setCancelFlag(&cancelled);
-        // Under replay the generator still exists -- prefill reads its
-        // region layout without consuming ops -- but the simulated
-        // stream comes from the captured arena instead.
-        std::unique_ptr<trace::ReplaySource> replay;
-        if (replay_eligible) {
-            replay = std::make_unique<trace::ReplaySource>(
-                options_.arenaStore->acquire(generator.params()));
-            replay->setCancelFlag(&cancelled);
-        }
-        trace::TraceSource &source = replay
-            ? static_cast<trace::TraceSource &>(*replay)
-            : static_cast<trace::TraceSource &>(generator);
         sim::CpuSimulator simulator(options_.system, pair_seed);
         if (options_.batchOps != 0)
             simulator.setBatchOps(options_.batchOps);
         simulator.setUnbatchedStepping(options_.unbatchedStepping);
-        prefillSteadyState(simulator, generator);
+        std::unique_ptr<telemetry::MetricsRegistry> registry;
+        if (options_.sampleIntervalOps > 0) {
+            registry = std::make_unique<telemetry::MetricsRegistry>();
+            telemetry::registerSimulatorMetrics(*registry, simulator);
+        }
+        const PairTrace trace =
+            openTrace(workloads::buildTraceParams(pair, build, 0), store,
+                      &cancelled, registry.get());
+        trace::TraceSource &source = *trace.source;
+        prefillSteadyState(simulator, *trace.generator);
         std::uint64_t executed =
             simulator.step(source, options_.warmupOps);
         watchdog.check(executed, cancelled);
@@ -467,15 +485,8 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
         // aggregates. Chunks are capped at the next boundary, which
         // keeps samples on exact micro-op boundaries (determinism)
         // without perturbing the simulated stream.
-        std::unique_ptr<telemetry::MetricsRegistry> registry;
         std::unique_ptr<telemetry::IntervalSampler> sampler;
-        if (options_.sampleIntervalOps > 0) {
-            registry = std::make_unique<telemetry::MetricsRegistry>();
-            telemetry::registerSimulatorMetrics(*registry, simulator);
-            if (replay)
-                telemetry::registerTraceMetrics(*registry, *replay);
-            else
-                telemetry::registerTraceMetrics(*registry, generator);
+        if (registry) {
             sampler = std::make_unique<telemetry::IntervalSampler>(
                 *registry, options_.sampleIntervalOps,
                 telemetry::defaultDerivedSpecs());
@@ -505,14 +516,8 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
                 std::make_shared<const telemetry::TimeSeries>(
                     sampler->series());
         }
-        sim_result = simulator.finish(source);
-        const std::uint64_t vsz =
-            sim_result.counters.get(PerfEvent::VszBytes);
-        sim_result.counters = sim_result.counters.diff(warm);
-        sim_result.counters.set(PerfEvent::VszBytes, vsz);
-        sim_result.counters.set(PerfEvent::RssBytes,
-                                simulator.footprint().rssBytes());
-        sim_result.cycles -= warm_cycles;
+        sim_result =
+            finishMeasuredWindow(simulator, source, warm, warm_cycles);
     }
 
     finalizePairResult(options_, sim_result, result);
@@ -612,21 +617,17 @@ SuiteRunner::runAll(const std::vector<WorkloadProfile> &suite,
 
 std::vector<PairResult>
 SuiteRunner::runPairs(const std::vector<AppInputPair> &pairs,
-                      const PairObserver &observer,
-                      std::size_t index_offset, std::size_t total) const
+                      const PairObserver &observer) const
 {
-    if (total == 0)
-        total = index_offset + pairs.size();
     // The ordered pool commits completed pairs to the observer
-    // strictly in canonical index order, which is what lets the
-    // result cache journal a valid prefix mid-sweep and keeps
-    // progress/journal output byte-compatible with a sequential run.
+    // strictly in canonical index order, which keeps progress output
+    // byte-compatible with a sequential run.
     return runOrderedPool<PairResult>(
         pairs.size(), options_.jobs,
         [&](std::size_t i) { return runPair(pairs[i]); },
         [&](const PairResult &result, std::size_t i) {
             if (observer)
-                observer(result, index_offset + i, total);
+                observer(result, i, pairs.size());
         });
 }
 

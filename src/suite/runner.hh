@@ -49,6 +49,33 @@ void prefillSteadyState(sim::CpuSimulator &core,
                         const trace::SyntheticTraceGenerator &generator);
 
 /**
+ * The trace one simulated context consumes. `generator` always
+ * exists: prefillSteadyState() reads its region layout without
+ * consuming ops. `source` is the stream the simulator pulls -- the
+ * generator itself when live, or a ReplaySource over its captured
+ * arena. Replay is draw-for-draw identical to live generation, so
+ * which one a caller got never shows in results or telemetry.
+ */
+struct PairTrace
+{
+    std::shared_ptr<trace::SyntheticTraceGenerator> generator;
+    std::shared_ptr<trace::TraceSource> source;
+};
+
+/**
+ * The one trace factory of the suite and co-run engines: opens the
+ * trace for @p params, replayed from @p store when one is given and
+ * generated live otherwise. @p cancel (may be null) is the watchdog's
+ * cooperative cancel flag, installed on the consumed source. With a
+ * @p registry, the source's emission counter is registered there as
+ * "<prefix>trace.emitted".
+ */
+PairTrace openTrace(const trace::SyntheticTraceParams &params,
+                    TraceArenaStore *store, const bool *cancel = nullptr,
+                    telemetry::MetricsRegistry *registry = nullptr,
+                    const std::string &prefix = "");
+
+/**
  * One shard of a sweep campaign: this process runs shard `index` of
  * `count` (both 1-based, `1/1` = the whole sweep). The partition is
  * deterministic round-robin over the canonical pair order -- pair i
@@ -243,11 +270,11 @@ struct RunnerOptions
     /** @name Hot-path batching (see docs/performance.md) */
     /// @{
     /**
-     * Micro-ops per TraceSource::nextBatch() pull on the simulator's
-     * batched fast lane (0 = the simulator default). Purely an
-     * execution-strategy knob: results, journals and telemetry are
-     * byte-identical at any batch size, so it is deliberately NOT
-     * part of the config key.
+     * Micro-ops per TraceSource::nextBatchSoA() pull on the
+     * simulator's batched fast lane (0 = the simulator default).
+     * Purely an execution-strategy knob: results, journals and
+     * telemetry are byte-identical at any batch size, so it is
+     * deliberately NOT part of the config key.
      */
     std::uint64_t batchOps = 0;
     /**
@@ -354,9 +381,9 @@ struct PairResult
 /**
  * @name Pair-identity helpers
  * The exact derivations SuiteRunner::runPairAttempt() uses, exposed
- * so alternate execution engines (suite/fanout.hh) reproduce per-pair
- * identity -- build options, seeds and paper-unit scaling -- by
- * construction rather than by copy.
+ * so the sweep engine's lockstep cells (suite/fanout.hh) reproduce
+ * per-pair identity -- build options, seeds, the measured window and
+ * paper-unit scaling -- by construction rather than by copy.
  */
 /// @{
 
@@ -386,6 +413,17 @@ PairResult makePairResult(const workloads::AppInputPair &pair);
 void finalizePairResult(const RunnerOptions &options,
                         const sim::SimResult &sim_result,
                         PairResult &result);
+
+/**
+ * The single-core measured-window tail: finishes @p simulator on
+ * @p source and returns the measured window alone -- counters and
+ * cycles minus the warm baseline (@p warm, @p warm_cycles, taken at
+ * the end of warmup), VSZ as finished, RSS as the pages touched.
+ */
+sim::SimResult finishMeasuredWindow(sim::CpuSimulator &simulator,
+                                    trace::TraceSource &source,
+                                    const counters::CounterSet &warm,
+                                    double warm_cycles);
 
 /// @}
 
@@ -423,8 +461,7 @@ class SuiteRunner
         const std::vector<workloads::WorkloadProfile> &suite,
         workloads::InputSize size) const;
 
-    /** runAll() variant notifying @p observer after each pair, which
-     *  is how the result cache journals completed pairs. */
+    /** runAll() variant notifying @p observer after each pair. */
     std::vector<PairResult> runAll(
         const std::vector<workloads::WorkloadProfile> &suite,
         workloads::InputSize size, const PairObserver &observer) const;
@@ -438,16 +475,13 @@ class SuiteRunner
      *
      * @p observer is invoked in canonical pair order -- a completed
      * pair is held back until every earlier pair has been delivered
-     * (lowest-uncommitted-index drain) -- and never concurrently, so
-     * journaling through it always extends a valid prefix. Observer
-     * indices run from @p index_offset; @p total is the sweep size
-     * reported to the observer (0 = index_offset + pairs.size()),
-     * letting a resumed sweep report progress against the full sweep.
+     * (lowest-uncommitted-index drain) -- and never concurrently.
+     * Journaled sweeps run on the sweep engine instead
+     * (ResultCache::runOrLoad, suite/fanout.hh).
      */
     std::vector<PairResult> runPairs(
         const std::vector<workloads::AppInputPair> &pairs,
-        const PairObserver &observer = {}, std::size_t index_offset = 0,
-        std::size_t total = 0) const;
+        const PairObserver &observer = {}) const;
 
     const RunnerOptions &options() const { return options_; }
 

@@ -34,6 +34,17 @@ ProgressReporter::onItemDone(const std::string &name, std::size_t index,
 {
     (void)index;
     std::lock_guard<std::mutex> lock(mutex_);
+    const auto now = std::chrono::steady_clock::now();
+    if (done_ > 0 && done_ == total_) {
+        // The previous sweep finished: this item opens the next one
+        // (e.g. the next coordinate-descent stage), counted against
+        // its own total.
+        done_ = replayedCount_ = erroredCount_ = 0;
+        simulatedOps_ = 0;
+        start_ = now;
+        lastEmit_ = now - std::chrono::hours(1);
+    }
+    total_ = total;
     ++done_;
     if (replayed)
         ++replayedCount_;
@@ -41,7 +52,6 @@ ProgressReporter::onItemDone(const std::string &name, std::size_t index,
         simulatedOps_ += ops;
     erroredCount_ += errored ? 1 : 0;
 
-    const auto now = std::chrono::steady_clock::now();
     // Count-based, not index-based: with parallel workers the item
     // carrying the last index can complete long before the sweep is
     // actually done, and the truly last completion can carry any

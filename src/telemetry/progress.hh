@@ -24,8 +24,9 @@ namespace telemetry {
  * keeping slow ones talkative. The final item is detected by count
  * (every item reported), not by index, so it fires even when
  * parallel workers complete out of order. Safe for concurrent
- * callers. Stateless across sweeps: construct one reporter per
- * sweep.
+ * callers. Consecutive sweeps may share a reporter: the item after a
+ * sweep's final one opens a fresh count (done, rate and ETA) against
+ * its own total.
  */
 class ProgressReporter
 {
@@ -63,7 +64,7 @@ class ProgressReporter
                     unsigned attempts, bool errored,
                     bool replayed = false);
 
-    /** Items reported so far. */
+    /** Items of the current sweep reported so far. */
     std::size_t itemsDone() const { return done_; }
 
   private:
@@ -74,6 +75,8 @@ class ProgressReporter
      *  seams that are not already ordered (e.g. direct use). */
     std::mutex mutex_;
     std::size_t done_ = 0;
+    /** Total of the latest report (the current sweep's size). */
+    std::size_t total_ = 0;
     std::size_t replayedCount_ = 0;
     /** Micro-ops retired by simulated (non-replayed) items only;
      *  rate and ETA estimates are based on these. */

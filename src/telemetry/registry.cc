@@ -5,8 +5,6 @@
 #include "counters/perf_event.hh"
 #include "sim/multicore.hh"
 #include "sim/simulator.hh"
-#include "trace/arena.hh"
-#include "trace/synthetic.hh"
 #include "util/logging.hh"
 
 namespace spec17 {
@@ -328,27 +326,13 @@ registerMulticoreMetrics(MetricsRegistry &registry,
 
 void
 registerTraceMetrics(MetricsRegistry &registry,
-                     const trace::SyntheticTraceGenerator &generator,
+                     std::function<std::uint64_t()> emitted,
                      const std::string &prefix)
 {
     registry.registerCounter(prefix + "trace.emitted",
                              "micro-ops emitted by the generator",
-                             [&generator] {
-                                 return double(generator.emittedOps());
-                             });
-}
-
-void
-registerTraceMetrics(MetricsRegistry &registry,
-                     const trace::ReplaySource &replay,
-                     const std::string &prefix)
-{
-    // Same column name and description as the generator overload:
-    // replay is observation-equivalent, including its telemetry.
-    registry.registerCounter(prefix + "trace.emitted",
-                             "micro-ops emitted by the generator",
-                             [&replay] {
-                                 return double(replay.deliveredOps());
+                             [emitted = std::move(emitted)] {
+                                 return double(emitted());
                              });
 }
 

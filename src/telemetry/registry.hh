@@ -21,10 +21,6 @@ namespace sim {
 class CpuSimulator;
 class MulticoreSimulator;
 }
-namespace trace {
-class ReplaySource;
-class SyntheticTraceGenerator;
-}
 
 namespace telemetry {
 
@@ -109,19 +105,15 @@ void registerSimulatorMetrics(MetricsRegistry &registry,
 void registerMulticoreMetrics(MetricsRegistry &registry,
                               const sim::MulticoreSimulator &multicore);
 
-/** Registers a trace generator's emission counter under @p prefix. */
-void registerTraceMetrics(MetricsRegistry &registry,
-                          const trace::SyntheticTraceGenerator &generator,
-                          const std::string &prefix = "");
-
 /**
- * Replay twin of the generator overload: publishes the same
- * "trace.emitted" column reading ReplaySource::deliveredOps(), so
- * telemetry series are byte-identical whether a pair ran live or
- * from a captured arena.
+ * Registers a trace's emission counter as "<prefix>trace.emitted",
+ * read through @p emitted (SyntheticTraceGenerator::emittedOps() for
+ * a live trace, ReplaySource::deliveredOps() for a replayed one). Both
+ * publish the same column, so telemetry series are byte-identical
+ * whether a pair ran live or from a captured arena.
  */
 void registerTraceMetrics(MetricsRegistry &registry,
-                          const trace::ReplaySource &replay,
+                          std::function<std::uint64_t()> emitted,
                           const std::string &prefix = "");
 
 } // namespace telemetry

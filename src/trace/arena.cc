@@ -16,6 +16,12 @@ namespace {
 constexpr char kMagic[4] = {'S', '1', '7', 'A'};
 constexpr std::uint32_t kVersion = 1;
 
+/** Bytes one op occupies across the nine lanes: the residency
+ *  accounting unit and the spill image's per-op payload. */
+constexpr std::size_t kOpBytes = sizeof(isa::UopClass)
+    + sizeof(isa::BranchKind) + 3 * sizeof(std::uint64_t)
+    + 4 * sizeof(std::uint8_t);
+
 /** Appends one lane's raw bytes to the spill image. */
 template <typename T>
 void
@@ -42,13 +48,7 @@ readLane(std::istream &in, std::vector<T> &lane, std::size_t n)
 std::uint64_t
 TraceArena::byteSize() const
 {
-    const std::size_t n = lanes.capacity();
-    return static_cast<std::uint64_t>(
-        n * (sizeof(lanes.cls[0]) + sizeof(lanes.kind[0])
-             + sizeof(lanes.pc[0]) + sizeof(lanes.addr[0])
-             + sizeof(lanes.accessSize[0]) + sizeof(lanes.taken[0])
-             + sizeof(lanes.target[0]) + sizeof(lanes.depOnLoad[0])
-             + sizeof(lanes.depOnPrev[0])));
+    return static_cast<std::uint64_t>(lanes.capacity() * kOpBytes);
 }
 
 TraceArena
@@ -146,6 +146,19 @@ loadArena(const std::string &path)
         warn("ignoring unreadable arena spill (bad header): ", path);
         return nullptr;
     }
+    // The op count must match the lane bytes actually present before
+    // anything is allocated from it: a corrupt or forged count would
+    // otherwise size the lanes from untrusted input.
+    const std::streamoff lanes_start = in.tellg();
+    in.seekg(0, std::ios::end);
+    const auto lane_bytes =
+        static_cast<std::uint64_t>(in.tellg() - lanes_start);
+    in.seekg(lanes_start);
+    if (lane_bytes % kOpBytes != 0 || count != lane_bytes / kOpBytes) {
+        warn("ignoring arena spill whose op count disagrees with its "
+             "size: ", path);
+        return nullptr;
+    }
     auto arena = std::make_unique<TraceArena>();
     const std::size_t n = static_cast<std::size_t>(count);
     arena->lanes.ensure(n);
@@ -192,18 +205,6 @@ ReplaySource::next(isa::MicroOp &op)
         return false;
     op = arena_->lanes.get(cursor_++);
     return true;
-}
-
-std::size_t
-ReplaySource::nextBatch(isa::MicroOp *out, std::size_t n)
-{
-    if (cancelled())
-        return 0;
-    const std::size_t m = std::min(n, arena_->numOps - cursor_);
-    for (std::size_t i = 0; i < m; ++i)
-        out[i] = arena_->lanes.get(cursor_ + i);
-    cursor_ += m;
-    return m;
 }
 
 std::size_t

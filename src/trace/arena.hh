@@ -73,16 +73,17 @@ std::string describeTraceParams(const SyntheticTraceParams &params);
 bool saveArena(const std::string &path, const TraceArena &arena);
 
 /** Loads an arena spilled by saveArena(); nullptr when the file is
- *  missing, torn, or has a foreign magic/version (the caller then
- *  recaptures -- a bad spill never aborts a run). */
+ *  missing, torn, has a foreign magic/version, or a header op count
+ *  that disagrees with the lane bytes that follow it (the caller
+ *  then recaptures -- a bad spill never aborts a run). */
 std::unique_ptr<TraceArena> loadArena(const std::string &path);
 
 /// @}
 
 /**
  * Replays a captured arena as a TraceSource. Satisfies the full
- * stream contract: next(), nextBatch(), nextBatchSoA() and the
- * zero-copy nextLanes() all deliver the identical op sequence, mixed
+ * stream contract: next(), nextBatchSoA() and the zero-copy
+ * nextLanes() all deliver the identical op sequence, mixed
  * freely, and reset() rewinds exactly. Supports the same cooperative
  * cancellation surface as SyntheticTraceGenerator so the suite
  * runner can swap one for the other without observable difference.
@@ -96,7 +97,6 @@ class ReplaySource : public TraceSource
     explicit ReplaySource(std::shared_ptr<const TraceArena> arena);
 
     bool next(isa::MicroOp &op) override;
-    std::size_t nextBatch(isa::MicroOp *out, std::size_t n) override;
     std::size_t nextBatchSoA(MicroOpBatch &out, std::size_t at,
                              std::size_t n) override;
     const MicroOpBatch *nextLanes(std::size_t n, std::size_t &at,

@@ -135,31 +135,10 @@ FileTrace::next(isa::MicroOp &op)
 }
 
 std::size_t
-FileTrace::nextBatch(isa::MicroOp *out, std::size_t n)
-{
-    // Bulk copies out of the decode buffer instead of a bounds check
-    // and virtual call per record.
-    std::size_t filled = 0;
-    while (filled < n && delivered_ < count_) {
-        if (bufferPos_ >= buffer_.size())
-            refill();
-        const std::size_t avail = buffer_.size() - bufferPos_;
-        const std::size_t take = std::min(n - filled, avail);
-        std::copy_n(buffer_.begin()
-                        + static_cast<std::ptrdiff_t>(bufferPos_),
-                    take, out + filled);
-        bufferPos_ += take;
-        delivered_ += take;
-        filled += take;
-    }
-    return filled;
-}
-
-std::size_t
 FileTrace::nextBatchSoA(MicroOpBatch &out, std::size_t at, std::size_t n)
 {
     // Drains whatever the decode buffer still holds (records already
-    // unpacked for the AoS surfaces), then scatters the rest of the
+    // unpacked for next()), then scatters the rest of the
     // pull straight from raw file records into the lanes, skipping
     // the intermediate MicroOp buffer entirely.
     out.ensure(at + n);

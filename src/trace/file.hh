@@ -41,7 +41,6 @@ class FileTrace : public TraceSource
     explicit FileTrace(const std::string &path);
 
     bool next(isa::MicroOp &op) override;
-    std::size_t nextBatch(isa::MicroOp *out, std::size_t n) override;
     std::size_t nextBatchSoA(MicroOpBatch &out, std::size_t at,
                              std::size_t n) override;
     void reset() override;

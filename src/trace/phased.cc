@@ -32,34 +32,12 @@ PhasedTrace::next(isa::MicroOp &op)
 }
 
 std::size_t
-PhasedTrace::nextBatch(isa::MicroOp *out, std::size_t n)
+PhasedTrace::nextBatchSoA(MicroOpBatch &out, std::size_t at, std::size_t n)
 {
     // One phase-boundary check per child batch instead of per op; a
     // batch spanning a phase boundary is stitched together from the
-    // tail of one child and the head of the next.
-    std::size_t filled = 0;
-    while (filled < n && current_ < phases_.size()) {
-        const std::size_t want = n - filled;
-        const std::size_t got =
-            phases_[current_]->nextBatch(out + filled, want);
-        filled += got;
-        if (got < want) {
-            // Short child return: exhausted -> next phase; paused by
-            // cancellation -> stop here so the phase remainder resumes
-            // once the flag clears (matches the next()-loop stream).
-            if (phases_[current_]->cancelled())
-                break;
-            ++current_;
-        }
-    }
-    return filled;
-}
-
-std::size_t
-PhasedTrace::nextBatchSoA(MicroOpBatch &out, std::size_t at, std::size_t n)
-{
-    // Same stitching as nextBatch, offset into the lanes: each child
-    // writes its contribution at the running lane position.
+    // tail of one child and the head of the next, each child writing
+    // its contribution at the running lane position.
     out.ensure(at + n);
     std::size_t filled = 0;
     while (filled < n && current_ < phases_.size()) {
@@ -68,6 +46,9 @@ PhasedTrace::nextBatchSoA(MicroOpBatch &out, std::size_t at, std::size_t n)
             phases_[current_]->nextBatchSoA(out, at + filled, want);
         filled += got;
         if (got < want) {
+            // Short child return: exhausted -> next phase; paused by
+            // cancellation -> stop here so the phase remainder resumes
+            // once the flag clears (matches the next()-loop stream).
             if (phases_[current_]->cancelled())
                 break;
             ++current_;

@@ -28,7 +28,6 @@ class PhasedTrace : public TraceSource
         std::vector<std::shared_ptr<TraceSource>> phases);
 
     bool next(isa::MicroOp &op) override;
-    std::size_t nextBatch(isa::MicroOp *out, std::size_t n) override;
     std::size_t nextBatchSoA(MicroOpBatch &out, std::size_t at,
                              std::size_t n) override;
     void reset() override;

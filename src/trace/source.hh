@@ -17,14 +17,15 @@ namespace trace {
 
 /**
  * A finite stream of micro-ops. Sources are pull-based: the simulator
- * calls next() until it returns false, or pulls whole chunks through
- * nextBatch() (the simulator's batched fast lane -- see
+ * calls next() until it returns false (the unbatched reference lane),
+ * or pulls whole chunks of SoA lanes through nextBatchSoA() or the
+ * zero-copy nextLanes() (the batched fast lane -- see
  * docs/performance.md).
  *
- * The two surfaces describe one stream: pulling N ops one at a time
- * through next() and pulling them through nextBatch() in chunks of
- * any size must yield the identical op sequence, and the two may be
- * mixed freely at any point of the stream.
+ * The three surfaces describe one stream: pulling N ops one at a time
+ * through next() and pulling them through either batch surface in
+ * chunks of any size must yield the identical op sequence, and the
+ * surfaces may be mixed freely at any point of the stream.
  *
  * reset() rewinds to the first micro-op and must reproduce the
  * identical stream (the framework's determinism guarantee hinges on
@@ -47,44 +48,21 @@ class TraceSource
     virtual bool next(isa::MicroOp &op) = 0;
 
     /**
-     * Produces up to @p n micro-ops into @p out.
+     * Produces up to @p n micro-ops into the SoA lanes of @p out,
+     * starting at lane slot @p at -- the batched fast lane's native
+     * surface (the simulator consumes lanes, never AoS structs).
      *
      * Semantically equivalent to calling next() @p n times: the ops
      * delivered and the post-call source state are identical. A short
      * return (fewer than @p n ops) means the stream ended -- or, for
      * cancellable sources, that cooperative cancellation engaged --
      * exactly where next() would have returned false; subsequent
-     * calls return 0 until reset().
-     *
-     * The default implementation loops next(); sources with per-call
-     * overhead worth amortizing (RNG setup, phase-boundary checks,
-     * buffered file reads) override it.
-     *
-     * @return number of micro-ops written to @p out (<= @p n).
-     */
-    virtual std::size_t
-    nextBatch(isa::MicroOp *out, std::size_t n)
-    {
-        std::size_t filled = 0;
-        while (filled < n && next(out[filled]))
-            ++filled;
-        return filled;
-    }
-
-    /**
-     * Produces up to @p n micro-ops into the SoA lanes of @p out,
-     * starting at lane slot @p at -- the batched fast lane's native
-     * surface (the simulator consumes lanes, never AoS structs).
-     *
-     * Same stream contract as nextBatch(): op for op identical to
-     * @p n next() pulls, mixable freely with the other two surfaces,
-     * same short-return semantics. Writers fill every lane of every
+     * calls return 0 until reset(). Writers fill every lane of every
      * delivered op (see MicroOpBatch).
      *
-     * The default adapter stages a nextBatch() pull in the batch's
-     * AoS scratch and scatters it, so existing sources keep their
-     * amortized batched path; sources on the hot path override this
-     * to fill lanes directly.
+     * The default adapter loops next() and scatters each op into the
+     * lanes; sources on the hot path override this to fill lanes
+     * directly.
      *
      * @return number of micro-ops written (<= @p n); lanes are sized
      *         to at least @p at + @p n on entry.
@@ -93,10 +71,10 @@ class TraceSource
     nextBatchSoA(MicroOpBatch &out, std::size_t at, std::size_t n)
     {
         out.ensure(at + n);
-        isa::MicroOp *buf = out.scratch(n);
-        const std::size_t got = nextBatch(buf, n);
-        for (std::size_t i = 0; i < got; ++i)
-            out.set(at + i, buf[i]);
+        std::size_t got = 0;
+        isa::MicroOp op;
+        while (got < n && next(op))
+            out.set(at + got++, op);
         return got;
     }
 

@@ -559,31 +559,14 @@ SyntheticTraceGenerator::emitOpTo(Writer &&w, const EmitConsts &k)
     w.compute(pc_, cls, dep_on_prev);
 }
 
-void
-SyntheticTraceGenerator::emitOp(isa::MicroOp &op, const EmitConsts &k)
-{
-    emitOpTo(AosOpWriter{op}, k);
-}
-
 bool
 SyntheticTraceGenerator::next(isa::MicroOp &op)
 {
-    return nextBatch(&op, 1) == 1;
-}
-
-std::size_t
-SyntheticTraceGenerator::nextBatch(isa::MicroOp *out, std::size_t n)
-{
-    if (cancel_ != nullptr && *cancel_)
-        return 0;
-    const std::uint64_t remaining = params_.numOps - emitted_;
-    if (remaining < n)
-        n = static_cast<std::size_t>(remaining);
-    const EmitConsts k = emitConsts();
-    for (std::size_t i = 0; i < n; ++i)
-        emitOp(out[i], k);
-    emitted_ += n;
-    return n;
+    if (cancelled() || emitted_ >= params_.numOps)
+        return false;
+    emitOpTo(AosOpWriter{op}, emitConsts());
+    ++emitted_;
+    return true;
 }
 
 std::size_t

@@ -155,7 +155,6 @@ class SyntheticTraceGenerator : public TraceSource
     explicit SyntheticTraceGenerator(SyntheticTraceParams params);
 
     bool next(isa::MicroOp &op) override;
-    std::size_t nextBatch(isa::MicroOp *out, std::size_t n) override;
     std::size_t nextBatchSoA(MicroOpBatch &out, std::size_t at,
                              std::size_t n) override;
     void reset() override;
@@ -227,15 +226,13 @@ class SyntheticTraceGenerator : public TraceSource
     EmitConsts emitConsts() const;
     /**
      * Emits exactly one op through @p w (the caller has checked
-     * termination). There is a single emission body shared by the AoS
-     * and SoA surfaces: the writer only chooses where the fields land
-     * (a MicroOp struct or batch lanes), so the RNG draw order -- and
-     * therefore the emitted stream -- cannot diverge between them.
+     * termination). There is a single emission body shared by next()
+     * and the SoA surface: the writer only chooses where the fields
+     * land (a MicroOp struct or batch lanes), so the RNG draw order --
+     * and therefore the emitted stream -- cannot diverge between them.
      */
     template <typename Writer>
     void emitOpTo(Writer &&w, const EmitConsts &k);
-    /** AoS form of emitOpTo (next()/nextBatch() surfaces). */
-    void emitOp(isa::MicroOp &op, const EmitConsts &k);
     std::uint64_t pickAddress(std::size_t region_index, bool &dep_on_load);
     std::uint64_t pickBranchTarget();
     /** Rng::nextDiscrete with the weight sum precomputed (the weight

@@ -11,12 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "suite/arena_store.hh"
-#include "suite/fanout.hh"
+#include "telemetry/progress.hh"
 #include "util/units.hh"
 
 namespace spec17 {
@@ -306,7 +308,6 @@ TEST(ExploreGolden, CrossTableIdenticalAcrossFanoutAndJobs)
         ExploreOptions fanout = tinyOptions();
         fanout.runner.jobs = jobs;
         fanout.runner.arenaStore = &store;
-        ASSERT_TRUE(suite::fanoutEligible(fanout.runner));
         expectSameTable(baseline, ExploreRunner(fanout).runCross(axes));
         // The engine captured each pair's trace once; the points
         // replayed it rather than re-acquiring through the store.
@@ -344,6 +345,103 @@ TEST(ExploreGolden, DescentFoldsEachStagesKneeIntoTheBase)
     const auto skipped =
         ExploreRunner(options).runDescent({"tage-geometry"});
     EXPECT_TRUE(skipped.empty());
+}
+
+TEST(ExploreGolden, IneligibleSessionsFallBackToRunPair)
+{
+    // Interval sampling keeps every cell off the lockstep path: each
+    // runs through its point's SuiteRunner::runPair (still replaying
+    // from the store) and must score the bit-identical table.
+    const auto baseline =
+        ExploreRunner(tinyOptions()).runAxis("way-predictor");
+    for (const unsigned jobs : {1u, 8u}) {
+        SCOPED_TRACE(::testing::Message() << "jobs=" << jobs);
+        suite::TraceArenaStore store(512 * kMiB);
+        ExploreOptions sampled = tinyOptions();
+        sampled.runner.jobs = jobs;
+        sampled.runner.arenaStore = &store;
+        sampled.runner.sampleIntervalOps = 1000;
+        expectSameTable(baseline,
+                        ExploreRunner(sampled).runAxis("way-predictor"));
+        EXPECT_GT(store.stats().captures, 0u);
+    }
+}
+
+/** `done=` fields of every progress event in @p text, in order. */
+std::vector<std::string>
+progressCounts(const std::string &text)
+{
+    std::vector<std::string> counts;
+    for (std::size_t at = text.find("done="); at != std::string::npos;
+         at = text.find("done=", at + 1))
+        counts.push_back(text.substr(at, text.find(' ', at) - at));
+    return counts;
+}
+
+TEST(ExploreProgress, ReportsAgainstTheWholeCampaign)
+{
+    // One reporter sees every point's pairs: the count runs to 3N of
+    // 3N, and the final event fires once, at the true end.
+    const std::size_t n = workloads::enumeratePairs(
+                              workloads::cpu2006Suite(), InputSize::Test)
+                              .size();
+    const std::string last = "done=" + std::to_string(3 * n) + "/"
+        + std::to_string(3 * n);
+    for (const bool arena : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "arena=" << arena);
+        std::ostringstream stream;
+        telemetry::ProgressReporter::Options progress_options;
+        progress_options.minIntervalMs = 0;
+        progress_options.stream = &stream;
+        telemetry::ProgressReporter progress(progress_options);
+        suite::TraceArenaStore store(512 * kMiB);
+        ExploreOptions options = tinyOptions();
+        options.runner.arenaStore = arena ? &store : nullptr;
+        options.pairObserver = [&progress](const suite::PairResult &r,
+                                           std::size_t index,
+                                           std::size_t total) {
+            progress.onItemDone(r.name, index, total, 0, r.attempts,
+                                r.errored, r.replayed);
+        };
+        ASSERT_EQ(ExploreRunner(options).runAxis("way-predictor").size(),
+                  3u);
+        const auto counts = progressCounts(stream.str());
+        ASSERT_EQ(counts.size(), 3 * n);
+        EXPECT_EQ(counts.back(), last);
+        EXPECT_EQ(std::count(counts.begin(), counts.end(), last), 1);
+    }
+}
+
+TEST(ExploreProgress, EachDescentStageReportsItsOwnTotal)
+{
+    const std::size_t n = workloads::enumeratePairs(
+                              workloads::cpu2006Suite(), InputSize::Test)
+                              .size();
+    std::ostringstream stream;
+    telemetry::ProgressReporter::Options progress_options;
+    progress_options.minIntervalMs = 0;
+    progress_options.stream = &stream;
+    telemetry::ProgressReporter progress(progress_options);
+    ExploreOptions options = tinyOptions();
+    options.pairObserver = [&progress](const suite::PairResult &r,
+                                       std::size_t index,
+                                       std::size_t total) {
+        progress.onItemDone(r.name, index, total, 0, r.attempts,
+                            r.errored, r.replayed);
+    };
+    const auto steps = ExploreRunner(options).runDescent(
+        {"way-predictor", "l2-prefetcher"});
+    ASSERT_EQ(steps.size(), 2u);
+
+    // Each stage counts from 1 to its own M*N and closes exactly once.
+    std::vector<std::string> expected;
+    for (const auto &step : steps) {
+        const std::size_t total = step.points.size() * n;
+        for (std::size_t k = 1; k <= total; ++k)
+            expected.push_back("done=" + std::to_string(k) + "/"
+                               + std::to_string(total));
+    }
+    EXPECT_EQ(progressCounts(stream.str()), expected);
 }
 
 } // namespace

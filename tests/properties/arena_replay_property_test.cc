@@ -198,6 +198,48 @@ TEST(ArenaReplayProperty, JournalBytesMatchLiveGeneration)
     ref_cache.invalidate();
 }
 
+TEST(ArenaReplayProperty, RunOrLoadCellsMatchLiveGeneration)
+{
+    // runOrLoad is the sweep engine's one-session call: with sampling
+    // off its single-threaded pairs run as lockstep replay cells, with
+    // sampling on every pair runs through runPair. Both must match the
+    // live sweep's results and journal bytes at any job count.
+    const auto &suite = workloads::cpu2006Suite();
+    const std::string dir(::testing::TempDir());
+    RunnerOptions live = laneOptions(1, 0, nullptr);
+    live.sampleIntervalOps = 0;
+    const std::string ref_base = dir + "/spec17_arena_prop_cells_ref";
+    ResultCache ref_cache(ref_base);
+    ref_cache.invalidate();
+    const auto golden =
+        ref_cache.runOrLoad(SuiteRunner(live), suite, InputSize::Test);
+    const std::string ref_bytes =
+        fileBytes(ref_base + ".cpu2006.test.csv");
+    ASSERT_FALSE(ref_bytes.empty());
+
+    TraceArenaStore store(512 * kMiB);
+    for (const std::uint64_t interval : {std::uint64_t(0), kIntervalOps}) {
+        for (const unsigned jobs : {1u, 8u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "interval=" << interval << " jobs=" << jobs);
+            RunnerOptions options = laneOptions(jobs, 0, &store);
+            options.sampleIntervalOps = interval;
+            const std::string base = dir + "/spec17_arena_prop_cells_i"
+                + std::to_string(interval) + "_j" + std::to_string(jobs);
+            ResultCache cache(base);
+            cache.invalidate();
+            expectResultsIdentical(
+                golden,
+                cache.runOrLoad(SuiteRunner(options), suite,
+                                InputSize::Test));
+            EXPECT_EQ(fileBytes(base + ".cpu2006.test.csv"), ref_bytes);
+            cache.invalidate();
+        }
+    }
+    EXPECT_GT(store.stats().hits, 0u);
+    ref_cache.invalidate();
+}
+
 } // namespace
 } // namespace suite
 } // namespace spec17

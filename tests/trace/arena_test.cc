@@ -2,10 +2,10 @@
  * @file
  * Trace-arena golden tests: a captured arena replayed through
  * ReplaySource must be draw-for-draw identical to live generation on
- * every delivery surface (next(), nextBatch(), nextBatchSoA(), the
- * zero-copy nextLanes()), mixed freely and across reset(); the S17A
- * spill format must round-trip an arena exactly and reject torn or
- * foreign files by returning nullptr (never aborting a run).
+ * every delivery surface (next(), nextBatchSoA(), the zero-copy
+ * nextLanes()), mixed freely and across reset(); the S17A spill format
+ * must round-trip an arena exactly and reject torn, foreign or forged
+ * files by returning nullptr (never aborting a run).
  */
 
 #include "trace/arena.hh"
@@ -13,12 +13,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "suite/arena_store.hh"
 #include "trace/synthetic.hh"
+#include "util/units.hh"
 
 namespace spec17 {
 namespace trace {
@@ -50,15 +53,16 @@ drainPerOp(TraceSource &source)
     return ops;
 }
 
+/** Drains through nextBatchSoA, gathering lanes back to AoS ops. */
 std::vector<isa::MicroOp>
-drainBatched(TraceSource &source, std::size_t batch)
+drainSoA(TraceSource &source, std::size_t batch)
 {
     std::vector<isa::MicroOp> ops;
-    std::vector<isa::MicroOp> buf(batch);
+    MicroOpBatch lanes;
     while (true) {
-        const std::size_t got = source.nextBatch(buf.data(), batch);
-        ops.insert(ops.end(), buf.begin(),
-                   buf.begin() + static_cast<std::ptrdiff_t>(got));
+        const std::size_t got = source.nextBatchSoA(lanes, 0, batch);
+        for (std::size_t i = 0; i < got; ++i)
+            ops.push_back(lanes.get(i));
         if (got < batch)
             return ops;
     }
@@ -120,7 +124,7 @@ TEST(Arena, ReplayMatchesLiveAtAnyBatchSize)
          {std::size_t(1), std::size_t(7), std::size_t(1000),
           std::size_t(4096), std::size_t(100000)}) {
         ReplaySource replay(capture(p));
-        expectSameStream(reference, drainBatched(replay, batch));
+        expectSameStream(reference, drainSoA(replay, batch));
     }
 }
 
@@ -135,12 +139,8 @@ TEST(Arena, SurfacesMixFreelyAndResetRewindsExactly)
     isa::MicroOp op;
     for (int i = 0; i < 13 && replay.next(op); ++i)
         mixed.push_back(op);
-    std::vector<isa::MicroOp> buf(777);
-    std::size_t got = replay.nextBatch(buf.data(), buf.size());
-    mixed.insert(mixed.end(), buf.begin(),
-                 buf.begin() + static_cast<std::ptrdiff_t>(got));
     MicroOpBatch lanes;
-    got = replay.nextBatchSoA(lanes, 0, 500);
+    std::size_t got = replay.nextBatchSoA(lanes, 0, 500);
     for (std::size_t i = 0; i < got; ++i)
         mixed.push_back(lanes.get(i));
     std::size_t at = 0;
@@ -236,6 +236,50 @@ TEST(Arena, LoadRejectsMissingTornAndForeignFiles)
     foreign.close();
     EXPECT_EQ(loadArena(path), nullptr);
     std::remove(path.c_str());
+}
+
+TEST(Arena, ForgedOpCountIsRejectedAndRecaptured)
+{
+    const SyntheticTraceParams p = params(3000);
+    const std::string dir =
+        std::string(::testing::TempDir()) + "/arena_forged";
+    std::filesystem::create_directories(dir);
+    const std::string path = suite::TraceArenaStore(kMiB, dir)
+                                 .spillPathFor(describeTraceParams(p));
+    SyntheticTraceGenerator live(p);
+    const std::vector<isa::MicroOp> reference = drainPerOp(live);
+
+    // A store finding a bad spill at the key's path must recapture:
+    // never throw, never serve the bad file.
+    const auto expect_clean_recapture = [&] {
+        suite::TraceArenaStore store(64 * kMiB, dir);
+        const auto arena = store.acquire(p);
+        ASSERT_NE(arena, nullptr);
+        EXPECT_EQ(store.stats().captures, 1u);
+        EXPECT_EQ(store.stats().spillLoads, 0u);
+        ReplaySource replay(arena);
+        expectSameStream(reference, drainPerOp(replay));
+    };
+
+    // Forged header: count = 2^40 over a 3000-op body. The count is
+    // refused before it sizes any allocation.
+    ASSERT_TRUE(saveArena(path, captureArena(p)));
+    {
+        std::fstream file(path,
+                          std::ios::in | std::ios::out | std::ios::binary);
+        const std::uint64_t forged = std::uint64_t(1) << 40;
+        file.seekp(8);
+        file.write(reinterpret_cast<const char *>(&forged), 8);
+    }
+    EXPECT_EQ(loadArena(path), nullptr);
+    expect_clean_recapture();
+
+    // A well-formed spill of another length under this key loads, but
+    // the store refuses it for not matching params.numOps.
+    ASSERT_TRUE(saveArena(path, captureArena(params(1000))));
+    ASSERT_NE(loadArena(path), nullptr);
+    expect_clean_recapture();
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Arena, DescribeTraceParamsIsAnExactKey)

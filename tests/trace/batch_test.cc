@@ -1,8 +1,8 @@
 /**
  * @file
- * Batched trace delivery: TraceSource::nextBatch() must describe the
- * same stream as next() -- op for op, at any batch size, across phase
- * boundaries, through the default fallback, and mixed freely with
+ * Batched trace delivery: TraceSource::nextBatchSoA() must describe
+ * the same stream as next() -- op for op, at any batch size, across
+ * phase boundaries, through the default adapter, and mixed freely with
  * per-op pulls -- and reset() after a partially consumed batch must
  * replay the identical stream from the top (the contract retry-with-
  * seed-perturbation and record/replay depend on).
@@ -51,15 +51,16 @@ drainPerOp(TraceSource &source)
     return ops;
 }
 
+/** Drains through nextBatchSoA, gathering lanes back to AoS ops. */
 std::vector<isa::MicroOp>
-drainBatched(TraceSource &source, std::size_t batch)
+drainSoA(TraceSource &source, std::size_t batch)
 {
     std::vector<isa::MicroOp> ops;
-    std::vector<isa::MicroOp> buf(batch);
+    MicroOpBatch lanes;
     while (true) {
-        const std::size_t got = source.nextBatch(buf.data(), batch);
-        ops.insert(ops.end(), buf.begin(),
-                   buf.begin() + static_cast<std::ptrdiff_t>(got));
+        const std::size_t got = source.nextBatchSoA(lanes, 0, batch);
+        for (std::size_t i = 0; i < got; ++i)
+            ops.push_back(lanes.get(i));
         if (got < batch)
             return ops;
     }
@@ -93,7 +94,7 @@ TEST(TraceBatch, SyntheticBatchMatchesPerOpAtAnyBatchSize)
     for (const std::size_t batch : {std::size_t{1}, std::size_t{7},
                                     std::size_t{64}, std::size_t{999}}) {
         SyntheticTraceGenerator gen(params());
-        expectSameStream(drainBatched(gen, batch), golden);
+        expectSameStream(drainSoA(gen, batch), golden);
     }
 }
 
@@ -117,19 +118,20 @@ TEST(TraceBatch, PhasedBatchMatchesPerOpAcrossPhaseBoundaries)
          {std::size_t{1}, std::size_t{7}, std::size_t{64},
           std::size_t{4096}}) {
         PhasedTrace phased = make();
-        expectSameStream(drainBatched(phased, batch), golden);
+        expectSameStream(drainSoA(phased, batch), golden);
     }
 }
 
 TEST(TraceBatch, DefaultFallbackMatchesPerOp)
 {
-    // Kernels don't override nextBatch; the base-class loop must
-    // deliver the same stream.
+    // Kernels don't override nextBatchSoA; the base-class adapter
+    // (a next() loop scattered into the lanes) must deliver the same
+    // stream.
     MatrixWalkKernel per_op(64, 96, /*row_major=*/false, 3);
     const auto golden = drainPerOp(per_op);
 
     MatrixWalkKernel batched(64, 96, /*row_major=*/false, 3);
-    expectSameStream(drainBatched(batched, 13), golden);
+    expectSameStream(drainSoA(batched, 13), golden);
 }
 
 TEST(TraceBatch, FileTraceBatchMatchesPerOp)
@@ -147,7 +149,7 @@ TEST(TraceBatch, FileTraceBatchMatchesPerOp)
     for (const std::size_t batch : {std::size_t{1}, std::size_t{1000},
                                     std::size_t{4096}}) {
         FileTrace file(path);
-        expectSameStream(drainBatched(file, batch), golden);
+        expectSameStream(drainSoA(file, batch), golden);
     }
     std::remove(path.c_str());
 }
@@ -160,16 +162,16 @@ TEST(TraceBatch, MixedPerOpAndBatchPullsAreOneStream)
     SyntheticTraceGenerator mixed(params());
     std::vector<isa::MicroOp> ops;
     isa::MicroOp op;
-    std::vector<isa::MicroOp> buf(64);
+    MicroOpBatch lanes;
     while (true) {
         if (ops.size() % 3 == 0) {
             if (!mixed.next(op))
                 break;
             ops.push_back(op);
         } else {
-            const std::size_t got = mixed.nextBatch(buf.data(), 17);
-            ops.insert(ops.end(), buf.begin(),
-                       buf.begin() + static_cast<std::ptrdiff_t>(got));
+            const std::size_t got = mixed.nextBatchSoA(lanes, 0, 17);
+            for (std::size_t i = 0; i < got; ++i)
+                ops.push_back(lanes.get(i));
             if (got < 17)
                 break;
         }
@@ -195,10 +197,10 @@ TEST(TraceBatch, ResetAfterPartialBatchReplaysIdenticalStream)
 
         // Consume a partial batch (an odd count, mid-stream), then
         // rewind and replay in full.
-        std::vector<isa::MicroOp> buf(37);
-        ASSERT_EQ(source.nextBatch(buf.data(), 37), 37u);
+        MicroOpBatch lanes;
+        ASSERT_EQ(source.nextBatchSoA(lanes, 0, 37), 37u);
         source.reset();
-        expectSameStream(drainBatched(source, 64), golden);
+        expectSameStream(drainSoA(source, 64), golden);
     };
 
     SyntheticTraceGenerator synthetic(params(5000));
@@ -219,77 +221,6 @@ TEST(TraceBatch, ResetAfterPartialBatchReplaysIdenticalStream)
     check(kernel);
 
     std::remove(path.c_str());
-}
-
-/** Drains through nextBatchSoA, gathering lanes back to AoS ops. */
-std::vector<isa::MicroOp>
-drainSoA(TraceSource &source, std::size_t batch)
-{
-    std::vector<isa::MicroOp> ops;
-    MicroOpBatch lanes;
-    while (true) {
-        const std::size_t got = source.nextBatchSoA(lanes, 0, batch);
-        for (std::size_t i = 0; i < got; ++i)
-            ops.push_back(lanes.get(i));
-        if (got < batch)
-            return ops;
-    }
-}
-
-TEST(TraceBatch, SoaLanesDescribeTheSameStream)
-{
-    // Every SoA writer (synthetic native, phased stitching, file
-    // unpack, and the base-class AoS-scratch adapter) must fill every
-    // lane with exactly the fields a next() pull would deliver.
-    {
-        SyntheticTraceGenerator per_op(params());
-        const auto golden = drainPerOp(per_op);
-        for (const std::size_t batch :
-             {std::size_t{1}, std::size_t{7}, std::size_t{64},
-              std::size_t{999}}) {
-            SyntheticTraceGenerator gen(params());
-            expectSameStream(drainSoA(gen, batch), golden);
-        }
-    }
-    {
-        std::vector<std::shared_ptr<TraceSource>> phases;
-        phases.push_back(
-            std::make_shared<StreamKernel>(64 * 1024, 500, true));
-        phases.push_back(
-            std::make_shared<SyntheticTraceGenerator>(params(3001)));
-        PhasedTrace per_op(std::move(phases));
-        const auto golden = drainPerOp(per_op);
-
-        std::vector<std::shared_ptr<TraceSource>> phases2;
-        phases2.push_back(
-            std::make_shared<StreamKernel>(64 * 1024, 500, true));
-        phases2.push_back(
-            std::make_shared<SyntheticTraceGenerator>(params(3001)));
-        PhasedTrace phased(std::move(phases2));
-        expectSameStream(drainSoA(phased, 64), golden);
-    }
-    {
-        const std::string path = std::string(::testing::TempDir())
-            + "/spec17_batch_soa_trace.s17t";
-        SyntheticTraceGenerator gen(params(9000));
-        ASSERT_EQ(writeTrace(path, gen), 9000u);
-        FileTrace per_op(path);
-        const auto golden = drainPerOp(per_op);
-        for (const std::size_t batch :
-             {std::size_t{1}, std::size_t{1000}, std::size_t{4096}}) {
-            FileTrace file(path);
-            expectSameStream(drainSoA(file, batch), golden);
-        }
-        std::remove(path.c_str());
-    }
-    {
-        // Kernels don't override nextBatchSoA: the default adapter
-        // (AoS scratch + scatter) must match too.
-        MatrixWalkKernel per_op(64, 96, /*row_major=*/false, 3);
-        const auto golden = drainPerOp(per_op);
-        MatrixWalkKernel adapted(64, 96, /*row_major=*/false, 3);
-        expectSameStream(drainSoA(adapted, 13), golden);
-    }
 }
 
 TEST(TraceBatch, SoaPullsAtAnOffsetStitchOneStream)
@@ -315,7 +246,7 @@ TEST(TraceBatch, PhasedGoldenBatchSplitAcrossATransition)
     // Golden case for the phase-boundary remainder contract: a batch
     // sized to straddle the first phase's end must contain the tail
     // of phase 0 followed by the head of phase 1, exactly as a
-    // next() loop would deliver them -- on both batch surfaces.
+    // next() loop would deliver them.
     const auto make = [] {
         SyntheticTraceParams second = params(100);
         second.seed = 1234;  // distinct stream on each side
@@ -333,25 +264,16 @@ TEST(TraceBatch, PhasedGoldenBatchSplitAcrossATransition)
 
     // One 64-op batch to 64, then a 64-op batch covering ops 64..127
     // -- the second one crosses the boundary at op 100.
-    PhasedTrace aos = make();
-    std::vector<isa::MicroOp> buf(64);
-    ASSERT_EQ(aos.nextBatch(buf.data(), 64), 64u);
-    ASSERT_EQ(aos.currentPhase(), 0u);
-    std::vector<isa::MicroOp> straddle(64);
-    ASSERT_EQ(aos.nextBatch(straddle.data(), 64), 64u);
-    EXPECT_EQ(aos.currentPhase(), 1u);
-    for (std::size_t i = 0; i < 64; ++i) {
-        EXPECT_EQ(straddle[i].pc, golden[64 + i].pc) << "op " << i;
-        EXPECT_EQ(straddle[i].cls, golden[64 + i].cls) << "op " << i;
-    }
-
     PhasedTrace soa = make();
     MicroOpBatch lanes;
     ASSERT_EQ(soa.nextBatchSoA(lanes, 0, 64), 64u);
+    ASSERT_EQ(soa.currentPhase(), 0u);
     ASSERT_EQ(soa.nextBatchSoA(lanes, 64, 64), 64u);
+    EXPECT_EQ(soa.currentPhase(), 1u);
     for (std::size_t i = 0; i < 128; ++i) {
         const isa::MicroOp op = lanes.get(i);
         EXPECT_EQ(op.pc, golden[i].pc) << "op " << i;
+        EXPECT_EQ(op.cls, golden[i].cls) << "op " << i;
         EXPECT_EQ(op.effAddr, golden[i].effAddr) << "op " << i;
     }
 }
@@ -362,16 +284,16 @@ TEST(TraceBatch, CancellationStopsABatchAtTheFlag)
     SyntheticTraceGenerator gen(params());
     gen.setCancelFlag(&cancelled);
 
-    std::vector<isa::MicroOp> buf(64);
-    ASSERT_EQ(gen.nextBatch(buf.data(), 64), 64u);
+    MicroOpBatch lanes;
+    ASSERT_EQ(gen.nextBatchSoA(lanes, 0, 64), 64u);
     cancelled = true;
-    EXPECT_EQ(gen.nextBatch(buf.data(), 64), 0u);
+    EXPECT_EQ(gen.nextBatchSoA(lanes, 0, 64), 0u);
     EXPECT_EQ(gen.emittedOps(), 64u);
 
     // Clearing the flag resumes exactly where the stream stopped,
     // like next() does.
     cancelled = false;
-    EXPECT_EQ(gen.nextBatch(buf.data(), 64), 64u);
+    EXPECT_EQ(gen.nextBatchSoA(lanes, 0, 64), 64u);
     EXPECT_EQ(gen.emittedOps(), 128u);
 }
 
@@ -423,11 +345,6 @@ TEST(TraceBatch, PhasedDoesNotDropACancelledPhaseRemainder)
         expectSameStream(ops, golden);
     };
 
-    check([](PhasedTrace &source, std::size_t n) {
-        std::vector<isa::MicroOp> buf(n);
-        buf.resize(source.nextBatch(buf.data(), n));
-        return buf;
-    });
     check([](PhasedTrace &source, std::size_t n) {
         MicroOpBatch lanes;
         const std::size_t got = source.nextBatchSoA(lanes, 0, n);
