@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -789,6 +790,191 @@ TEST(CliRun, ValidateReportsDeviations)
               0);
     EXPECT_NE(out.str().find("deviate more than"), std::string::npos);
     EXPECT_NE(out.str().find("429.mcf"), std::string::npos);
+}
+
+TEST(CliRun, MalformedArgvIsAContainedUsageError)
+{
+    // Each argv once crashed (panic/fatal), was silently misparsed, or
+    // was silently ignored. Now: exit 2 with exactly one error line.
+    const std::vector<std::vector<const char *>> cases = {
+        {"stat", "505.mcf_r", "--sample=500"},
+        {"stat", "505.mcf_r", "--sample=1e6"},
+        {"stat", "505.mcf_r", "--sample=12abc"},
+        {"stat", "505.mcf_r", "--sample=-5"},
+        {"stat", "505.mcf_r", "--sample=99999999999"},
+        {"corun", "--sample=500"},
+        {"record", "505.mcf_r", "--sample=500"},
+        {"phases", "505.mcf_r", "--sample=5000"},
+        {"subset", "--clusters=999", "--sample=1000", "--warmup=0",
+         "--no-cache"},
+        {"stat", "505.mcf_r", "--predictor=foo"},
+        {"stat", "505.mcf_r", "--prefetcher=foo"},
+        {"config", "--predictor=foo"},
+        {"characterize", "--jobs=abc"},
+        {"characterize", "--resume=false"},
+        {"stat", "505.mcf_r", "--telemetry-format=xml"},
+        {"stat", "505.mcf_r", "--input=0"},
+        {"stat", "505.mcf_r", "--jobs=2"},
+        {"validate", "--jobs=2"},
+        {"explore", "--axis=predictor", "--telemetry-out=series"},
+        {"explore", "--axis=predictor", "--sample-interval-ops=1000"},
+        {"corun", "--suite=cpu2006"},
+        {"list", "--predictor=tage"},
+        {"--help"},
+    };
+    for (const auto &argv : cases) {
+        std::string label;
+        for (const char *arg : argv)
+            label += std::string(arg) + " ";
+        std::ostringstream out, err;
+        const int code = runCommand(
+            parseCommandLine(static_cast<int>(argv.size()), argv.data()),
+            out, err);
+        const std::string text = err.str();
+        EXPECT_EQ(text.find("panic:"), std::string::npos) << label;
+        EXPECT_EQ(text.find("fatal:"), std::string::npos) << label;
+        if (std::string(argv[0]) == "--help") {
+            EXPECT_EQ(code, 0) << label;
+            EXPECT_NE(out.str().find("usage:"), std::string::npos);
+            continue;
+        }
+        EXPECT_EQ(code, 2) << label;
+        EXPECT_EQ(text.rfind("error: ", 0), 0u) << label << text;
+        EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1)
+            << label << text;
+    }
+}
+
+TEST(CliRun, VerbTableNamesOnlyKnownFlags)
+{
+    // Every verb reads only flags of the flag table, and every flag but
+    // --help (which any verb takes) is read by some verb.
+    std::map<std::string, int> readers;
+    for (const VerbSpec &verb : verbTable()) {
+        std::istringstream names(verb.flags);
+        std::string name;
+        while (names >> name)
+            ++readers[name];
+    }
+    for (const auto &[name, count] : readers)
+        EXPECT_TRUE(std::any_of(flagTable().begin(), flagTable().end(),
+                                [&](const FlagSpec &spec) {
+                                    return name == spec.name;
+                                }))
+            << name;
+    for (const FlagSpec &spec : flagTable())
+        EXPECT_EQ(readers.count(spec.name), spec.name == std::string("help")
+                                                ? 0u
+                                                : 1u)
+            << spec.name;
+}
+
+TEST(CliRun, NameListsMatchTheLibrary)
+{
+    // Every name a flag's placeholder offers is one the simulator
+    // builds; a name the library rejects cannot pass validation.
+    for (const char *flag : {"predictor", "prefetcher", "l2-prefetcher",
+                             "way-predictor"}) {
+        const FlagSpec &spec = *std::find_if(
+            flagTable().begin(), flagTable().end(),
+            [&](const FlagSpec &s) { return s.name == std::string(flag); });
+        std::istringstream names(spec.placeholder);
+        std::string name;
+        while (std::getline(names, name, '|')) {
+            const std::string arg = "--" + std::string(flag) + "=" + name;
+            std::ostringstream out, err;
+            EXPECT_EQ(runCommand(parse({"stat", "548.exchange2_r",
+                                        "--sample=2000", "--warmup=0",
+                                        arg.c_str()}),
+                                 out, err),
+                      0)
+                << arg << ": " << err.str();
+        }
+    }
+}
+
+TEST(CliRun, CorunHonorsEveryMachineFlag)
+{
+    const auto run = [](std::initializer_list<const char *> extra) {
+        std::vector<const char *> argv = {
+            "corun", "--apps=505.mcf_r,519.lbm_r", "--no-self",
+            "--size=test", "--sample=20000", "--warmup=5000", "--no-cache",
+            "--csv"};
+        argv.insert(argv.end(), extra);
+        std::ostringstream out, err;
+        EXPECT_EQ(runCommand(parseCommandLine(
+                                 static_cast<int>(argv.size()),
+                                 argv.data()),
+                             out, err),
+                  0)
+            << err.str();
+        return out.str();
+    };
+    const std::string plain = run({});
+    EXPECT_NE(plain.find("505.mcf_r"), std::string::npos);
+    EXPECT_NE(run({"--way-predictor=utag", "--l2-prefetcher=stream"}),
+              plain);
+}
+
+TEST(CliRun, RecordHonorsSuiteAndInput)
+{
+    const std::string dir = ::testing::TempDir();
+    const auto record = [&](std::initializer_list<const char *> args,
+                            const std::string &path) {
+        std::vector<const char *> argv(args);
+        const std::string out_flag = "--out=" + path;
+        argv.push_back("--sample=2000");
+        argv.push_back(out_flag.c_str());
+        std::ostringstream out, err;
+        const int code = runCommand(
+            parseCommandLine(static_cast<int>(argv.size()), argv.data()),
+            out, err);
+        EXPECT_EQ(code, 0) << err.str();
+        return fileBytes(path);
+    };
+    const std::string in1 = record({"record", "502.gcc_r", "--input=1"},
+                                   dir + "/cli_gcc_in1.s17t");
+    const std::string in3 = record({"record", "502.gcc_r", "--input=3"},
+                                   dir + "/cli_gcc_in3.s17t");
+    EXPECT_FALSE(in1.empty());
+    EXPECT_NE(in1, in3);
+    EXPECT_FALSE(record({"record", "429.mcf", "--suite=cpu2006"},
+                        dir + "/cli_mcf06.s17t")
+                     .empty());
+    for (const char *file : {"cli_gcc_in1.s17t", "cli_gcc_in3.s17t",
+                             "cli_mcf06.s17t"})
+        std::remove((dir + "/" + file).c_str());
+
+    // phases resolves the pair the same way, input bound included.
+    std::ostringstream out, err;
+    EXPECT_EQ(runCommand(parse({"phases", "429.mcf", "--suite=cpu2006",
+                                "--sample=100000", "--warmup=20000"}),
+                         out, err),
+              0)
+        << err.str();
+    std::ostringstream err2;
+    EXPECT_EQ(runCommand(parse({"phases", "505.mcf_r", "--input=2"}), out,
+                         err2),
+              2);
+    EXPECT_NE(err2.str().find("has 1 ref inputs"), std::string::npos);
+}
+
+TEST(CliRun, ReadmeFlagReferenceIsTheUsageText)
+{
+    // README.md carries `spec17 --help` verbatim between two markers.
+    const std::string readme = fileBytes(SPEC17_SOURCE_DIR "/README.md");
+    const std::string begin = "<!-- spec17 --help: begin -->\n```text\n";
+    const std::string end = "```\n<!-- spec17 --help: end -->";
+    const auto from = readme.find(begin);
+    const auto to = readme.find(end);
+    ASSERT_NE(from, std::string::npos);
+    ASSERT_NE(to, std::string::npos);
+    const std::string block =
+        readme.substr(from + begin.size(), to - from - begin.size());
+    EXPECT_EQ(block, usage())
+        << "README.md's flag reference is stale; replace the block "
+           "with:\n"
+        << usage();
 }
 
 } // namespace

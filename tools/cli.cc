@@ -1,10 +1,11 @@
 #include "tools/cli.hh"
 
 #include <algorithm>
-#include <memory>
-#include <sstream>
-
+#include <charconv>
 #include <fstream>
+#include <memory>
+#include <optional>
+#include <sstream>
 
 #include "core/characterizer.hh"
 #include "util/logging.hh"
@@ -38,83 +39,177 @@ namespace {
 using workloads::InputSize;
 using workloads::SuiteGeneration;
 
-/** Maps --suite= to a generation; defaults to CPU2017. */
-SuiteGeneration
-generationOf(const CommandLine &command, std::ostream &err, bool &ok)
+/** Digits only (no sign, space, exponent or suffix), or nullopt. */
+std::optional<std::uint64_t>
+parseUint(const std::string &text)
 {
-    const std::string suite = command.flag("suite", "cpu2017");
-    ok = true;
-    if (suite == "cpu2017")
-        return SuiteGeneration::Cpu2017;
-    if (suite == "cpu2006")
-        return SuiteGeneration::Cpu2006;
-    err << "error: unknown --suite '" << suite
-        << "' (want cpu2017|cpu2006)\n";
-    ok = false;
-    return SuiteGeneration::Cpu2017;
+    std::uint64_t value = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || stop != end)
+        return std::nullopt;
+    return value;
 }
 
-/** Maps --size= to an input size; defaults to ref. */
+// The resolvers below run after runCommand() has held every flag to
+// its FlagSpec contract, so they map values without error paths.
+
+SuiteGeneration
+generationOf(const CommandLine &command)
+{
+    return command.flag("suite") == "cpu2006" ? SuiteGeneration::Cpu2006
+                                              : SuiteGeneration::Cpu2017;
+}
+
+const std::vector<workloads::WorkloadProfile> &
+suiteOf(SuiteGeneration generation)
+{
+    return generation == SuiteGeneration::Cpu2017
+        ? workloads::cpu2017Suite()
+        : workloads::cpu2006Suite();
+}
+
 InputSize
-sizeOf(const CommandLine &command, std::ostream &err, bool &ok)
+sizeOf(const CommandLine &command)
 {
     const std::string size = command.flag("size", "ref");
-    ok = true;
-    if (size == "test")
-        return InputSize::Test;
-    if (size == "train")
-        return InputSize::Train;
-    if (size == "ref")
-        return InputSize::Ref;
-    err << "error: unknown --size '" << size
-        << "' (want test|train|ref)\n";
-    ok = false;
-    return InputSize::Ref;
+    return size == "test" ? InputSize::Test
+        : size == "train" ? InputSize::Train
+                          : InputSize::Ref;
+}
+
+/** The non-empty cells of the comma list @p text. */
+std::vector<std::string>
+listOf(const std::string &text)
+{
+    std::vector<std::string> cells;
+    std::string cell;
+    std::istringstream stream(text);
+    while (std::getline(stream, cell, ','))
+        if (!cell.empty())
+            cells.push_back(cell);
+    return cells;
+}
+
+/** The profile named @p name, or nullptr after a contained error. */
+const workloads::WorkloadProfile *
+profileOf(const std::vector<workloads::WorkloadProfile> &suite,
+          const std::string &name, std::ostream &err)
+{
+    for (const auto &profile : suite)
+        if (profile.name == name)
+            return &profile;
+    err << "error: no application named '" << name
+        << "' (try: spec17 list)\n";
+    return nullptr;
+}
+
+/** The pair positional[1], --suite, --size and --input name, or
+ *  nullopt after a contained error. */
+std::optional<workloads::AppInputPair>
+pairOf(const CommandLine &command, std::ostream &err)
+{
+    const std::string &name = command.positional[1];
+    const InputSize size = sizeOf(command);
+    const workloads::WorkloadProfile *profile =
+        profileOf(suiteOf(generationOf(command)), name, err);
+    if (profile == nullptr)
+        return std::nullopt;
+    const std::uint64_t input = command.flagUint("input", 1) - 1;
+    const unsigned available =
+        profile->numInputs[static_cast<std::size_t>(size)];
+    if (input >= available) {
+        err << "error: " << name << " has " << available << " "
+            << workloads::inputSizeName(size) << " inputs\n";
+        return std::nullopt;
+    }
+    return workloads::AppInputPair{profile, size,
+                                   static_cast<unsigned>(input)};
+}
+
+/** --shard, or the whole sweep (1/1) without it. */
+suite::ShardSpec
+shardOf(const CommandLine &command)
+{
+    return command.hasFlag("shard")
+        ? *suite::ShardSpec::parse(command.flag("shard"))
+        : suite::ShardSpec();
+}
+
+/** Progress events of a sharded campaign carry the shard label. */
+telemetry::ProgressReporter::Options
+progressOptionsOf(const suite::ShardSpec &shard)
+{
+    telemetry::ProgressReporter::Options options;
+    if (shard.active())
+        options.shardLabel = shard.label();
+    return options;
+}
+
+/**
+ * Applies --no-cache, --resume, --shard and --progress to the options
+ * of a suite sweep (characterize, explore). Returns the reporter the
+ * progress observer writes to; it must outlive the sweep.
+ */
+template <typename Options>
+std::unique_ptr<telemetry::ProgressReporter>
+applySweepFlags(const CommandLine &command, Options &options)
+{
+    if (command.hasFlag("no-cache"))
+        options.cachePath.clear();
+    options.resume = command.hasFlag("resume");
+    options.shard = shardOf(command);
+    auto progress = std::make_unique<telemetry::ProgressReporter>(
+        progressOptionsOf(options.shard));
+    if (command.hasFlag("progress"))
+        options.pairObserver = [reporter = progress.get()](
+                                   const suite::PairResult &result,
+                                   std::size_t index, std::size_t total) {
+            reporter->onItemDone(
+                result.name, index, total,
+                result.counters.get(counters::PerfEvent::InstRetiredAny),
+                result.attempts, result.errored, result.replayed);
+        };
+    return progress;
 }
 
 suite::RunnerOptions
 runnerOptionsOf(const CommandLine &command)
 {
+    // Every "N" flag fits in 32 bits (see contractError).
+    const auto narrow = [&command](const char *key, unsigned fallback) {
+        return static_cast<unsigned>(command.flagUint(key, fallback));
+    };
     suite::RunnerOptions options;
     options.sampleOps = command.flagUint("sample", 1'000'000);
     options.warmupOps = command.flagUint("warmup", 300'000);
-    if (command.hasFlag("predictor"))
-        options.system.branchPredictor = command.flag("predictor");
-    if (command.hasFlag("prefetcher"))
-        options.system.hierarchy.prefetcher =
-            command.flag("prefetcher");
+    sim::SystemConfig &system = options.system;
+    system.branchPredictor =
+        command.flag("predictor", system.branchPredictor);
     // Microarchitecture-mechanism knobs (all config-key members; see
-    // docs/uarch.md). runCommand() has already rejected unknown names
-    // and contradictory combinations with contained errors.
-    if (command.hasFlag("l2-prefetcher"))
-        options.system.hierarchy.l2Prefetcher =
-            command.flag("l2-prefetcher");
+    // docs/uarch.md).
+    sim::HierarchyConfig &hierarchy = system.hierarchy;
+    hierarchy.prefetcher = command.flag("prefetcher", hierarchy.prefetcher);
+    hierarchy.l2Prefetcher =
+        command.flag("l2-prefetcher", hierarchy.l2Prefetcher);
     if (command.hasFlag("way-predictor"))
-        options.system.hierarchy.l1d.wayPredictor =
+        hierarchy.l1d.wayPredictor =
             sim::wayPredictorFromName(command.flag("way-predictor"));
-    options.system.hierarchy.l1d.wayMispredictPenalty =
-        static_cast<unsigned>(command.flagUint(
-            "way-penalty",
-            options.system.hierarchy.l1d.wayMispredictPenalty));
-    options.system.hierarchy.streamDegree = static_cast<unsigned>(
-        command.flagUint("stream-degree",
-                         options.system.hierarchy.streamDegree));
-    options.system.hierarchy.streamDistance = static_cast<unsigned>(
-        command.flagUint("stream-distance",
-                         options.system.hierarchy.streamDistance));
-    options.system.tage.historyTables = static_cast<unsigned>(
-        command.flagUint("tage-tables",
-                         options.system.tage.historyTables));
-    options.maxRetries =
-        static_cast<unsigned>(command.flagUint("retries", 0));
+    hierarchy.l1d.wayMispredictPenalty =
+        narrow("way-penalty", hierarchy.l1d.wayMispredictPenalty);
+    hierarchy.streamDegree = narrow("stream-degree", hierarchy.streamDegree);
+    hierarchy.streamDistance =
+        narrow("stream-distance", hierarchy.streamDistance);
+    system.tage.historyTables =
+        narrow("tage-tables", system.tage.historyTables);
+    options.maxRetries = narrow("retries", 0);
     options.pairDeadlineOps = command.flagUint("pair-deadline", 0);
     options.pairDeadlineMs = command.flagUint("pair-deadline-ms", 0);
     options.retryBackoffMs = command.flagUint("retry-backoff-ms", 0);
     options.sampleIntervalOps =
         command.flagUint("sample-interval-ops", 0);
-    options.jobs = static_cast<unsigned>(command.flagUint("jobs", 1));
+    options.jobs = narrow("jobs", 1);
     // Lane knobs (results-invariant; excluded from the config key).
-    // runCommand() has already rejected an explicit --batch-ops=0.
     options.batchOps = command.flagUint("batch-ops", 0);
     options.unbatchedStepping = command.hasFlag("unbatched-stepping");
     return options;
@@ -145,29 +240,19 @@ arenaStoreOf(const CommandLine &command)
  * runner's lifetime.
  */
 std::unique_ptr<telemetry::FileSink>
-telemetrySinkOf(const CommandLine &command, std::ostream &err, bool &ok)
+telemetrySinkOf(const CommandLine &command)
 {
-    ok = true;
     if (!command.hasFlag("telemetry-out"))
         return nullptr;
-    const std::string format = command.flag("telemetry-format", "csv");
-    telemetry::FileSink::Format sink_format;
-    if (format == "csv") {
-        sink_format = telemetry::FileSink::Format::Csv;
-    } else if (format == "jsonl") {
-        sink_format = telemetry::FileSink::Format::Jsonl;
-    } else {
-        err << "error: unknown --telemetry-format '" << format
-            << "' (want csv|jsonl)\n";
-        ok = false;
-        return nullptr;
-    }
     if (command.flagUint("sample-interval-ops", 0) == 0) {
         warn("--telemetry-out without --sample-interval-ops "
              "produces no series");
     }
     return std::make_unique<telemetry::FileSink>(
-        command.flag("telemetry-out"), sink_format);
+        command.flag("telemetry-out"),
+        command.flag("telemetry-format") == "jsonl"
+            ? telemetry::FileSink::Format::Jsonl
+            : telemetry::FileSink::Format::Csv);
 }
 
 /**
@@ -205,26 +290,17 @@ renderFailureSummary(const std::vector<const suite::PairResult *>
 }
 
 int
-cmdConfig(const CommandLine &command, std::ostream &out)
+cmdConfig(const CommandLine &command, std::ostream &out, std::ostream &)
 {
     out << runnerOptionsOf(command).system.describe();
     return 0;
 }
 
 int
-cmdList(const CommandLine &command, std::ostream &out,
-        std::ostream &err)
+cmdList(const CommandLine &command, std::ostream &out, std::ostream &)
 {
-    bool ok = false;
-    const SuiteGeneration generation = generationOf(command, err, ok);
-    if (!ok)
-        return 2;
-    const InputSize size = sizeOf(command, err, ok);
-    if (!ok)
-        return 2;
-    const auto &suite = generation == SuiteGeneration::Cpu2017
-        ? workloads::cpu2017Suite()
-        : workloads::cpu2006Suite();
+    const InputSize size = sizeOf(command);
+    const auto &suite = suiteOf(generationOf(command));
 
     TextTable table({"pair", "mini-suite", "language", "threads",
                      "instr (B)", "RSS", "status"});
@@ -250,55 +326,20 @@ int
 cmdStat(const CommandLine &command, std::ostream &out,
         std::ostream &err)
 {
-    if (command.positional.size() < 2) {
-        err << "error: stat needs an application name (try: spec17 "
-               "stat 505.mcf_r)\n";
+    const auto pair = pairOf(command, err);
+    if (!pair)
         return 2;
-    }
-    bool ok = false;
-    const SuiteGeneration generation = generationOf(command, err, ok);
-    if (!ok)
-        return 2;
-    const InputSize size = sizeOf(command, err, ok);
-    if (!ok)
-        return 2;
-    const auto &suite = generation == SuiteGeneration::Cpu2017
-        ? workloads::cpu2017Suite()
-        : workloads::cpu2006Suite();
-    const std::string &name = command.positional[1];
-    const workloads::WorkloadProfile *profile = nullptr;
-    for (const auto &candidate : suite) {
-        if (candidate.name == name)
-            profile = &candidate;
-    }
-    if (profile == nullptr) {
-        err << "error: no application named '" << name
-            << "' (try: spec17 list)\n";
-        return 2;
-    }
-    const unsigned input =
-        static_cast<unsigned>(command.flagUint("input", 1)) - 1;
-    const unsigned available =
-        profile->numInputs[static_cast<std::size_t>(size)];
-    if (input >= available) {
-        err << "error: " << name << " has " << available << " "
-            << workloads::inputSizeName(size) << " inputs\n";
-        return 2;
-    }
 
     suite::RunnerOptions runner_options = runnerOptionsOf(command);
-    bool sink_ok = false;
-    const auto sink = telemetrySinkOf(command, err, sink_ok);
-    if (!sink_ok)
-        return 2;
+    const auto sink = telemetrySinkOf(command);
     runner_options.telemetrySink = sink.get();
     const auto arena_store = arenaStoreOf(command);
     runner_options.arenaStore = arena_store.get();
     suite::SuiteRunner runner(runner_options);
-    const auto result = runner.runPair({profile, size, input});
+    const auto result = runner.runPair(*pair);
 
     out << "perf-style counters for " << result.name << " ("
-        << workloads::inputSizeName(size) << "):\n";
+        << workloads::inputSizeName(pair->size) << "):\n";
     for (std::size_t e = 0; e < counters::kNumPerfEvents; ++e) {
         const auto event = static_cast<counters::PerfEvent>(e);
         out << "  " << fmtCount(result.counters.get(event)) << "\t"
@@ -342,7 +383,7 @@ cmdStat(const CommandLine &command, std::ostream &out,
 }
 
 int
-cmdEvents(const CommandLine &, std::ostream &out)
+cmdEvents(const CommandLine &, std::ostream &out, std::ostream &)
 {
     // The paper generates its candidate counter list with
     // `perf list`; this is the simulated equivalent.
@@ -355,16 +396,9 @@ cmdEvents(const CommandLine &, std::ostream &out)
 }
 
 int
-cmdValidate(const CommandLine &command, std::ostream &out,
-            std::ostream &err)
+cmdValidate(const CommandLine &command, std::ostream &out, std::ostream &)
 {
-    bool ok = false;
-    const SuiteGeneration generation = generationOf(command, err, ok);
-    if (!ok)
-        return 2;
-    const auto &suite = generation == SuiteGeneration::Cpu2017
-        ? workloads::cpu2017Suite()
-        : workloads::cpu2006Suite();
+    const auto &suite = suiteOf(generationOf(command));
     suite::RunnerOptions options = runnerOptionsOf(command);
     // Calibration checks need less precision than the study runs.
     options.sampleOps = command.flagUint("sample", 400'000);
@@ -413,31 +447,16 @@ int
 cmdRecord(const CommandLine &command, std::ostream &out,
           std::ostream &err)
 {
-    if (command.positional.size() < 2) {
-        err << "error: record needs an application name\n";
+    const auto pair = pairOf(command, err);
+    if (!pair)
         return 2;
-    }
-    bool ok = false;
-    const InputSize size = sizeOf(command, err, ok);
-    if (!ok)
-        return 2;
-    const std::string &name = command.positional[1];
-    const auto &suite = workloads::cpu2017Suite();
-    const workloads::WorkloadProfile *profile = nullptr;
-    for (const auto &candidate : suite) {
-        if (candidate.name == name)
-            profile = &candidate;
-    }
-    if (profile == nullptr) {
-        err << "error: no application named '" << name << "'\n";
-        return 2;
-    }
-    const std::string path =
-        command.flag("out", name + "." + inputSizeName(size) + ".s17t");
+    const std::string path = command.flag(
+        "out", pair->displayName() + "." + inputSizeName(pair->size)
+                   + ".s17t");
     workloads::BuildOptions build;
     build.sampleOps = command.flagUint("sample", 1'000'000);
     trace::SyntheticTraceGenerator source(
-        workloads::buildTraceParams({profile, size, 0}, build, 0));
+        workloads::buildTraceParams(*pair, build, 0));
     const std::uint64_t written = trace::writeTrace(path, source);
     out << "wrote " << fmtCount(written) << " micro-ops to " << path
         << "\n";
@@ -445,13 +464,8 @@ cmdRecord(const CommandLine &command, std::ostream &out,
 }
 
 int
-cmdReplay(const CommandLine &command, std::ostream &out,
-          std::ostream &err)
+cmdReplay(const CommandLine &command, std::ostream &out, std::ostream &)
 {
-    if (command.positional.size() < 2) {
-        err << "error: replay needs a trace file path\n";
-        return 2;
-    }
     trace::FileTrace source(command.positional[1]);
     sim::CpuSimulator simulator(runnerOptionsOf(command).system);
     const sim::SimResult result = simulator.run(source);
@@ -472,52 +486,16 @@ int
 cmdCharacterize(const CommandLine &command, std::ostream &out,
                 std::ostream &err)
 {
-    bool ok = false;
-    const SuiteGeneration generation = generationOf(command, err, ok);
-    if (!ok)
-        return 2;
-    const InputSize size = sizeOf(command, err, ok);
-    if (!ok)
-        return 2;
+    const SuiteGeneration generation = generationOf(command);
+    const InputSize size = sizeOf(command);
 
     core::CharacterizerOptions options;
     options.runner = runnerOptionsOf(command);
-    bool sink_ok = false;
-    const auto sink = telemetrySinkOf(command, err, sink_ok);
-    if (!sink_ok)
-        return 2;
+    const auto sink = telemetrySinkOf(command);
     options.runner.telemetrySink = sink.get();
     const auto arena_store = arenaStoreOf(command);
     options.runner.arenaStore = arena_store.get();
-    if (command.hasFlag("no-cache"))
-        options.cachePath.clear();
-    options.resume = command.hasFlag("resume");
-    if (command.hasFlag("shard")) {
-        const auto shard = suite::ShardSpec::parse(
-            command.flag("shard"));
-        if (!shard) {
-            err << "error: --shard wants K/N with 1 <= K <= N, got '"
-                << command.flag("shard") << "'\n";
-            return 2;
-        }
-        options.shard = *shard;
-    }
-    telemetry::ProgressReporter::Options progress_options;
-    if (options.shard.active())
-        progress_options.shardLabel = options.shard.label();
-    telemetry::ProgressReporter progress(progress_options);
-    if (command.hasFlag("progress")) {
-        options.pairObserver = [&progress](
-                                   const suite::PairResult &result,
-                                   std::size_t index,
-                                   std::size_t total) {
-            progress.onItemDone(
-                result.name, index, total,
-                result.counters.get(
-                    counters::PerfEvent::InstRetiredAny),
-                result.attempts, result.errored, result.replayed);
-        };
-    }
+    const auto progress = applySweepFlags(command, options);
     core::Characterizer session(options);
     std::vector<core::Metrics> metrics;
     try {
@@ -584,42 +562,25 @@ cmdCharacterize(const CommandLine &command, std::ostream &out,
  *  bullies (mcf, lbm) against two cache-light apps (leela,
  *  exchange2), the smallest set that shows the full sensitivity/
  *  aggressiveness spread. */
-const char *const kCorunDemoApps[] = {"505.mcf_r", "519.lbm_r",
-                                      "541.leela_r", "548.exchange2_r"};
+const char *const kCorunDemoApps =
+    "505.mcf_r,519.lbm_r,541.leela_r,548.exchange2_r";
 
 int
 cmdCorun(const CommandLine &command, std::ostream &out,
          std::ostream &err)
 {
-    bool ok = false;
-    const InputSize size = sizeOf(command, err, ok);
-    if (!ok)
-        return 2;
+    const InputSize size = sizeOf(command);
     const auto &suite = workloads::cpu2017Suite();
 
     // Resolve the application subset with contained errors: a typo'd
     // or threaded (speed) app is a usage error, not a panic.
-    std::vector<std::string> apps;
-    if (command.hasFlag("apps")) {
-        std::string cell;
-        std::istringstream stream(command.flag("apps"));
-        while (std::getline(stream, cell, ','))
-            if (!cell.empty())
-                apps.push_back(cell);
-    } else {
-        apps.assign(std::begin(kCorunDemoApps),
-                    std::end(kCorunDemoApps));
-    }
+    const std::vector<std::string> apps =
+        listOf(command.flag("apps", kCorunDemoApps));
     for (const std::string &name : apps) {
-        const workloads::WorkloadProfile *profile = nullptr;
-        for (const auto &candidate : suite)
-            if (candidate.name == name)
-                profile = &candidate;
-        if (profile == nullptr) {
-            err << "error: no application named '" << name
-                << "' (try: spec17 list)\n";
+        const workloads::WorkloadProfile *profile =
+            profileOf(suite, name, err);
+        if (profile == nullptr)
             return 2;
-        }
         if (profile->numThreads != 1) {
             err << "error: " << name << " runs "
                 << profile->numThreads
@@ -633,18 +594,10 @@ cmdCorun(const CommandLine &command, std::ostream &out,
     options.sampleOps = command.flagUint("sample", 300'000);
     options.warmupOps = command.flagUint("warmup", 100'000);
     options.chunkOps = command.flagUint("corun-chunk", 10'000);
-    options.jobs =
-        static_cast<unsigned>(command.flagUint("jobs", 1));
     options.size = size;
-    if (command.hasFlag("predictor"))
-        options.system.branchPredictor = command.flag("predictor");
-    if (command.hasFlag("prefetcher"))
-        options.system.hierarchy.prefetcher =
-            command.flag("prefetcher");
-    if (options.chunkOps == 0) {
-        err << "error: --corun-chunk must be positive\n";
-        return 2;
-    }
+    const suite::RunnerOptions runner_options = runnerOptionsOf(command);
+    options.system = runner_options.system;
+    options.jobs = runner_options.jobs;
     const auto arena_store = arenaStoreOf(command);
     options.arenaStore = arena_store.get();
 
@@ -654,10 +607,6 @@ cmdCorun(const CommandLine &command, std::ostream &out,
     plan.includeSelf = !command.hasFlag("no-self");
     plan.partitionSweep = command.hasFlag("partition");
     plan.l3Ways = options.system.hierarchy.l3.assoc;
-    if (plan.partitionSweep && plan.groupSize != 2) {
-        err << "error: --partition sweeps pairs, not quartets\n";
-        return 2;
-    }
     if (apps.size() < (plan.groupSize == 2 && plan.includeSelf
                            ? 1u
                            : plan.groupSize)) {
@@ -674,23 +623,10 @@ cmdCorun(const CommandLine &command, std::ostream &out,
                                 ? ""
                                 : suite::ResultCache::defaultPath(),
                             command.hasFlag("resume"));
-    suite::ShardSpec shard;
-    if (command.hasFlag("shard")) {
-        const auto parsed =
-            suite::ShardSpec::parse(command.flag("shard"));
-        if (!parsed) {
-            err << "error: --shard wants K/N with 1 <= K <= N, got '"
-                << command.flag("shard") << "'\n";
-            return 2;
-        }
-        shard = *parsed;
-        store.setShard(shard);
-    }
+    const suite::ShardSpec shard = shardOf(command);
+    store.setShard(shard);
 
-    telemetry::ProgressReporter::Options progress_options;
-    if (shard.active())
-        progress_options.shardLabel = shard.label();
-    telemetry::ProgressReporter progress(progress_options);
+    telemetry::ProgressReporter progress(progressOptionsOf(shard));
     corun::CorunRunner::GroupObserver observer;
     if (command.hasFlag("progress")) {
         observer = [&progress](const corun::CorunResult &result,
@@ -854,36 +790,13 @@ int
 cmdExplore(const CommandLine &command, std::ostream &out,
            std::ostream &err)
 {
-    // Plan-shape flags first: --axis sweeps one mechanism axis,
-    // --multi-axis crosses (or descends) two or more axes including
-    // the geometry grids. Contradictions are contained exit-2 usage
-    // errors, caught before any simulation starts.
+    // Plan shape: --axis sweeps one mechanism axis, --multi-axis
+    // crosses (or descends) two or more axes including the geometry
+    // grids. Bad shapes are contained exit-2 usage errors, caught
+    // before any simulation starts.
     const std::string axis = command.flag("axis");
-    std::vector<std::string> multi;
-    if (command.hasFlag("multi-axis")) {
-        std::string cell;
-        std::istringstream stream(command.flag("multi-axis"));
-        while (std::getline(stream, cell, ','))
-            if (!cell.empty())
-                multi.push_back(cell);
-    }
+    const std::vector<std::string> multi = listOf(command.flag("multi-axis"));
     const std::string mode = command.flag("multi-axis-mode", "product");
-    if (command.hasFlag("multi-axis-mode")
-        && !command.hasFlag("multi-axis")) {
-        err << "error: --multi-axis-mode without --multi-axis has "
-               "nothing to apply to\n";
-        return 2;
-    }
-    if (mode != "product" && mode != "descent") {
-        err << "error: unknown --multi-axis-mode '" << mode
-            << "' (want product|descent)\n";
-        return 2;
-    }
-    if (command.hasFlag("axis") && command.hasFlag("multi-axis")) {
-        err << "error: --axis is contradictory with --multi-axis "
-               "(one sweep shape per run)\n";
-        return 2;
-    }
     if (command.hasFlag("multi-axis")) {
         if (multi.size() < 2) {
             err << "error: --multi-axis wants two or more "
@@ -891,12 +804,10 @@ cmdExplore(const CommandLine &command, std::ostream &out,
             return 2;
         }
         for (std::size_t i = 0; i < multi.size(); ++i) {
-            for (std::size_t j = i + 1; j < multi.size(); ++j) {
-                if (multi[i] == multi[j]) {
-                    err << "error: --multi-axis repeats axis '"
-                        << multi[i] << "'\n";
-                    return 2;
-                }
+            if (std::count(multi.begin(), multi.end(), multi[i]) > 1) {
+                err << "error: --multi-axis repeats axis '" << multi[i]
+                    << "'\n";
+                return 2;
             }
             if (!explore::isAxis(multi[i])
                 && !explore::isGeometryAxis(multi[i])) {
@@ -918,13 +829,7 @@ cmdExplore(const CommandLine &command, std::ostream &out,
         err << (axis.empty() ? "" : "; got '" + axis + "'") << "\n";
         return 2;
     }
-    bool ok = false;
-    const SuiteGeneration generation = generationOf(command, err, ok);
-    if (!ok)
-        return 2;
-    const InputSize size = sizeOf(command, err, ok);
-    if (!ok)
-        return 2;
+    const InputSize size = sizeOf(command);
 
     explore::ExploreOptions options;
     options.runner = runnerOptionsOf(command);
@@ -935,7 +840,7 @@ cmdExplore(const CommandLine &command, std::ostream &out,
     options.runner.warmupOps = command.flagUint("warmup", 150'000);
     const auto arena_store = arenaStoreOf(command);
     options.runner.arenaStore = arena_store.get();
-    options.generation = generation;
+    options.generation = generationOf(command);
     options.size = size;
     // A geometry grid over a mechanism the configured base disables
     // would score identical points: contained usage error, with the
@@ -948,35 +853,7 @@ cmdExplore(const CommandLine &command, std::ostream &out,
             return 2;
         }
     }
-    if (command.hasFlag("no-cache"))
-        options.cachePath.clear();
-    options.resume = command.hasFlag("resume");
-    if (command.hasFlag("shard")) {
-        const auto shard =
-            suite::ShardSpec::parse(command.flag("shard"));
-        if (!shard) {
-            err << "error: --shard wants K/N with 1 <= K <= N, got '"
-                << command.flag("shard") << "'\n";
-            return 2;
-        }
-        options.shard = *shard;
-    }
-    telemetry::ProgressReporter::Options progress_options;
-    if (options.shard.active())
-        progress_options.shardLabel = options.shard.label();
-    telemetry::ProgressReporter progress(progress_options);
-    if (command.hasFlag("progress")) {
-        options.pairObserver = [&progress](
-                                   const suite::PairResult &result,
-                                   std::size_t index,
-                                   std::size_t total) {
-            progress.onItemDone(
-                result.name, index, total,
-                result.counters.get(
-                    counters::PerfEvent::InstRetiredAny),
-                result.attempts, result.errored, result.replayed);
-        };
-    }
+    const auto progress = applySweepFlags(command, options);
 
     explore::ExploreRunner runner(options);
     std::vector<explore::PointResult> results;
@@ -1078,11 +955,6 @@ int
 cmdMerge(const CommandLine &command, std::ostream &out,
          std::ostream &err)
 {
-    if (command.positional.size() < 2) {
-        err << "error: merge needs shard journal files (try: spec17 "
-               "merge --out=merged.csv shard1.csv shard2.csv ...)\n";
-        return 2;
-    }
     if (!command.hasFlag("out")) {
         err << "error: merge needs --out=FILE for the merged "
                "journal\n";
@@ -1106,14 +978,8 @@ cmdMerge(const CommandLine &command, std::ostream &out,
 }
 
 int
-cmdFsck(const CommandLine &command, std::ostream &out,
-        std::ostream &err)
+cmdFsck(const CommandLine &command, std::ostream &out, std::ostream &)
 {
-    if (command.positional.size() < 2) {
-        err << "error: fsck needs journal files (try: spec17 fsck "
-               "results.cpu2017.ref.csv)\n";
-        return 2;
-    }
     const bool repair = command.hasFlag("repair");
     int bad = 0;
     for (std::size_t i = 1; i < command.positional.size(); ++i) {
@@ -1161,19 +1027,20 @@ cmdSubset(const CommandLine &command, std::ostream &out,
           std::ostream &err)
 {
     const std::string which = command.flag("set", "rate");
-    if (which != "rate" && which != "speed") {
-        err << "error: --set must be rate or speed\n";
-        return 2;
-    }
     core::CharacterizerOptions options;
     options.runner = runnerOptionsOf(command);
     if (command.hasFlag("no-cache"))
         options.cachePath.clear();
     core::Characterizer session(options);
     const auto analysis = session.redundancyFor(which == "speed");
+    const std::uint64_t clusters = command.flagUint("clusters", 0);
+    if (clusters > analysis.pairNames.size()) {
+        err << "error: --clusters=" << clusters << " exceeds the "
+            << analysis.pairNames.size() << " " << which << " pairs\n";
+        return 2;
+    }
     const auto subset = core::suggestSubset(
-        analysis,
-        static_cast<std::size_t>(command.flagUint("clusters", 0)));
+        analysis, static_cast<std::size_t>(clusters));
 
     out << "suggested " << which << " subset (" << subset.numClusters()
         << " of " << analysis.pairNames.size() << " pairs, "
@@ -1189,36 +1056,28 @@ int
 cmdPhases(const CommandLine &command, std::ostream &out,
           std::ostream &err)
 {
-    if (command.positional.size() < 2) {
-        err << "error: phases needs an application name\n";
+    const auto pair = pairOf(command, err);
+    if (!pair)
         return 2;
-    }
-    bool ok = false;
-    const InputSize size = sizeOf(command, err, ok);
-    if (!ok)
-        return 2;
-    const std::string &name = command.positional[1];
-    const auto &suite = workloads::cpu2017Suite();
-    const workloads::WorkloadProfile *profile = nullptr;
-    for (const auto &candidate : suite) {
-        if (candidate.name == name)
-            profile = &candidate;
-    }
-    if (profile == nullptr) {
-        err << "error: no application named '" << name << "'\n";
-        return 2;
-    }
 
     const auto runner_options = runnerOptionsOf(command);
     workloads::BuildOptions build;
     build.sampleOps = runner_options.sampleOps * 4;
-    trace::SyntheticTraceGenerator source(
-        workloads::buildTraceParams({profile, size, 0}, build, 0));
+    const trace::SyntheticTraceParams params =
+        workloads::buildTraceParams(*pair, build, 0);
 
     core::PhaseOptions phase_options;
     phase_options.intervalOps =
         std::max<std::uint64_t>(20'000, build.sampleOps / 20);
-    phase_options.warmupOps = phase_options.intervalOps;
+    phase_options.warmupOps =
+        command.flagUint("warmup", phase_options.intervalOps);
+    if (params.numOps <= phase_options.warmupOps) {
+        err << "error: --warmup=" << phase_options.warmupOps
+            << " leaves none of the " << params.numOps
+            << " traced micro-ops (4 x --sample) to analyze\n";
+        return 2;
+    }
+    trace::SyntheticTraceGenerator source(params);
     const auto analysis = core::analyzePhases(
         source, runner_options.system, phase_options);
 
@@ -1239,6 +1098,105 @@ cmdPhases(const CommandLine &command, std::ostream &out,
     return 0;
 }
 
+/** The entry of @p table named @p name, or nullptr. */
+template <typename Spec>
+const Spec *
+named(const std::vector<Spec> &table, const std::string &name)
+{
+    for (const Spec &spec : table)
+        if (name == spec.name)
+            return &spec;
+    return nullptr;
+}
+
+/** True when @p verb's handler reads flag @p flag. */
+bool
+reads(const VerbSpec &verb, const std::string &flag)
+{
+    return (" " + verb.flags + " ").find(" " + flag + " ")
+        != std::string::npos;
+}
+
+/** The error for @p value breaking @p spec's contract, or "". */
+std::string
+contractError(const FlagSpec &spec, const std::string &value)
+{
+    const std::string flag = "--" + std::string(spec.name);
+    const std::string contract = spec.placeholder;
+    if (contract.empty())
+        return value.empty() ? ""
+                             : flag + " is a switch and takes no value, "
+                                      "got '" + value + "'";
+    if (contract == "N") {
+        const auto number = parseUint(value);
+        if (!number)
+            return flag + " wants a number, got '" + value + "'";
+        if (*number > UINT32_MAX)
+            return flag + " must be at most " + std::to_string(UINT32_MAX);
+        if (*number >= spec.min)
+            return "";
+        return spec.min == 1
+            ? flag + " must be positive"
+            : flag + " must be at least " + std::to_string(spec.min);
+    }
+    if (contract == "K/N")
+        return suite::ShardSpec::parse(value)
+            ? ""
+            : flag + " wants K/N with 1 <= K <= N, got '" + value + "'";
+    if (contract.find('|') == std::string::npos)
+        return "";
+    std::istringstream names(contract);
+    std::string name;
+    while (std::getline(names, name, '|'))
+        if (name == value)
+            return "";
+    // --set's wording predates the generic one and is kept verbatim.
+    if (flag == "--set")
+        return "--set must be rate or speed";
+    return "unknown " + flag + " '" + value + "' (want " + contract + ")";
+}
+
+/** The error for contradictory flags (whose values are valid), or "". */
+std::string
+relationError(const CommandLine &command)
+{
+    if (command.hasFlag("arena-spill-dir")
+        && command.flagUint("trace-arena-mb", 512) == 0)
+        return "--arena-spill-dir is contradictory with "
+               "--trace-arena-mb=0 (trace capture/replay disabled, "
+               "nothing to spill)";
+    const sim::SystemConfig system = runnerOptionsOf(command).system;
+    if (system.tage.historyTables == 0)
+        return "--tage-tables=0 is contradictory (TAGE needs at least "
+               "one tagged history table)";
+    const sim::HierarchyConfig &h = system.hierarchy;
+    if (h.streamDegree > h.streamDistance)
+        return "--stream-degree=" + std::to_string(h.streamDegree)
+            + " is contradictory with --stream-distance="
+            + std::to_string(h.streamDistance)
+            + " (a burst cannot overshoot the run-ahead window)";
+    if (command.hasFlag("multi-axis-mode")
+        && !command.hasFlag("multi-axis"))
+        return "--multi-axis-mode without --multi-axis has nothing to "
+               "apply to";
+    if (command.hasFlag("axis") && command.hasFlag("multi-axis"))
+        return "--axis is contradictory with --multi-axis (one sweep "
+               "shape per run)";
+    if (command.hasFlag("partition") && command.hasFlag("quartets"))
+        return "--partition sweeps pairs, not quartets";
+    return "";
+}
+
+/** @p left padded to usage()'s help column (overlong: next line). */
+std::string
+column(std::string left)
+{
+    if (left.size() >= 31)
+        return left + "\n" + std::string(31, ' ');
+    left.resize(31, ' ');
+    return left;
+}
+
 } // namespace
 
 std::string
@@ -1256,12 +1214,11 @@ CommandLine::flagUint(const std::string &key,
     const auto it = flags.find(key);
     if (it == flags.end())
         return fallback;
-    try {
-        return std::stoull(it->second);
-    } catch (const std::exception &) {
+    const auto value = parseUint(it->second);
+    if (!value)
         SPEC17_FATAL("flag --", key, " wants a number, got '",
                      it->second, "'");
-    }
+    return *value;
 }
 
 bool
@@ -1295,143 +1252,159 @@ parseCommandLine(int argc, const char *const *argv)
 const std::vector<FlagSpec> &
 flagTable()
 {
-    // Single source of truth for the accepted flag set: usage()
-    // renders this table and runCommand() validates against it.
     static const std::vector<FlagSpec> table = {
         {"suite", "cpu2017|cpu2006", "which suite (default cpu2017)",
          "common flags"},
-        {"size", "test|train|ref", "input size (default ref)",
-         "common flags"},
-        {"input", "N", "1-based input index (default 1)",
-         "common flags"},
+        {"size", "test|train|ref", "input size (default ref)", "common flags"},
+        {"input", "N", "1-based input index (default 1)", "common flags", 1},
         {"sample", "N", "simulated micro-ops measured per pair",
-         "common flags"},
+         "common flags", 1000},
         {"warmup", "N", "simulated micro-ops warmed before measuring",
          "common flags"},
-        {"predictor", "NAME",
-         "static-taken|bimodal|gshare|tournament|tage", "common flags"},
-        {"prefetcher", "NAME", "none|next-line|stride|stream",
-         "common flags"},
-        {"set", "rate|speed", "pair set for subset", "common flags"},
-        {"clusters", "N", "force the subset size", "common flags"},
-        {"csv", "", "CSV output (characterize)", "common flags"},
-        {"no-cache", "", "ignore the result cache", "common flags"},
-        {"out", "FILE", "output path (record)", "common flags"},
-        {"tolerance", "N", "allowed deviation in pp (validate)",
-         "common flags"},
-        {"strict", "", "nonzero exit on deviations (validate)",
-         "common flags"},
+        {"out", "FILE", "output path", "common flags"},
         {"help", "", "print this help", "common flags"},
+        {"csv", "", "CSV output", "results and caching"},
+        {"no-cache", "", "ignore the result cache", "results and caching"},
+        {"export-jsonl", "FILE", "write one JSON record per group/point",
+         "results and caching"},
+        {"set", "rate|speed", "pair set (default rate)",
+         "representative subset"},
+        {"clusters", "N", "force the subset size (default: the knee)",
+         "representative subset"},
+        {"tolerance", "N", "allowed deviation in pp (default 12)",
+         "calibration"},
+        {"strict", "", "nonzero exit on deviations", "calibration"},
         {"retries", "N", "retry failed pairs up to N times",
-         "fault isolation (characterize)"},
-        {"retry-backoff-ms", "N",
-         "base backoff between retries (doubles per attempt)",
-         "fault isolation (characterize)"},
-        {"pair-deadline", "N",
-         "per-pair micro-op budget (deterministic watchdog)",
-         "fault isolation (characterize)"},
+         "fault isolation"},
+        {"retry-backoff-ms", "N", "base backoff between retries (doubles per "
+         "attempt)", "fault isolation"},
+        {"pair-deadline", "N", "per-pair micro-op budget (deterministic "
+         "watchdog)", "fault isolation"},
         {"pair-deadline-ms", "N", "per-pair wall-clock budget",
-         "fault isolation (characterize)"},
+         "fault isolation"},
         {"resume", "", "resume an interrupted sweep from the journal",
-         "fault isolation (characterize)"},
-        {"sample-interval-ops", "N",
-         "per-pair interval series every N micro-ops (perf stat -I; "
-         "0=off)",
-         "telemetry (stat, characterize)"},
-        {"telemetry-out", "DIR",
-         "write one series file per pair into DIR",
-         "telemetry (stat, characterize)"},
-        {"telemetry-format", "csv|jsonl",
-         "series file format (default csv)",
-         "telemetry (stat, characterize)"},
-        {"progress", "",
-         "throttled sweep_progress events on stderr (pair k/N, "
-         "ops/s, ETA)",
-         "telemetry (stat, characterize)"},
-        {"jobs", "N",
-         "sweep worker threads (default 1; 0=hardware concurrency); "
-         "results are byte-identical at any N",
-         "parallel execution (characterize)"},
-        {"batch-ops", "N",
-         "fast-lane micro-op batch size (default 256); results are "
-         "byte-identical at any N >= 1",
-         "batched hot path (stat, characterize)"},
-        {"unbatched-stepping", "",
-         "per-op reference lane instead of the batched fast lane "
-         "(identity debugging; slow)",
-         "batched hot path (stat, characterize)"},
-        {"shard", "K/N",
-         "run shard K of N of the sweep; journals to a per-shard "
-         "file, fuse with `spec17 merge`",
-         "sharded campaigns (characterize, merge, fsck)"},
-        {"allow-partial", "",
-         "merge: keep the contiguous record prefix when shards are "
-         "missing or partial",
-         "sharded campaigns (characterize, merge, fsck)"},
-        {"repair", "",
-         "fsck: atomically drop the damaged suffix of corrupt "
-         "journals",
-         "sharded campaigns (characterize, merge, fsck)"},
-        {"apps", "A,B,...",
-         "applications to co-run (default: a 4-app demo subset)",
-         "co-run interference (corun)"},
+         "fault isolation"},
+        {"sample-interval-ops", "N", "per-pair interval series every N "
+         "micro-ops (perf stat -I; 0=off)", "telemetry"},
+        {"telemetry-out", "DIR", "write one series file per pair into DIR",
+         "telemetry"},
+        {"telemetry-format", "csv|jsonl", "series file format (default csv)",
+         "telemetry"},
+        {"progress", "", "throttled sweep_progress events on stderr (pair "
+         "k/N, ops/s, ETA)", "telemetry"},
+        {"jobs", "N", "sweep worker threads (default 1; 0=hardware "
+         "concurrency); results are byte-identical at any N",
+         "parallel execution"},
+        {"batch-ops", "N", "fast-lane micro-op batch size (default 256); "
+         "results are byte-identical at any N >= 1", "batched hot path", 1},
+        {"unbatched-stepping", "", "per-op reference lane instead of the "
+         "batched fast lane (identity debugging; slow)", "batched hot path"},
+        {"shard", "K/N", "run shard K of N of the sweep; journals to a "
+         "per-shard file, fuse with `spec17 merge`", "sharded campaigns"},
+        {"allow-partial", "", "merge: keep the contiguous record prefix when "
+         "shards are missing or partial", "sharded campaigns"},
+        {"repair", "", "fsck: atomically drop the damaged suffix of corrupt "
+         "journals", "sharded campaigns"},
+        {"apps", "A,B,...", "applications to co-run (default: a 4-app demo "
+         "subset)", "co-run interference"},
         {"quartets", "", "4-app groups instead of pairs",
-         "co-run interference (corun)"},
+         "co-run interference"},
         {"no-self", "", "skip self-pairs (two copies of one app)",
-         "co-run interference (corun)"},
-        {"partition", "",
-         "sweep every contiguous CAT way split per pair (Pareto "
-         "table)",
-         "co-run interference (corun)"},
-        {"corun-chunk", "N",
-         "context-interleave granularity in micro-ops (contention "
-         "semantics: part of the config key)",
-         "co-run interference (corun)"},
-        {"export-jsonl", "FILE",
-         "write one JSON record per group/point (corun, explore)",
-         "co-run interference (corun)"},
-        {"l2-prefetcher", "NAME",
-         "none|next-line|stride|stream at the L2 (config-key member)",
-         "uarch mechanisms (stat, characterize, explore)"},
-        {"way-predictor", "NAME",
-         "L1D way prediction: none|mru|utag (config-key member)",
-         "uarch mechanisms (stat, characterize, explore)"},
-        {"way-penalty", "N",
-         "extra load cycles on a way mispredict (default 2)",
-         "uarch mechanisms (stat, characterize, explore)"},
-        {"stream-degree", "N",
-         "stream-prefetch lines issued per trained observation "
-         "(default 4)",
-         "uarch mechanisms (stat, characterize, explore)"},
-        {"stream-distance", "N",
-         "stream-prefetch run-ahead window in lines (default 16)",
-         "uarch mechanisms (stat, characterize, explore)"},
-        {"tage-tables", "N",
-         "TAGE tagged history tables (default 4; used with "
-         "--predictor=tage)",
-         "uarch mechanisms (stat, characterize, explore)"},
-        {"axis", "AXIS",
-         "swept axis: predictor|prefetcher|l2-prefetcher|"
-         "way-predictor",
-         "design-space exploration (explore)"},
-        {"multi-axis", "A,B,...",
-         "sweep two or more axes together (mechanism axes plus "
-         "tage-geometry|stream-geometry grids)",
-         "design-space exploration (explore)"},
-        {"multi-axis-mode", "MODE",
-         "product (cross every combination, default) or descent "
-         "(per-axis knee folded into the base)",
-         "design-space exploration (explore)"},
+         "co-run interference"},
+        {"partition", "", "sweep every contiguous CAT way split per pair "
+         "(Pareto table)", "co-run interference"},
+        {"corun-chunk", "N", "context-interleave granularity in micro-ops "
+         "(contention semantics: part of the config key)",
+         "co-run interference", 1},
+        {"predictor", "static-taken|bimodal|gshare|tournament|tage", "branch "
+         "direction predictor (default tournament)", "uarch mechanisms"},
+        {"prefetcher", "none|next-line|stride|stream", "L1D prefetcher "
+         "(default none)", "uarch mechanisms"},
+        {"l2-prefetcher", "none|next-line|stride|stream", "L2 prefetcher "
+         "(default none; config-key member)", "uarch mechanisms"},
+        {"way-predictor", "none|mru|utag", "L1D way prediction (default none; "
+         "config-key member)", "uarch mechanisms"},
+        {"way-penalty", "N", "extra load cycles on a way mispredict (default "
+         "2)", "uarch mechanisms"},
+        {"stream-degree", "N", "stream-prefetch lines issued per trained "
+         "observation (default 4)", "uarch mechanisms", 1},
+        {"stream-distance", "N", "stream-prefetch run-ahead window in lines "
+         "(default 16)", "uarch mechanisms"},
+        {"tage-tables", "N", "TAGE tagged history tables (default 4; used "
+         "with --predictor=tage)", "uarch mechanisms"},
+        {"axis", "AXIS", "swept axis: "
+         "predictor|prefetcher|l2-prefetcher|way-predictor",
+         "design-space exploration"},
+        {"multi-axis", "A,B,...", "sweep two or more axes together (mechanism "
+         "axes plus tage-geometry|stream-geometry grids)",
+         "design-space exploration"},
+        {"multi-axis-mode", "product|descent", "cross every combination "
+         "(product, default) or fold each axis's knee into the base (descent)",
+         "design-space exploration"},
         {"explore-out", "FILE", "write the Pareto table as CSV",
-         "design-space exploration (explore)"},
-        {"trace-arena-mb", "N",
-         "trace-arena byte budget in MiB (default 512; 0 disables "
-         "capture/replay); results are byte-identical either way",
-         "trace capture/replay (stat, characterize, explore, corun)"},
-        {"arena-spill-dir", "DIR",
-         "persist captured arenas as S17A files under DIR; evicted "
-         "or cross-run arenas reload instead of recapturing",
-         "trace capture/replay (stat, characterize, explore, corun)"},
+         "design-space exploration"},
+        {"trace-arena-mb", "N", "trace-arena byte budget in MiB (default 512; "
+         "0 disables capture/replay); results are byte-identical either way",
+         "trace capture/replay"},
+        {"arena-spill-dir", "DIR", "persist captured arenas as S17A files "
+         "under DIR; evicted or cross-run arenas reload instead of "
+         "recapturing", "trace capture/replay"},
+    };
+    return table;
+}
+
+const std::vector<VerbSpec> &
+verbTable()
+{
+    // Flag sets several verbs read; each ends in a space so they
+    // concatenate.
+    static const std::string machine = "predictor prefetcher "
+        "l2-prefetcher way-predictor way-penalty stream-degree "
+        "stream-distance tage-tables ";
+    // What a suite::SuiteRunner sweep reads.
+    static const std::string sweep = "sample warmup " + machine
+        + "retries retry-backoff-ms pair-deadline pair-deadline-ms "
+          "batch-ops unbatched-stepping ";
+    static const std::string arena = "trace-arena-mb arena-spill-dir ";
+    static const std::string campaign =
+        "jobs shard resume progress no-cache csv ";
+    static const std::vector<VerbSpec> table = {
+        {"list", "", "enumerate application-input pairs", cmdList,
+         "suite size"},
+        {"stat", "<app>", "run one pair, print perf counters", cmdStat,
+         "suite size input sample-interval-ops telemetry-out "
+         "telemetry-format " + sweep + arena,
+         "an application name (try: spec17 stat 505.mcf_r)"},
+        {"characterize", "", "sweep a suite, tabulate metrics",
+         cmdCharacterize, "suite size sample-interval-ops telemetry-out "
+         "telemetry-format " + campaign + sweep + arena},
+        {"corun", "", "co-run interference sweep on the shared L3",
+         cmdCorun, "size apps quartets no-self partition corun-chunk "
+         "export-jsonl sample warmup " + campaign + machine + arena},
+        {"explore", "--axis=AXIS", "uarch design-space sweep (SSE-vs-cost "
+         "Pareto table); --multi-axis=A,B for several axes", cmdExplore,
+         "suite size axis multi-axis multi-axis-mode explore-out "
+         "export-jsonl " + campaign + sweep + arena},
+        {"subset", "", "suggest a representative subset", cmdSubset,
+         "set clusters no-cache jobs " + sweep},
+        {"phases", "<app>", "phase analysis of one pair", cmdPhases,
+         "suite size input sample warmup " + machine,
+         "an application name"},
+        {"record", "<app> [--out=FILE]", "save a micro-op trace to disk",
+         cmdRecord, "suite size input sample out", "an application name"},
+        {"replay", "<file>", "run a saved trace", cmdReplay, machine,
+         "a trace file path"},
+        {"validate", "[--strict]", "profile targets vs measured",
+         cmdValidate, "suite tolerance strict " + sweep},
+        {"events", "", "list the simulated perf events", cmdEvents, ""},
+        {"config", "", "print machine configuration", cmdConfig, machine},
+        {"merge", "--out=FILE <shards...>",
+         "fuse shard journals into the canonical journal", cmdMerge,
+         "out allow-partial", "shard journal files (try: spec17 merge "
+         "--out=merged.csv shard1.csv shard2.csv ...)"},
+        {"fsck", "[--repair] <files...>",
+         "verify journal integrity record by record", cmdFsck, "repair",
+         "journal files (try: spec17 fsck results.cpu2017.ref.csv)"},
     };
     return table;
 }
@@ -1443,47 +1416,32 @@ usage()
         "spec17 -- SPEC CPU2017 workload characterization framework\n"
         "usage: spec17 <command> [flags]\n"
         "\n"
-        "commands:\n"
-        "  list                         enumerate application-input "
-        "pairs\n"
-        "  stat <app>                   run one pair, print perf "
-        "counters\n"
-        "  characterize                 sweep a suite, tabulate "
-        "metrics\n"
-        "  corun                        co-run interference sweep on "
-        "the shared L3\n"
-        "  explore --axis=AXIS          one-axis uarch design-space "
-        "sweep (SSE-vs-cost Pareto table)\n"
-        "  explore --multi-axis=A,B     multi-axis sweep: cross-"
-        "product grid or coordinate descent\n"
-        "  subset                       suggest a representative "
-        "subset\n"
-        "  phases <app>                 phase analysis of one pair\n"
-        "  record <app> [--out=FILE]    save a micro-op trace to disk\n"
-        "  replay <file>                run a saved trace\n"
-        "  validate [--strict]          profile targets vs measured\n"
-        "  events                       list the simulated perf events\n"
-        "  config                       print machine configuration\n"
-        "  merge --out=FILE <shards...> fuse shard journals into the "
-        "canonical journal\n"
-        "  fsck [--repair] <files...>   verify journal integrity "
-        "record by record\n";
-    const char *group = "";
+        "commands:\n";
+    for (const VerbSpec &verb : verbTable())
+        text += column("  " + std::string(verb.name) + " " + verb.synopsis)
+            + verb.summary + "\n";
+    std::string group;
     for (const FlagSpec &flag : flagTable()) {
-        if (std::string(group) != flag.group) {
+        if (group != flag.group) {
             group = flag.group;
-            text += "\n";
-            text += group;
-            text += ":\n";
+            std::string verbs;
+            for (const VerbSpec &verb : verbTable())
+                for (const FlagSpec &member : flagTable())
+                    if (group == member.group && reads(verb, member.name)) {
+                        verbs += (verbs.empty() ? " (" : ", ")
+                            + std::string(verb.name);
+                        break;
+                    }
+            text += "\n" + group + (verbs.empty() ? "" : verbs + ")")
+                + ":\n";
         }
         std::string left = "  --" + std::string(flag.name);
         if (flag.placeholder[0] != '\0')
             left += "=" + std::string(flag.placeholder);
-        if (left.size() < 31)
-            left.resize(31, ' ');
-        else
-            left += " ";
-        text += left + flag.help + "\n";
+        text += column(left) + flag.help;
+        if (flag.min > 1)
+            text += " (at least " + std::to_string(flag.min) + ")";
+        text += "\n";
     }
     return text;
 }
@@ -1494,114 +1452,38 @@ runCommand(const CommandLine &command, std::ostream &out,
 {
     if (command.command.empty() || command.hasFlag("help")) {
         out << usage();
-        return command.command.empty() ? 2 : 0;
+        return command.hasFlag("help") ? 0 : 2;
     }
-    // Reject flags outside the table so a typo'd flag is a loud
-    // error instead of a silently ignored no-op.
-    for (const auto &[name, value] : command.flags) {
-        const bool known = std::any_of(
-            flagTable().begin(), flagTable().end(),
-            [&name](const FlagSpec &spec) { return name == spec.name; });
-        if (!known) {
-            err << "error: unknown flag '--" << name
-                << "' (see spec17 --help for the accepted flags)\n";
-            return 2;
-        }
-    }
-    // A zero batch size is meaningless; reject the explicit value
-    // loudly (same contained-error style as the corun-chunk
-    // validation) rather than silently running some other size.
-    if (command.hasFlag("batch-ops")
-        && command.flagUint("batch-ops", 0) == 0) {
-        err << "error: --batch-ops must be positive\n";
+    const VerbSpec *verb = named(verbTable(), command.command);
+    if (verb == nullptr) {
+        err << "error: unknown command '" << command.command << "'\n\n"
+            << usage();
         return 2;
     }
-    // Uarch-mechanism flag validation: unknown names and
-    // contradictory combinations are contained usage errors here,
-    // before any simulator construction can hit the library-level
-    // fatal checks.
-    // Spilling exists to persist captured arenas; with capture/replay
-    // disabled there is nothing to spill, so the combination is a
-    // contradiction rather than a silent no-op.
-    if (command.hasFlag("arena-spill-dir")
-        && command.flagUint("trace-arena-mb", 512) == 0) {
-        err << "error: --arena-spill-dir is contradictory with "
-               "--trace-arena-mb=0 (trace capture/replay disabled, "
-               "nothing to spill)\n";
+    // Each check covers every flag before the next one runs, so the
+    // most basic mistake is the one reported.
+    std::string error;
+    for (const auto &[name, value] : command.flags)
+        if (error.empty() && named(flagTable(), name) == nullptr)
+            error = "unknown flag '--" + name
+                + "' (see spec17 --help for the accepted flags)";
+    for (const auto &[name, value] : command.flags)
+        if (error.empty() && !reads(*verb, name))
+            error = "--" + name + " does not apply to '" + verb->name
+                + "'";
+    for (const auto &[name, value] : command.flags)
+        if (error.empty())
+            error = contractError(*named(flagTable(), name), value);
+    if (error.empty())
+        error = relationError(command);
+    if (error.empty() && verb->needs[0] != '\0'
+        && command.positional.size() < 2)
+        error = std::string(verb->name) + " needs " + verb->needs;
+    if (!error.empty()) {
+        err << "error: " << error << "\n";
         return 2;
     }
-    if (command.hasFlag("way-predictor")) {
-        const std::string name = command.flag("way-predictor");
-        if (name != "none" && name != "mru" && name != "utag") {
-            err << "error: unknown --way-predictor '" << name
-                << "' (want none|mru|utag)\n";
-            return 2;
-        }
-        if (name != "none"
-            && runnerOptionsOf(command).system.hierarchy.l1d.assoc
-                   < 2) {
-            err << "error: --way-predictor=" << name
-                << " is contradictory with a direct-mapped L1D "
-                   "(nothing to predict)\n";
-            return 2;
-        }
-    }
-    if (command.hasFlag("tage-tables")
-        && command.flagUint("tage-tables", 0) == 0) {
-        err << "error: --tage-tables=0 is contradictory (TAGE needs "
-               "at least one tagged history table)\n";
-        return 2;
-    }
-    if (command.hasFlag("stream-degree")
-        && command.flagUint("stream-degree", 0) == 0) {
-        err << "error: --stream-degree must be positive\n";
-        return 2;
-    }
-    {
-        const std::uint64_t degree =
-            command.flagUint("stream-degree", 4);
-        const std::uint64_t distance =
-            command.flagUint("stream-distance", 16);
-        if (degree > distance) {
-            err << "error: --stream-degree=" << degree
-                << " is contradictory with --stream-distance="
-                << distance
-                << " (a burst cannot overshoot the run-ahead "
-                   "window)\n";
-            return 2;
-        }
-    }
-    if (command.command == "config")
-        return cmdConfig(command, out);
-    if (command.command == "list")
-        return cmdList(command, out, err);
-    if (command.command == "stat")
-        return cmdStat(command, out, err);
-    if (command.command == "characterize")
-        return cmdCharacterize(command, out, err);
-    if (command.command == "corun")
-        return cmdCorun(command, out, err);
-    if (command.command == "explore")
-        return cmdExplore(command, out, err);
-    if (command.command == "subset")
-        return cmdSubset(command, out, err);
-    if (command.command == "phases")
-        return cmdPhases(command, out, err);
-    if (command.command == "record")
-        return cmdRecord(command, out, err);
-    if (command.command == "replay")
-        return cmdReplay(command, out, err);
-    if (command.command == "validate")
-        return cmdValidate(command, out, err);
-    if (command.command == "events")
-        return cmdEvents(command, out);
-    if (command.command == "merge")
-        return cmdMerge(command, out, err);
-    if (command.command == "fsck")
-        return cmdFsck(command, out, err);
-    err << "error: unknown command '" << command.command << "'\n\n"
-        << usage();
-    return 2;
+    return verb->run(command, out, err);
 }
 
 } // namespace cli

@@ -1,25 +1,17 @@
 /**
  * @file
- * Implementation of the `spec17` command-line tool's subcommands,
- * factored out of main() so they are unit-testable. Each command
- * writes its report to a stream and returns a process exit code.
+ * Implementation of the `spec17` command-line tool, factored out of
+ * main() so it is unit-testable. Each command writes its report to a
+ * stream and returns a process exit code.
  *
- * Subcommands:
- *   list          enumerate applications / application-input pairs
- *   stat          run one pair under the simulated perf monitor
- *   characterize  sweep a whole suite and tabulate Section-IV metrics
- *   corun         co-run interference sweep on the shared L3
- *   explore       one-axis uarch design-space sweep (Pareto table)
- *   subset        suggest a representative subset (paper Section V)
- *   phases        phase analysis of one pair (paper future work)
- *   config        print the simulated machine configuration
- *   merge         fuse shard journals into the canonical journal
- *   fsck          verify (and --repair) journal integrity offline
+ * The subcommands are the entries of verbTable() and the flags those
+ * of flagTable(); `spec17 --help` renders both.
  */
 
 #ifndef SPEC17_TOOLS_CLI_HH_
 #define SPEC17_TOOLS_CLI_HH_
 
+#include <cstdint>
 #include <map>
 #include <ostream>
 #include <string>
@@ -38,7 +30,7 @@ struct CommandLine
     /** Flag value or @p fallback. */
     std::string flag(const std::string &key,
                      const std::string &fallback = "") const;
-    /** Numeric flag or @p fallback; malformed values are fatal. */
+    /** Strict unsigned flag value or @p fallback; malformed is fatal. */
     std::uint64_t flagUint(const std::string &key,
                            std::uint64_t fallback) const;
     bool hasFlag(const std::string &key) const;
@@ -56,23 +48,47 @@ int runCommand(const CommandLine &command, std::ostream &out,
                std::ostream &err);
 
 /**
- * One accepted `--flag` of the CLI. The table below is the single
- * source of truth: usage() renders it and runCommand() validates
- * parsed flags against it, so help text and the accepted flag set
- * cannot drift apart.
+ * One accepted `--flag` of the CLI. The flag table is the single
+ * source of truth for the accepted flags and their values: usage()
+ * renders it and runCommand() validates parsed flags against it. The
+ * placeholder is the value contract:
+ *   ""       a switch, which takes no value;
+ *   "N"      a strict decimal in [@ref min, 2^32 - 1];
+ *   "a|b|c"  exactly one of the listed names;
+ *   "K/N"    a shard, 1 <= K <= N;
+ *   other    free text.
  */
 struct FlagSpec
 {
     const char *name;        //!< without the leading "--"
-    const char *placeholder; //!< value placeholder, "" for booleans
+    const char *placeholder; //!< value contract, "" for switches
     const char *help;        //!< one-line description
     const char *group;       //!< usage section this flag renders under
+    std::uint64_t min = 0;   //!< smallest accepted "N" value
 };
 
 /** Every flag the CLI accepts, in usage() rendering order. */
 const std::vector<FlagSpec> &flagTable();
 
-/** Usage text (commands plus the rendered flag table). */
+/**
+ * One `spec17` subcommand. The verb table is the single source of
+ * truth for dispatch, the usage() command list, the verbs named in
+ * each flag group's header, and which flags each verb accepts.
+ */
+struct VerbSpec
+{
+    const char *name;
+    const char *synopsis; //!< usage() text after the name, e.g. "<app>"
+    const char *summary;  //!< one-line description
+    int (*run)(const CommandLine &, std::ostream &out, std::ostream &err);
+    std::string flags;      //!< space-separated flags the handler reads
+    const char *needs = ""; //!< missing-positional error text, or ""
+};
+
+/** Every subcommand, in usage() order. */
+const std::vector<VerbSpec> &verbTable();
+
+/** Usage text: the rendered verb and flag tables. */
 std::string usage();
 
 } // namespace cli

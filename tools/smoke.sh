@@ -1,0 +1,102 @@
+#!/usr/bin/env bash
+# Runs every end-to-end smoke check against one built tree: the bench
+# identity/speedup gates, the shard round-trip plus fsck, the co-run and
+# explorer jobs-1-vs-2 and kill-plus---resume byte comparisons, and a
+# telemetry sweep. Every output lands in OUT_DIR (the CI artifact); any
+# failed check exits nonzero.
+#
+# Usage: tools/smoke.sh BUILD_DIR OUT_DIR
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+  echo "usage: $0 BUILD_DIR OUT_DIR" >&2
+  exit 2
+fi
+root=$(cd "$(dirname "$0")/.." && pwd)
+build=$(cd "$1" && pwd)
+mkdir -p "$2"
+cd "$2"
+spec17=$build/tools/spec17
+bench=$build/bench
+sweep=(--suite=cpu2006 --size=test --sample=20000 --warmup=5000)
+small=(--sample=30000 --warmup=10000)
+explore=(--multi-axis=way-predictor,l2-prefetcher --suite=cpu2006
+         --size=test "${small[@]}")
+
+echo "== hot-path bench: batched vs per-op identity, gated speedup"
+"$bench/bench_hot_path" --pairs=3 --repeats=2 --out=BENCH_hot_path.ci.json
+python3 "$root/tools/check_bench.py" BENCH_hot_path.ci.json \
+  "$root/BENCH_hot_path.json"
+"$bench/bench_corun" "${small[@]}" --jobs=2 --repeats=2 \
+  --out=BENCH_corun.jobs2.ci.json
+
+echo "== shard round-trip: 4 shards merge to the unsharded journal"
+SPEC17_CACHE=ref "$spec17" characterize "${sweep[@]}" --jobs=4
+for k in 1 2 3 4; do
+  SPEC17_CACHE=camp "$spec17" characterize "${sweep[@]}" --jobs=2 \
+    --shard=$k/4
+done
+"$spec17" merge --out=merged.csv camp.cpu2006.test.shard*of4.csv
+cmp ref.cpu2006.test.csv merged.csv
+"$bench/bench_merge" --records=5000 --repeats=2 --out=BENCH_merge.ci.json
+
+echo "== fsck: clean journal passes, torn journal fails then repairs"
+"$spec17" fsck merged.csv
+head -c $(($(wc -c < merged.csv) - 37)) merged.csv > torn.csv
+if "$spec17" fsck torn.csv; then
+  echo "fsck missed the torn tail" >&2
+  exit 1
+fi
+"$spec17" fsck --repair torn.csv
+"$spec17" fsck torn.csv
+
+echo "== co-run: jobs 1 vs 2 and torn journal + --resume are identical"
+SPEC17_CACHE=ref "$spec17" corun --size=test "${small[@]}" --jobs=1 \
+  --progress
+SPEC17_CACHE=par "$spec17" corun --size=test "${small[@]}" --jobs=2
+cmp ref.corun.test.csv par.corun.test.csv
+head -n 5 ref.corun.test.csv > torn.corun.test.csv
+SPEC17_CACHE=torn "$spec17" corun --size=test "${small[@]}" --jobs=2 \
+  --resume
+cmp ref.corun.test.csv torn.corun.test.csv
+"$spec17" corun --size=test --apps=505.mcf_r,519.lbm_r --no-self \
+  --partition "${small[@]}" --no-cache --export-jsonl=corun-partition.jsonl
+"$bench/bench_corun" "${small[@]}" --repeats=2 --out=BENCH_corun.ci.json
+python3 "$root/tools/check_bench.py" BENCH_corun.ci.json \
+  "$root/BENCH_corun.json"
+
+echo "== explore: jobs 1 vs 2 and mid-sweep kill + --resume are identical"
+for jobs in 1 2; do
+  "$spec17" explore --axis=way-predictor --suite=cpu2006 --size=test \
+    "${small[@]}" --no-cache --jobs=$jobs --explore-out=explore-j$jobs.csv \
+    --export-jsonl=explore-j$jobs.jsonl
+done
+cmp explore-j1.csv explore-j2.csv
+"$spec17" explore "${explore[@]}" --no-cache --jobs=1 \
+  --explore-out=replay-ref.csv
+"$spec17" explore "${explore[@]}" --no-cache --jobs=2 \
+  --explore-out=replay-par.csv
+cmp replay-ref.csv replay-par.csv
+SPEC17_CACHE=replay "$spec17" explore "${explore[@]}" --jobs=2 \
+  --explore-out=replay-full.csv
+cmp replay-ref.csv replay-full.csv
+# Simulate a mid-sweep kill: one point's journal vanishes entirely,
+# another is torn mid-record; --resume replays the surviving prefix
+# and re-simulates only what is missing.
+journals=(replay.explore.*.csv)
+rm "${journals[3]}"
+head -n 5 "${journals[7]}" > torn.tmp
+mv torn.tmp "${journals[7]}"
+SPEC17_CACHE=replay "$spec17" explore "${explore[@]}" --jobs=2 --resume \
+  --explore-out=replay-resumed.csv
+cmp replay-ref.csv replay-resumed.csv
+"$bench/bench_explore" "${small[@]}" --repeats=2 \
+  --out=BENCH_explore.ci.json
+python3 "$root/tools/check_bench.py" BENCH_explore.ci.json \
+  "$root/BENCH_explore.json"
+
+echo "== telemetry: a sampled parallel sweep writes its series"
+"$spec17" characterize "${sweep[@]}" --sample-interval-ops=5000 \
+  --telemetry-out=telemetry-smoke --no-cache --progress --jobs=2
+
+echo "smoke: all checks passed"
