@@ -166,12 +166,12 @@ main(int argc, char **argv)
     // runner, so every repetition times the same cold campaign.
     std::vector<corun::CorunResult> golden, pooled;
     const double seq_s = bestOf(bench.repeats, [&] {
-        golden = corun::CorunRunner(runnerOptions(bench, 1))
-                     .runGroups(groups);
+        golden = corun::CorunStore("").runOrLoad(
+            corun::CorunRunner(runnerOptions(bench, 1)), groups);
     });
     const double par_s = bestOf(bench.repeats, [&] {
-        pooled = corun::CorunRunner(runnerOptions(bench, bench.jobs))
-                     .runGroups(groups);
+        pooled = corun::CorunStore("").runOrLoad(
+            corun::CorunRunner(runnerOptions(bench, bench.jobs)), groups);
     });
     const bool results_identical = identicalResults(golden, pooled);
 
@@ -224,8 +224,9 @@ main(int argc, char **argv)
         << "  \"byte_identical\": "
         << (byte_identical ? "true" : "false") << "\n"
         << "}\n";
-    if (!writeFileAtomic(bench.outPath, out.str()))
-        SPEC17_FATAL("cannot write ", bench.outPath);
+    std::string error;
+    if (!writeFileAtomic(bench.outPath, out.str(), error))
+        SPEC17_FATAL(error);
     std::printf("wrote %s\n", bench.outPath.c_str());
 
     if (!results_identical || !byte_identical) {

@@ -216,8 +216,9 @@ main(int argc, char **argv)
         << regen_s / arena_s << ", \"identical\": "
         << (identical ? "true" : "false") << "}]\n"
         << "}\n";
-    if (!writeFileAtomic(bench.outPath, out.str()))
-        SPEC17_FATAL("cannot write ", bench.outPath);
+    std::string error;
+    if (!writeFileAtomic(bench.outPath, out.str(), error))
+        SPEC17_FATAL(error);
     std::printf("wrote %s\n", bench.outPath.c_str());
 
     if (!identical) {

@@ -9,7 +9,9 @@
  *
  * Flags (separate from the common bench flags; this binary times the
  * runner rather than regenerating a paper artifact):
- *   --pairs=N    only the first N pairs of the sweep (0 = all)
+ *   --pairs=N    only the first N pairs of the sweep (0 = all); every
+ *                cpu2006 application has one test input, so these are
+ *                the first N applications
  *   --sample=N   micro-ops measured per pair (default 2,000,000)
  *   --warmup=N   micro-ops warmed per pair (default 600,000)
  *   --repeats=N  timed repetitions per lane, best wall time kept
@@ -24,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "suite/runner.hh"
+#include "suite/result_cache.hh"
 #include "util/atomic_file.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -85,12 +87,13 @@ struct LaneTiming
  *  whole block -- the best-of-N ratio stays meaningful under noise. */
 void
 timeLaneOnce(const suite::RunnerOptions &options,
-             const std::vector<workloads::AppInputPair> &pairs,
+             const std::vector<workloads::WorkloadProfile> &suite,
              LaneTiming &timing)
 {
     const suite::SuiteRunner runner(options);
     const auto start = std::chrono::steady_clock::now();
-    auto results = runner.runPairs(pairs);
+    auto results = suite::ResultCache("").runOrLoad(
+        runner, suite, workloads::InputSize::Test);
     const double wall_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)
                               .count();
@@ -102,12 +105,12 @@ timeLaneOnce(const suite::RunnerOptions &options,
 
 LaneTiming
 timeLane(const suite::RunnerOptions &options,
-         const std::vector<workloads::AppInputPair> &pairs,
+         const std::vector<workloads::WorkloadProfile> &suite,
          unsigned repeats)
 {
     LaneTiming timing;
     for (unsigned r = 0; r < repeats; ++r)
-        timeLaneOnce(options, pairs, timing);
+        timeLaneOnce(options, suite, timing);
     return timing;
 }
 
@@ -155,10 +158,12 @@ main(int argc, char **argv)
 {
     const BenchOptions bench = parseArgs(argc, argv);
 
-    auto pairs = workloads::enumeratePairs(workloads::cpu2006Suite(),
-                                           workloads::InputSize::Test);
-    if (bench.pairs != 0 && bench.pairs < pairs.size())
-        pairs.resize(bench.pairs);
+    std::vector<workloads::WorkloadProfile> suite =
+        workloads::cpu2006Suite();
+    if (bench.pairs != 0 && bench.pairs < suite.size())
+        suite.resize(bench.pairs);
+    const auto pairs =
+        workloads::enumeratePairs(suite, workloads::InputSize::Test);
 
     suite::RunnerOptions options;
     options.sampleOps = bench.sampleOps;
@@ -173,7 +178,7 @@ main(int argc, char **argv)
 
     // Throwaway warm sweep so allocator/page-cache effects hit every
     // timed lane equally.
-    timeLane(options, pairs, 1);
+    timeLane(options, suite, 1);
 
     suite::RunnerOptions reference = options;
     reference.unbatchedStepping = true;
@@ -184,11 +189,11 @@ main(int argc, char **argv)
     LaneTiming unbatched;
     std::vector<LaneTiming> batched(batch_sizes.size());
     for (unsigned r = 0; r < bench.repeats; ++r) {
-        timeLaneOnce(reference, pairs, unbatched);
+        timeLaneOnce(reference, suite, unbatched);
         for (std::size_t i = 0; i < batch_sizes.size(); ++i) {
             suite::RunnerOptions batched_options = options;
             batched_options.batchOps = batch_sizes[i];
-            timeLaneOnce(batched_options, pairs, batched[i]);
+            timeLaneOnce(batched_options, suite, batched[i]);
         }
     }
 
@@ -257,8 +262,9 @@ main(int argc, char **argv)
             << (i + 1 < points.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
-    if (!writeFileAtomic(bench.outPath, out.str()))
-        SPEC17_FATAL("cannot write ", bench.outPath);
+    std::string error;
+    if (!writeFileAtomic(bench.outPath, out.str(), error))
+        SPEC17_FATAL(error);
     std::printf("wrote %s\n", bench.outPath.c_str());
 
     if (!all_identical) {

@@ -251,8 +251,9 @@ main(int argc, char **argv)
         << "  \"byte_identical\": "
         << (byte_identical ? "true" : "false") << "\n"
         << "}\n";
-    if (!writeFileAtomic(bench.outPath, out.str()))
-        SPEC17_FATAL("cannot write ", bench.outPath);
+    std::string error;
+    if (!writeFileAtomic(bench.outPath, out.str(), error))
+        SPEC17_FATAL(error);
     std::printf("wrote %s\n", bench.outPath.c_str());
 
     for (const auto &path : shard_paths)

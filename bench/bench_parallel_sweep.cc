@@ -15,7 +15,7 @@
 #include <thread>
 
 #include "bench/common.hh"
-#include "suite/runner.hh"
+#include "suite/result_cache.hh"
 #include "util/table.hh"
 
 using namespace spec17;
@@ -28,9 +28,9 @@ timeSweep(const suite::RunnerOptions &options,
           std::vector<suite::PairResult> &results)
 {
     const auto start = std::chrono::steady_clock::now();
-    suite::SuiteRunner runner(options);
-    results = runner.runAll(workloads::cpu2006Suite(),
-                            workloads::InputSize::Test);
+    results = suite::ResultCache("").runOrLoad(
+        suite::SuiteRunner(options), workloads::cpu2006Suite(),
+        workloads::InputSize::Test);
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();

@@ -175,21 +175,5 @@ CorunRunner::runGroup(const CorunGroup &group) const
     return result;
 }
 
-std::vector<CorunResult>
-CorunRunner::runGroups(const std::vector<CorunGroup> &groups,
-                       const GroupObserver &observer,
-                       std::size_t index_offset, std::size_t total) const
-{
-    if (total == 0)
-        total = index_offset + groups.size();
-    return suite::runOrderedPool<CorunResult>(
-        groups.size(), options_.jobs,
-        [&](std::size_t i) { return runGroup(groups[i]); },
-        [&](const CorunResult &result, std::size_t i) {
-            if (observer)
-                observer(result, index_offset + i, total);
-        });
-}
-
 } // namespace corun
 } // namespace spec17

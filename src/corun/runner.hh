@@ -13,12 +13,12 @@
  *
  * Determinism contract (the suite runner's, extended): every seed
  * derives from (root seed, identity), a member's trace is identical
- * solo and in every group it joins, and group sweeps are
- * byte-identical at any --jobs count because they run on the suite's
- * ordered worker pool. chunkOps shapes contention (when a context
- * yields, the others pollute the L3) and masks reshape victim
- * selection, so both are part of the config key -- unlike jobs,
- * which is observation-only.
+ * solo and in every group it joins, and group sweeps
+ * (corun/store.hh) are byte-identical at any --jobs count because
+ * they run on the suite's ordered worker pool. chunkOps shapes
+ * contention (when a context yields, the others pollute the L3) and
+ * masks reshape victim selection, so both are part of the config key
+ * -- unlike jobs, which is observation-only.
  */
 
 #ifndef SPEC17_CORUN_RUNNER_HH_
@@ -143,8 +143,9 @@ struct CorunResult
 class CorunRunner
 {
   public:
-    /** Sweep observer: (result, canonical index, sweep size),
-     *  delivered in canonical order, never concurrently. */
+    /** Sweep observer of CorunStore::runOrLoad: (result, canonical
+     *  index, sweep size), delivered in canonical order, never
+     *  concurrently. */
     using GroupObserver = std::function<void(
         const CorunResult &, std::size_t index, std::size_t total)>;
 
@@ -155,17 +156,6 @@ class CorunRunner
 
     /** Runs one group (plus any missing solo baselines). */
     CorunResult runGroup(const CorunGroup &group) const;
-
-    /**
-     * Runs @p groups on the ordered worker pool (CorunOptions::jobs):
-     * results in canonical order, observer commits in canonical order
-     * (indices from @p index_offset against @p total, 0 = offset +
-     * size), byte-identical at any job count.
-     */
-    std::vector<CorunResult> runGroups(
-        const std::vector<CorunGroup> &groups,
-        const GroupObserver &observer = {},
-        std::size_t index_offset = 0, std::size_t total = 0) const;
 
     const CorunOptions &options() const { return options_; }
 

@@ -1,15 +1,9 @@
 #include "corun/store.hh"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <optional>
 #include <sstream>
-
-#include "suite/journal.hh"
-#include "util/logging.hh"
 
 namespace spec17 {
 namespace corun {
@@ -22,6 +16,13 @@ std::string
 columnHeader()
 {
     return "name,masks,members,record_hash";
+}
+
+/** `<base>.corun.<size>`: the journal stem of one input size. */
+std::string
+journalStem(const std::string &base, workloads::InputSize size)
+{
+    return base + ".corun." + workloads::inputSizeName(size);
 }
 
 std::vector<std::string>
@@ -164,50 +165,9 @@ CorunStore::journalFile(const CorunRunner &runner) const
 {
     if (path_.empty())
         return "";
-    std::string name = path_ + ".corun."
-        + workloads::inputSizeName(runner.options().size);
-    if (shard_.active())
-        name += ".shard" + std::to_string(shard_.index) + "of"
-            + std::to_string(shard_.count);
-    return name + ".csv";
+    return suite::journalFileName(journalStem(path_, runner.options().size),
+                                  shard_.index, shard_.count);
 }
-
-namespace {
-
-/** Atomic temp-then-rename commit of the full journal image. */
-void
-commitJournal(const std::string &file, const std::string &content,
-              bool quiet, bool &warned)
-{
-    const std::string temp = file + ".tmp";
-    {
-        std::ofstream out(temp, std::ios::trunc | std::ios::binary);
-        if (!out) {
-            if (!quiet || !warned)
-                warn("cannot write co-run journal at ", temp);
-            warned = true;
-            return;
-        }
-        out.write(content.data(),
-                  static_cast<std::streamsize>(content.size()));
-        out.flush();
-        if (!out) {
-            warn("short write to ", temp, "; journal not committed");
-            warned = true;
-            std::remove(temp.c_str());
-            return;
-        }
-    }
-    if (std::rename(temp.c_str(), file.c_str()) != 0) {
-        if (!quiet || !warned)
-            warn("cannot commit co-run journal to ", file, ": ",
-                 std::strerror(errno));
-        warned = true;
-        std::remove(temp.c_str());
-    }
-}
-
-} // namespace
 
 std::vector<CorunResult>
 CorunStore::runOrLoad(const CorunRunner &runner,
@@ -216,118 +176,55 @@ CorunStore::runOrLoad(const CorunRunner &runner,
 {
     const std::vector<CorunGroup> slice =
         suite::shardSlice(groups, shard_);
-    const std::string fingerprint = corunConfigFingerprint(runner);
-    const std::string digest = groupSetDigest(groups);
-    const std::string file = journalFile(runner);
-
-    std::vector<CorunResult> results;
-    if (!file.empty()) {
-        const suite::JournalScan scan = suite::scanJournal(file);
-        if (scan.fileOk && !scan.headerOk) {
-            warn("ignoring co-run journal at ", file, ": ",
-                 scan.headerError);
-        } else if (scan.headerOk
-                   && scan.header.configFingerprint != fingerprint) {
-            if (resume_) {
-                throw CorunJournalMismatchError(
-                    "refusing to resume from " + file
-                    + ": journal was written under config "
-                    + scan.header.configFingerprint
-                    + " but this invocation has config " + fingerprint
-                    + " (rerun without --resume to recompute and "
-                      "overwrite)");
-            }
-        } else if (scan.headerOk
-                   && (scan.header.pairsDigest != digest
-                       || scan.header.shardIndex != shard_.index
-                       || scan.header.shardCount != shard_.count
-                       || scan.columnHeader != columnHeader())) {
-            // Another campaign shape or build: a miss, not damage.
-        } else if (scan.headerOk) {
-            if (scan.corrupt) {
-                warn("quarantining co-run journal tail of ", file,
-                     " (", scan.corruptReason, ") after ",
-                     scan.records.size(), " valid record(s)");
-            }
-            // Hash-verified records still cross the semantic parser
-            // and the group-order check: only an order-matching
-            // prefix is a checkpoint of *this* campaign.
-            for (std::size_t i = 0;
-                 i < scan.records.size() && i < slice.size(); ++i) {
-                const std::string &record = scan.records[i];
-                const std::string payload =
-                    record.substr(0, record.rfind(','));
-                std::string reason;
-                CorunResult row = parseCorunRow(payload, reason);
-                if (row.name.empty()) {
-                    warn("quarantining co-run journal tail (", reason,
-                         ") after ", i, " valid row(s)");
-                    break;
-                }
-                if (row.name != slice[i].name()) {
-                    warn("co-run journal row ", i, " names '",
-                         row.name, "' where '", slice[i].name(),
-                         "' was expected; discarding the rest");
-                    break;
-                }
-                row.replayed = true;
-                results.push_back(std::move(row));
-            }
-            if (results.size() == slice.size())
-                return results;
-            if (!resume_)
-                results.clear();
-            else if (!results.empty())
-                inform("resuming co-run sweep from journal: ",
-                       results.size(),
-                       " group(s) replayed without re-simulation");
-        }
-    }
-
-    if (observer) {
-        for (std::size_t i = 0; i < results.size(); ++i)
-            observer(results[i], i, slice.size());
-    }
-    journalWarned_ = false;
-
     suite::JournalHeader header;
-    header.configFingerprint = fingerprint;
-    header.pairsDigest = digest;
+    header.configFingerprint = corunConfigFingerprint(runner);
+    header.pairsDigest = groupSetDigest(groups);
     header.shardIndex = shard_.index;
     header.shardCount = shard_.count;
-    const auto save = [&](const std::vector<CorunResult> &rows,
-                          bool quiet) {
-        if (file.empty())
-            return;
-        if (quiet && journalWarned_)
-            return;
-        std::ostringstream image;
-        image << header.serialize() << "\n" << columnHeader() << "\n";
-        for (const CorunResult &row : rows) {
-            const std::string payload = serializeCorunRow(row);
-            image << payload << ","
-                  << suite::recordHash(fingerprint, payload) << "\n";
-        }
-        commitJournal(file, image.str(), quiet, journalWarned_);
-    };
+    suite::JournalSession session(journalFile(runner), header,
+                                  columnHeader());
 
-    const std::vector<CorunGroup> remaining(
-        slice.begin() + static_cast<std::ptrdiff_t>(results.size()),
-        slice.end());
-    // The remainder runs on the runner's ordered pool: completions
-    // arrive in canonical order even at jobs > 1, so every checkpoint
-    // below extends a valid journal prefix.
-    runner.runGroups(
-        remaining,
-        [&](const CorunResult &result, std::size_t index,
-            std::size_t total) {
+    std::vector<std::string> names;
+    names.reserve(slice.size());
+    for (const CorunGroup &group : slice)
+        names.push_back(group.name());
+    std::vector<CorunResult> results;
+    const suite::JournalSession::Prefix prefix = session.open(
+        names, resume_,
+        [&](std::size_t, const std::string &payload,
+            std::string &reason) {
+            CorunResult row = parseCorunRow(payload, reason);
+            if (row.name.empty())
+                return false;
+            row.replayed = true;
+            results.push_back(std::move(row));
+            return true;
+        });
+    results.resize(prefix.records);
+    if (prefix.complete)
+        return results;
+
+    std::vector<std::string> payloads;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        payloads.push_back(serializeCorunRow(results[i]));
+        if (observer)
+            observer(results[i], i, slice.size());
+    }
+    // The remainder runs on the ordered pool: completions arrive in
+    // canonical order even at jobs > 1, so every checkpoint extends a
+    // valid journal prefix.
+    const std::size_t start = results.size();
+    suite::runOrderedPool<CorunResult>(
+        slice.size() - start, runner.options().jobs,
+        [&](std::size_t k) { return runner.runGroup(slice[start + k]); },
+        [&](const CorunResult &result, std::size_t k) {
             results.push_back(result);
-            save(results, /*quiet=*/true);
+            payloads.push_back(serializeCorunRow(result));
+            session.commit(payloads, /*quiet=*/true);
             if (observer)
-                observer(result, index, total);
-        },
-        results.size(), slice.size());
-    save(results, /*quiet=*/false);
+                observer(result, start + k, slice.size());
+        });
+    session.commit(payloads, /*quiet=*/false);
     return results;
 }
 
@@ -336,19 +233,9 @@ CorunStore::invalidate() const
 {
     if (path_.empty())
         return;
-    for (workloads::InputSize size : workloads::kAllInputSizes) {
-        std::string stem =
-            path_ + ".corun." + workloads::inputSizeName(size);
-        std::vector<std::string> files = {stem + ".csv"};
-        if (shard_.active())
-            files.push_back(stem + ".shard"
-                            + std::to_string(shard_.index) + "of"
-                            + std::to_string(shard_.count) + ".csv");
-        for (const std::string &name : files) {
-            std::remove(name.c_str());
-            std::remove((name + ".tmp").c_str());
-        }
-    }
+    for (workloads::InputSize size : workloads::kAllInputSizes)
+        suite::JournalSession::invalidate(journalStem(path_, size),
+                                          shard_.index, shard_.count);
 }
 
 } // namespace corun

@@ -1,40 +1,37 @@
 /**
  * @file
- * Journal-backed store for co-run campaigns, mirroring the suite's
- * ResultCache on the shared v2 journal format (suite/journal.hh):
- * a campaign header binding config fingerprint + group digest +
- * shard identity, a CSV column header ending in record_hash, and one
- * hash-bound record per completed group in canonical group order.
+ * Journal-backed store for co-run campaigns on the shared v2 journal
+ * format (suite/journal.hh): a campaign header binding config
+ * fingerprint + group digest + shard identity, a CSV column header
+ * ending in record_hash, and one hash-bound record per completed
+ * group in canonical group order.
  *
- * The same properties follow: crash safety via temp-then-rename
- * commits after every completed group (readers only ever see a valid
- * prefix), resume replays the verified prefix and simulates only the
- * remainder, round-robin shards merge back byte-identically with the
- * existing `spec17 merge` toolchain, and parallel sweeps journal
- * through the ordered observer so every checkpoint -- and the final
- * file -- is byte-identical to a sequential run.
+ * The store keeps only what is specific to co-run groups -- the row
+ * codec, the `corun` file stem and the group-set digest -- and runs
+ * every sweep through the suite's journal session
+ * (suite::JournalSession). The suite's properties therefore follow:
+ * atomic commits after every completed group (readers only ever see a
+ * valid prefix), resume replays the verified prefix and simulates only
+ * the remainder, a damaged tail is quarantined and rewritten clean,
+ * round-robin shards merge back byte-identically with `spec17 merge`,
+ * and parallel sweeps journal through the ordered pool so every
+ * checkpoint -- and the final file -- is byte-identical to a
+ * sequential run.
  */
 
 #ifndef SPEC17_CORUN_STORE_HH_
 #define SPEC17_CORUN_STORE_HH_
 
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "corun/plan.hh"
 #include "corun/runner.hh"
+#include "suite/journal.hh"
 #include "suite/runner.hh"
 
 namespace spec17 {
 namespace corun {
-
-/** Resume refused: the journal belongs to a different campaign. */
-class CorunJournalMismatchError : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
 
 /** 16-hex-digit FNV-1a fingerprint of @p runner's config key. */
 std::string corunConfigFingerprint(const CorunRunner &runner);
@@ -69,14 +66,17 @@ class CorunStore
     /**
      * Loads this shard's results for @p groups (the full canonical
      * enumeration, pre-shard) recorded under @p runner's fingerprint,
-     * or runs the missing remainder and journals each completed
-     * group. Resume semantics match ResultCache: a verified prefix is
-     * replayed (flagged CorunResult::replayed) and a journal from a
-     * different config key throws CorunJournalMismatchError; without
-     * resume, any partial or foreign journal is a miss.
+     * or runs the missing remainder on the ordered worker pool
+     * (CorunOptions::jobs) and journals each completed group. Resume
+     * semantics are ResultCache's, from the same journal session: a
+     * verified prefix is replayed (flagged CorunResult::replayed) and
+     * a journal from a different config key throws
+     * suite::JournalConfigMismatchError; without resume, any partial
+     * or foreign journal is a miss. An empty path journals nothing.
      *
      * @p observer sees every result of the shard -- replayed and
-     * simulated -- in canonical order.
+     * simulated -- in canonical order, never concurrently, and never
+     * on a full cache hit.
      */
     std::vector<CorunResult> runOrLoad(
         const CorunRunner &runner, const std::vector<CorunGroup> &groups,
@@ -89,7 +89,6 @@ class CorunStore
     std::string path_;
     bool resume_ = false;
     suite::ShardSpec shard_;
-    mutable bool journalWarned_ = false;
 };
 
 } // namespace corun

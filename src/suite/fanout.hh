@@ -30,8 +30,8 @@
  * derivations (attemptBuildOptions, pairSimSeed, prefillSteadyState,
  * finishMeasuredWindow, finalizePairResult) and replay is draw-for-
  * draw identical to live generation, so every session's results and
- * journal bytes are identical to its runner's own runPair() sweep, at
- * any job count.
+ * journal bytes are identical to running each of its pairs through
+ * its runner's runPair(), at any job count.
  */
 
 #ifndef SPEC17_SUITE_FANOUT_HH_
@@ -54,7 +54,7 @@ struct FanoutSession
     const SuiteRunner &runner;
     /** The session's journal, which carries resume, the shard (one
      *  shard for all sessions) and the I/O-fault hook. An empty path
-     *  journals nothing. */
+     *  journals nothing: a journal-less sweep is a session too. */
     ResultCache &cache;
     /**
      * Notified after each of this session's pairs, in canonical order,

@@ -14,7 +14,8 @@
  *    attempt index), both of which are deterministic under a fixed
  *    root seed.
  *
- *  - JournalIoFaultInjector: the result cache consults it at every
+ *  - JournalIoFaultInjector: the journal session (suite/journal.hh)
+ *    of a ResultCache it is installed on consults it at every
  *    journal commit and reopen. Tests script torn writes (a crash
  *    or power cut leaves a byte-level prefix on disk), ENOSPC-style
  *    failed commits, short reads and bit-flips-on-reopen, proving
@@ -98,7 +99,7 @@ class ScriptedFaultInjector : public FaultInjector
 };
 
 /**
- * Journal-I/O injection interface. The result cache consults
+ * Journal-I/O injection interface. The journal session consults
  * onJournalWrite() once per commit attempt (with the 0-based commit
  * index of the sweep) and onJournalRead() once per journal reopen,
  * applying the returned fault to that one operation.

@@ -1,12 +1,16 @@
 #include "suite/journal.hh"
 
+#include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
+
+#include "suite/fault_injection.hh"
+#include "util/atomic_file.hh"
+#include "util/logging.hh"
 
 namespace spec17 {
 namespace suite {
@@ -52,35 +56,6 @@ parseUnsigned(const std::string &cell)
         value = value * 10 + digit;
     }
     return value;
-}
-
-/** Atomically writes @p content to @p path (temp + rename). */
-bool
-commitFile(const std::string &path, const std::string &content,
-           std::string &error)
-{
-    const std::string temp = path + ".tmp";
-    {
-        std::ofstream out(temp, std::ios::trunc);
-        if (!out) {
-            error = "cannot write " + temp;
-            return false;
-        }
-        out << content;
-        out.flush();
-        if (!out) {
-            error = "short write to " + temp;
-            std::remove(temp.c_str());
-            return false;
-        }
-    }
-    if (std::rename(temp.c_str(), path.c_str()) != 0) {
-        error = "cannot rename " + temp + " to " + path + ": "
-            + std::strerror(errno);
-        std::remove(temp.c_str());
-        return false;
-    }
-    return true;
 }
 
 } // namespace
@@ -290,6 +265,174 @@ scanJournal(const std::string &path)
     return scanJournalContent(content.str(), /*file_ok=*/true);
 }
 
+std::string
+journalFileName(const std::string &stem, unsigned shard_index,
+                unsigned shard_count)
+{
+    if (shard_count <= 1)
+        return stem + ".csv";
+    return stem + ".shard" + std::to_string(shard_index) + "of"
+        + std::to_string(shard_count) + ".csv";
+}
+
+JournalSession::JournalSession(std::string file, JournalHeader header,
+                               std::string column_header,
+                               JournalIoFaultInjector *faults)
+    : file_(std::move(file)), header_(std::move(header)),
+      columnHeader_(std::move(column_header)), faults_(faults)
+{
+}
+
+JournalSession::Prefix
+JournalSession::open(const std::vector<std::string> &names, bool resume,
+                     const RowParser &parse)
+{
+    Prefix prefix;
+    if (file_.empty())
+        return prefix;
+    std::ifstream in(file_, std::ios::binary);
+    if (!in)
+        return prefix;
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    std::string content = buffer.str();
+
+    if (faults_) {
+        const auto fault = faults_->onJournalRead(file_);
+        using Kind = JournalIoFaultInjector::ReadFault::Kind;
+        if (fault.kind == Kind::ShortRead
+            && fault.keepBytes < content.size()) {
+            content.resize(fault.keepBytes);
+        } else if (fault.kind == Kind::BitFlip
+                   && fault.offset < content.size()) {
+            content[fault.offset] = static_cast<char>(
+                static_cast<unsigned char>(content[fault.offset])
+                ^ (1u << (fault.bit % 8)));
+        }
+    }
+
+    const JournalScan scan = scanJournalContent(content, true);
+    if (!scan.headerOk) {
+        warn("ignoring journal at ", file_, ": ", scan.headerError);
+        return prefix;
+    }
+    if (scan.header.configFingerprint != header_.configFingerprint) {
+        // Replaying another campaign's records would silently splice
+        // two configurations into one result set.
+        if (resume) {
+            throw JournalConfigMismatchError(
+                "refusing to resume from " + file_
+                + ": journal was written under config "
+                + scan.header.configFingerprint
+                + " but this invocation has config "
+                + header_.configFingerprint
+                + " (rerun without --resume to recompute and "
+                  "overwrite, or point the cache elsewhere)");
+        }
+        return prefix;
+    }
+    if (scan.header.pairsDigest != header_.pairsDigest
+        || scan.header.shardIndex != header_.shardIndex
+        || scan.header.shardCount != header_.shardCount
+        || scan.columnHeader != columnHeader_) {
+        // Another enumeration, shard or build: a miss, not damage.
+        return prefix;
+    }
+    if (scan.corrupt) {
+        warn("quarantining journal tail of ", file_, " (",
+             scan.corruptReason, ") after ", scan.records.size(),
+             " valid record(s)");
+    }
+
+    // The hash-verified records still cross the name-order check and
+    // the store's parser: only an order-matching prefix is a valid
+    // checkpoint of *this* sweep.
+    std::size_t kept = 0;
+    for (; kept < scan.records.size() && kept < names.size(); ++kept) {
+        if (scan.names[kept] != names[kept]) {
+            warn("journal row ", kept, " names '", scan.names[kept],
+                 "' where '", names[kept],
+                 "' was expected; discarding the rest");
+            break;
+        }
+        const std::string &record = scan.records[kept];
+        std::string reason;
+        if (!parse(kept, record.substr(0, record.rfind(',')), reason)) {
+            warn("quarantining journal tail (", reason, ") after ", kept,
+                 " valid rows");
+            break;
+        }
+    }
+    prefix.complete = !scan.corrupt && kept == names.size()
+        && scan.records.size() == names.size();
+    if (prefix.complete || resume)
+        prefix.records = kept;
+    if (!prefix.complete && prefix.records > 0)
+        inform("resuming sweep from journal: ", prefix.records,
+               " record(s) replayed without re-simulation");
+    return prefix;
+}
+
+void
+JournalSession::commit(const std::vector<std::string> &payloads,
+                       bool quiet)
+{
+    if (file_.empty() || (quiet && warned_))
+        return;
+    // Render the complete journal image up front: the commit (and any
+    // injected fault) operates on the exact final bytes.
+    std::string image = header_.serialize() + "\n" + columnHeader_ + "\n";
+    for (const std::string &payload : payloads) {
+        image += payload;
+        image += ",";
+        image += recordHash(header_.configFingerprint, payload);
+        image += "\n";
+    }
+
+    JournalIoFaultInjector::WriteFault fault;
+    if (faults_)
+        fault = faults_->onJournalWrite(file_, commits_);
+    ++commits_;
+    using Kind = JournalIoFaultInjector::WriteFault::Kind;
+    std::string error;
+    if (fault.kind == Kind::TornWrite) {
+        // Simulated crash/power cut mid-write: a byte-level prefix of
+        // the new image lands in the *final* file, bypassing the
+        // temp-then-rename discipline, which is exactly what this
+        // fault models. The hash check quarantines the damaged tail
+        // on reopen.
+        std::ofstream out(file_, std::ios::trunc | std::ios::binary);
+        out.write(image.data(),
+                  static_cast<std::streamsize>(
+                      std::min(fault.keepBytes, image.size())));
+        error = "torn write (injected); the damaged tail will be "
+                "quarantined on reopen";
+    } else if (fault.kind == Kind::Enospc) {
+        error = "out of space (injected)";
+    } else if (writeFileAtomic(file_, image, error)) {
+        return;
+    }
+    // The sweep carries on: committed records stay trustworthy and
+    // the uncommitted ones are recomputed on resume.
+    warn("cannot commit result journal to ", file_, ": ", error,
+         "; continuing without checkpoint");
+    warned_ = true;
+}
+
+void
+JournalSession::invalidate(const std::string &stem, unsigned shard_index,
+                           unsigned shard_count)
+{
+    // Unsharded, both names are the same file; removing it twice is
+    // harmless.
+    for (const std::string &file :
+         {journalFileName(stem, 1, 1),
+          journalFileName(stem, shard_index, shard_count)}) {
+        std::remove(file.c_str());
+        std::remove((file + ".tmp").c_str());
+    }
+}
+
 bool
 repairJournal(const std::string &path, std::string &error)
 {
@@ -305,7 +448,7 @@ repairJournal(const std::string &path, std::string &error)
         << "\n";
     for (const std::string &record : scan.records)
         out << record << "\n";
-    return commitFile(path, out.str(), error);
+    return writeFileAtomic(path, out.str(), error);
 }
 
 MergeOutcome
@@ -460,7 +603,7 @@ mergeJournals(const std::vector<std::string> &shard_paths,
     out << merged.serialize() << "\n" << first.columnHeader << "\n";
     for (const std::string *record : ordered)
         out << *record << "\n";
-    if (!commitFile(out_path, out.str(), outcome.error))
+    if (!writeFileAtomic(out_path, out.str(), outcome.error))
         return outcome;
     outcome.recordsWritten = ordered.size();
     outcome.ok = true;

@@ -27,20 +27,27 @@
  *
  * This header is deliberately independent of the runner: the merge
  * and fsck tools (and tests) operate on journal files at the line
- * level, never re-simulating or re-parsing results.
+ * level, never re-simulating or re-parsing results. The one journal
+ * session (JournalSession) works on record payload strings too, so
+ * every campaign store -- suite results, co-run groups -- shares it
+ * and keeps only its own row codec.
  */
 
 #ifndef SPEC17_SUITE_JOURNAL_HH_
 #define SPEC17_SUITE_JOURNAL_HH_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace spec17 {
 namespace suite {
+
+class JournalIoFaultInjector;
 
 /** Journal format version this build reads and writes. */
 inline constexpr unsigned kJournalFormatVersion = 2;
@@ -123,6 +130,104 @@ JournalScan scanJournal(const std::string &path);
 /** scanJournal() over in-memory content (@p file_ok mirrors a read
  *  failure; pass true when the bytes came from a real file). */
 JournalScan scanJournalContent(const std::string &content, bool file_ok);
+
+/** `<stem>.csv`, or `<stem>.shardKofN.csv` for shard K of an actual
+ *  split (N > 1): the journal file of one campaign slice. */
+std::string journalFileName(const std::string &stem, unsigned shard_index,
+                            unsigned shard_count);
+
+/**
+ * Thrown when --resume finds a journal written under a different
+ * config key: replaying it would splice results from one campaign
+ * into another, so the sweep refuses loudly instead of guessing.
+ * (Without resume, a mismatched journal is an ordinary cache miss.)
+ */
+class JournalConfigMismatchError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * One sweep's session on one journal file, shared by every campaign
+ * store. The store supplies the campaign header, its column header,
+ * the expected record names and a row parser; the session owns
+ * everything between those and the bytes on disk:
+ *
+ *  - open(): one read through the I/O fault hook, campaign-header
+ *    classification, the hash-verified record prefix, the record-name
+ *    order check, the store's row parser, and the resume policy --
+ *    a complete journal is a cache hit even without resume, a partial
+ *    prefix replays only with resume, and resuming from another
+ *    config key throws JournalConfigMismatchError;
+ *  - commit(): renders the journal image from record payloads and
+ *    commits it atomically. A failed commit warns and leaves the
+ *    previous journal in place; after one failure, quiet checkpoint
+ *    commits are skipped for the rest of the session, while the final
+ *    loud commit is always attempted and reports its own failure.
+ *
+ * A session with an empty file persists nothing: open() finds no
+ * records and commits do nothing.
+ */
+class JournalSession
+{
+  public:
+    /**
+     * Decodes the payload of record @p index (hash-verified, its name
+     * already checked) into the store's rows. Returning false, with
+     * @p reason set, rejects the record and everything after it.
+     */
+    using RowParser = std::function<bool(
+        std::size_t index, const std::string &payload, std::string &reason)>;
+
+    /** What open() found. */
+    struct Prefix
+    {
+        /** Leading parsed rows the store keeps: rows the parser
+         *  accepted beyond this count are dropped by the policy. */
+        std::size_t records = 0;
+        /** Every expected record was journaled and nothing is
+         *  damaged: the session has nothing left to run. */
+        bool complete = false;
+    };
+
+    JournalSession() = default;
+
+    /**
+     * @param file journal file ("" disables persistence)
+     * @param header the campaign header written and expected
+     * @param column_header payload columns plus `,record_hash`
+     * @param faults test-only I/O fault hook (borrowed; may be null)
+     */
+    JournalSession(std::string file, JournalHeader header,
+                   std::string column_header,
+                   JournalIoFaultInjector *faults = nullptr);
+
+    /** Reads the journal and applies the resume policy (see the class
+     *  comment). @p names are the expected record names, in order. */
+    Prefix open(const std::vector<std::string> &names, bool resume,
+                const RowParser &parse);
+
+    /** Commits @p payloads as the whole record list; @p quiet marks a
+     *  mid-sweep checkpoint, false the final commit. */
+    void commit(const std::vector<std::string> &payloads, bool quiet);
+
+    /** Removes the journals a session on @p stem may have written
+     *  under shard K/N (the unsharded file and the shard's) together
+     *  with their commit temps. */
+    static void invalidate(const std::string &stem, unsigned shard_index,
+                           unsigned shard_count);
+
+  private:
+    std::string file_;
+    JournalHeader header_;
+    std::string columnHeader_;
+    JournalIoFaultInjector *faults_ = nullptr;
+    /** Commit index within the session (I/O fault keying). */
+    unsigned commits_ = 0;
+    /** A commit failed: quiet checkpoints are skipped from now on. */
+    bool warned_ = false;
+};
 
 /**
  * Rewrites the journal at @p path down to its valid prefix (header

@@ -1,16 +1,11 @@
 #include "suite/result_cache.hh"
 
-#include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "suite/fanout.hh"
-#include "suite/journal.hh"
-#include "util/logging.hh"
 
 namespace spec17 {
 namespace suite {
@@ -28,33 +23,23 @@ generationName(const WorkloadProfile &any)
         ? "cpu2017" : "cpu2006";
 }
 
+/** `<base>.<gen>.<size>`: the journal stem of one suite and size. */
 std::string
-sectionFile(const std::string &base, const WorkloadProfile &any,
-            InputSize size, const ShardSpec &shard)
+journalStem(const std::string &base, const char *generation,
+            InputSize size)
 {
-    std::string name = base + "." + generationName(any) + "."
-        + workloads::inputSizeName(size);
-    if (shard.active())
-        name += ".shard" + std::to_string(shard.index) + "of"
-            + std::to_string(shard.count);
-    return name + ".csv";
+    return base + "." + generation + "." + workloads::inputSizeName(size);
 }
 
-/** Payload columns; the journal's column header appends record_hash. */
+/** The journal's column header: payload columns, then record_hash. */
 std::string
-payloadHeader()
+columnHeader()
 {
     std::string header = "name,input,errored,attempts,failures,"
                          "wall_cycles,instr_billions,seconds";
     for (std::size_t e = 0; e < counters::kNumPerfEvents; ++e)
         header += "," + perfEventName(static_cast<PerfEvent>(e));
-    return header;
-}
-
-std::string
-columnHeader()
-{
-    return payloadHeader() + ",record_hash";
+    return header + ",record_hash";
 }
 
 /** Fixed cells before the per-event counter columns. */
@@ -161,6 +146,17 @@ serializeRow(const PairResult &r)
     return out.str();
 }
 
+/** The record payloads of @p results, in order. */
+std::vector<std::string>
+payloads(const std::vector<PairResult> &results)
+{
+    std::vector<std::string> rows;
+    rows.reserve(results.size());
+    for (const PairResult &result : results)
+        rows.push_back(serializeRow(result));
+    return rows;
+}
+
 } // namespace
 
 std::string
@@ -204,197 +200,9 @@ ResultCache::journalFile(const std::vector<WorkloadProfile> &suite,
 {
     if (path_.empty() || suite.empty())
         return "";
-    return sectionFile(path_, suite.front(), size, shard_);
-}
-
-ResultCache::JournalRead
-ResultCache::readJournal(
-    const SuiteRunner &runner,
-    const std::vector<WorkloadProfile> &suite, InputSize size,
-    const std::vector<workloads::AppInputPair> &pairs) const
-{
-    JournalRead read;
-    const std::string file = sectionFile(path_, suite.front(), size,
-                                         shard_);
-    std::ifstream in(file, std::ios::binary);
-    if (!in)
-        return read;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string content = buffer.str();
-
-    if (ioFaults_) {
-        const auto fault = ioFaults_->onJournalRead(file);
-        using Kind = JournalIoFaultInjector::ReadFault::Kind;
-        if (fault.kind == Kind::ShortRead
-            && fault.keepBytes < content.size()) {
-            content.resize(fault.keepBytes);
-        } else if (fault.kind == Kind::BitFlip
-                   && fault.offset < content.size()) {
-            content[fault.offset] = static_cast<char>(
-                static_cast<unsigned char>(content[fault.offset])
-                ^ (1u << (fault.bit % 8)));
-        }
-    }
-
-    const JournalScan scan = scanJournalContent(content, true);
-    if (!scan.headerOk) {
-        warn("ignoring journal at ", file, ": ", scan.headerError);
-        read.status = JournalRead::Status::Malformed;
-        return read;
-    }
-    read.foundFingerprint = scan.header.configFingerprint;
-    if (scan.header.configFingerprint != configFingerprint(runner)) {
-        read.status = JournalRead::Status::ConfigMismatch;
-        return read;
-    }
-    if (scan.header.pairsDigest != pairSetDigest(suite, size)) {
-        read.status = JournalRead::Status::PairsMismatch;
-        return read;
-    }
-    if (scan.header.shardIndex != shard_.index
-        || scan.header.shardCount != shard_.count) {
-        read.status = JournalRead::Status::ShardMismatch;
-        return read;
-    }
-    if (scan.columnHeader != columnHeader()) {
-        // Another build's counter set: a miss, not corruption.
-        read.status = JournalRead::Status::FormatMismatch;
-        return read;
-    }
-    read.status = JournalRead::Status::Ok;
-    if (scan.corrupt) {
-        warn("quarantining journal tail of ", file, " (",
-             scan.corruptReason, ") after ", scan.records.size(),
-             " valid record(s)");
-    }
-
-    // The hash-verified records still cross the semantic parser and
-    // the pair-order check: only an order-matching prefix is a valid
-    // checkpoint of *this* sweep.
-    bool ordered = true;
-    for (std::size_t i = 0;
-         i < scan.records.size() && i < pairs.size(); ++i) {
-        const std::string &record = scan.records[i];
-        const std::string payload =
-            record.substr(0, record.rfind(','));
-        std::string reason;
-        auto row = parseRow(payload, size, reason);
-        if (!row) {
-            warn("quarantining journal tail (", reason, ") after ", i,
-                 " valid rows");
-            ordered = false;
-            break;
-        }
-        if (row->name != pairs[i].displayName()) {
-            warn("journal row ", i, " names '", row->name, "' where '",
-                 pairs[i].displayName(),
-                 "' was expected; discarding the rest");
-            ordered = false;
-            break;
-        }
-        row->profile = pairs[i].profile;
-        row->replayed = true;
-        read.rows.push_back(std::move(*row));
-    }
-    read.complete = ordered && !scan.corrupt
-        && read.rows.size() == pairs.size()
-        && scan.records.size() == pairs.size();
-    return read;
-}
-
-void
-ResultCache::save(const SuiteRunner &runner,
-                  const std::vector<WorkloadProfile> &suite,
-                  InputSize size, const std::vector<PairResult> &results,
-                  bool quiet) const
-{
-    if (path_.empty() || suite.empty())
-        return;
-    if (quiet && journalWarned_)
-        return;
-    const std::string file = sectionFile(path_, suite.front(), size,
-                                         shard_);
-
-    // Render the complete journal image up front: the commit (and any
-    // injected fault) operates on the exact final bytes.
-    const std::string fp = configFingerprint(runner);
-    JournalHeader header;
-    header.configFingerprint = fp;
-    header.pairsDigest = pairSetDigest(suite, size);
-    header.shardIndex = shard_.index;
-    header.shardCount = shard_.count;
-    std::ostringstream image;
-    image << header.serialize() << "\n" << columnHeader() << "\n";
-    for (const PairResult &r : results) {
-        const std::string payload = serializeRow(r);
-        image << payload << "," << recordHash(fp, payload) << "\n";
-    }
-    const std::string content = image.str();
-
-    JournalIoFaultInjector::WriteFault fault;
-    if (ioFaults_)
-        fault = ioFaults_->onJournalWrite(file, commitIndex_);
-    ++commitIndex_;
-    using WriteKind = JournalIoFaultInjector::WriteFault::Kind;
-    if (fault.kind == WriteKind::Enospc) {
-        // Failed commit, previous journal intact: the sweep carries
-        // on and the uncommitted pairs are recomputed on resume.
-        if (!quiet || !journalWarned_)
-            warn("cannot commit result journal to ", file,
-                 ": out of space (injected); continuing without "
-                 "checkpoint");
-        journalWarned_ = true;
-        return;
-    }
-    if (fault.kind == WriteKind::TornWrite) {
-        // Simulated crash/power cut mid-write: a byte-level prefix of
-        // the new image lands in the *final* file (bypassing the
-        // temp-then-rename discipline, which is exactly what this
-        // fault models). The hash check quarantines the damaged tail
-        // on reopen.
-        std::ofstream out(file, std::ios::trunc | std::ios::binary);
-        if (out)
-            out.write(content.data(),
-                      static_cast<std::streamsize>(
-                          std::min(fault.keepBytes, content.size())));
-        if (!quiet || !journalWarned_)
-            warn("torn write to result journal ", file,
-                 " (injected); damaged tail will be quarantined on "
-                 "reopen");
-        journalWarned_ = true;
-        return;
-    }
-
-    // Write-temp-then-rename: a crash mid-save can never leave a
-    // half-written cache, and concurrent readers see either the old
-    // or the new journal, both complete.
-    const std::string temp = file + ".tmp";
-    {
-        std::ofstream out(temp, std::ios::trunc | std::ios::binary);
-        if (!out) {
-            if (!quiet || !journalWarned_)
-                warn("cannot write result cache at ", temp);
-            journalWarned_ = true;
-            return;
-        }
-        out.write(content.data(),
-                  static_cast<std::streamsize>(content.size()));
-        out.flush();
-        if (!out) {
-            warn("short write to ", temp, "; cache not committed");
-            journalWarned_ = true;
-            std::remove(temp.c_str());
-            return;
-        }
-    }
-    if (std::rename(temp.c_str(), file.c_str()) != 0) {
-        if (!quiet || !journalWarned_)
-            warn("cannot commit result cache to ", file, ": ",
-                 std::strerror(errno));
-        journalWarned_ = true;
-        std::remove(temp.c_str());
-    }
+    return journalFileName(
+        journalStem(path_, generationName(suite.front()), size),
+        shard_.index, shard_.count);
 }
 
 ResultCache::SweepPrefix
@@ -403,61 +211,53 @@ ResultCache::beginSweep(const SuiteRunner &runner,
                         InputSize size,
                         const std::vector<workloads::AppInputPair> &pairs)
 {
-    // A new session always starts with fresh commit state: the I/O
-    // fault keying and the warn-once latch are per-sweep, not
-    // per-cache-lifetime.
-    journalWarned_ = false;
-    commitIndex_ = 0;
+    JournalHeader header;
+    header.configFingerprint = configFingerprint(runner);
+    header.pairsDigest = pairSetDigest(suite, size);
+    header.shardIndex = shard_.index;
+    header.shardCount = shard_.count;
+    session_ = JournalSession(journalFile(suite, size), header,
+                              columnHeader(), ioFaults_);
 
+    std::vector<std::string> names;
+    names.reserve(pairs.size());
+    for (const workloads::AppInputPair &pair : pairs)
+        names.push_back(pair.displayName());
     SweepPrefix prefix;
-    if (path_.empty() || suite.empty())
-        return prefix;
-    JournalRead read = readJournal(runner, suite, size, pairs);
-    using Status = JournalRead::Status;
-    if (read.status == Status::ConfigMismatch && resume_) {
-        // Replaying another campaign's records would silently
-        // splice two configurations into one result set.
-        throw JournalConfigMismatchError(
-            "refusing to resume from " + journalFile(suite, size)
-            + ": journal was written under config "
-            + read.foundFingerprint
-            + " but this invocation has config "
-            + configFingerprint(runner)
-            + " (rerun without --resume to recompute and "
-              "overwrite, or point the cache elsewhere)");
-    }
-    if (read.status == Status::Ok && read.complete) {
-        prefix.rows = std::move(read.rows);
-        prefix.complete = true;
-        return prefix;
-    }
-    if (read.status == Status::Ok && resume_) {
-        prefix.rows = std::move(read.rows);
-        if (!prefix.rows.empty())
-            inform("resuming sweep from journal: ", prefix.rows.size(),
-                   " pair(s) replayed without re-simulation");
-    }
+    const JournalSession::Prefix found = session_.open(
+        names, resume_,
+        [&](std::size_t index, const std::string &payload,
+            std::string &reason) {
+            auto row = parseRow(payload, size, reason);
+            if (!row)
+                return false;
+            row->profile = pairs[index].profile;
+            row->replayed = true;
+            prefix.rows.push_back(std::move(*row));
+            return true;
+        });
+    prefix.rows.resize(found.records);
+    prefix.complete = found.complete;
     return prefix;
 }
 
 void
-ResultCache::checkpoint(const SuiteRunner &runner,
-                        const std::vector<WorkloadProfile> &suite,
-                        InputSize size,
+ResultCache::checkpoint(const SuiteRunner &,
+                        const std::vector<WorkloadProfile> &, InputSize,
                         const std::vector<PairResult> &results) const
 {
-    save(runner, suite, size, results, /*quiet=*/true);
+    if (!path_.empty())
+        session_.commit(payloads(results), /*quiet=*/true);
 }
 
 void
-ResultCache::finish(const SuiteRunner &runner,
-                    const std::vector<WorkloadProfile> &suite,
-                    InputSize size,
-                    const std::vector<PairResult> &results) const
+ResultCache::finish(const SuiteRunner &, const std::vector<WorkloadProfile> &,
+                    InputSize, const std::vector<PairResult> &results) const
 {
     // The loud commit doubles as the failure report for unwritable
     // cache locations.
-    save(runner, suite, size, results);
+    if (!path_.empty())
+        session_.commit(payloads(results), /*quiet=*/false);
 }
 
 std::vector<PairResult>
@@ -476,20 +276,10 @@ ResultCache::invalidate()
     if (path_.empty())
         return;
     for (const char *generation : {"cpu2017", "cpu2006"}) {
-        for (InputSize size : workloads::kAllInputSizes) {
-            std::string stem = path_ + "." + generation + "."
-                + workloads::inputSizeName(size);
-            std::vector<std::string> files = {stem + ".csv"};
-            if (shard_.active())
-                files.push_back(stem + ".shard"
-                                + std::to_string(shard_.index) + "of"
-                                + std::to_string(shard_.count)
-                                + ".csv");
-            for (const std::string &file : files) {
-                std::remove(file.c_str());
-                std::remove((file + ".tmp").c_str());
-            }
-        }
+        for (InputSize size : workloads::kAllInputSizes)
+            JournalSession::invalidate(
+                journalStem(path_, generation, size), shard_.index,
+                shard_.count);
     }
 }
 

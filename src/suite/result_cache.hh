@@ -12,16 +12,19 @@
  * record's provenance and integrity is checkable offline.
  *
  * Crash safety: during a sweep the file is re-committed after every
- * completed pair via write-temp-then-rename, so readers only ever see
- * a complete prefix of rows (an append-only journal with atomic
- * commits). An interrupted sweep leaves a valid partial journal;
- * with resume enabled, the next run replays the completed prefix and
- * simulates only the remainder. Malformed or hash-failing rows (torn
- * tails, bit flips, stale formats) are quarantined as cache misses
- * with a logged reason -- never a crash, never garbage results. A
- * failed journal commit (e.g. ENOSPC, or an injected I/O fault)
- * demotes to warn-and-continue: the sweep still returns correct
- * results, and uncommitted pairs are recomputed on resume.
+ * completed pair through the shared journal session
+ * (suite/journal.hh), so readers only ever see a complete prefix of
+ * rows (an append-only journal with atomic commits). An interrupted
+ * sweep leaves a valid partial journal; with resume enabled, the next
+ * run replays the completed prefix and simulates only the remainder.
+ * Malformed or hash-failing rows (torn tails, bit flips, stale
+ * formats) are quarantined as cache misses with a logged reason --
+ * never a crash, never garbage results. A failed journal commit (e.g.
+ * ENOSPC, or an injected I/O fault) demotes to warn-and-continue: the
+ * sweep still returns correct results, and uncommitted pairs are
+ * recomputed on resume. The cache itself keeps only what is specific
+ * to suite results: the row codec, the `<gen>` file stem and the
+ * pair-set digest.
  *
  * Sharded campaigns: with a ShardSpec set, the cache runs only the
  * shard's slice of the pair cross-product and journals it to a
@@ -29,38 +32,25 @@
  * journals of one campaign merge into the canonical unsharded
  * journal byte-identically via `spec17 merge` (suite/journal.hh).
  *
- * Parallel sweeps (RunnerOptions::jobs > 1) journal through the
- * ordered pool's commit seam: completions are delivered in
- * canonical pair order regardless of which worker finished first, so
- * every checkpoint is still a valid prefix and a journal truncated
+ * Every sweep, journaled or not (an empty path), runs on the sweep
+ * engine (suite/fanout.hh), whose ordered pool delivers completions
+ * in canonical pair order regardless of which worker finished first,
+ * so every checkpoint is still a valid prefix and a journal truncated
  * mid-parallel-sweep resumes byte-identically.
  */
 
 #ifndef SPEC17_SUITE_RESULT_CACHE_HH_
 #define SPEC17_SUITE_RESULT_CACHE_HH_
 
-#include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "suite/fault_injection.hh"
+#include "suite/journal.hh"
 #include "suite/runner.hh"
 
 namespace spec17 {
 namespace suite {
-
-/**
- * Thrown when --resume finds a journal written under a different
- * config key: replaying it would splice results from one campaign
- * into another, so the sweep refuses loudly instead of guessing.
- * (Without resume, a mismatched journal is an ordinary cache miss.)
- */
-class JournalConfigMismatchError : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
 
 /** 16-hex-digit FNV-1a fingerprint of @p runner's config key. */
 std::string configFingerprint(const SuiteRunner &runner);
@@ -168,7 +158,8 @@ class ResultCache
      * rows with complete=true even without resume; a partial prefix is
      * returned only with resume enabled; a config-mismatched journal
      * under resume throws JournalConfigMismatchError; anything else is
-     * an empty prefix -- and resets the per-sweep commit state.
+     * an empty prefix -- and starts a fresh journal session
+     * (suite/journal.hh) for the commits below.
      * @p pairs must be the shard slice the session will run, in
      * canonical order (shardPairs of the full enumeration).
      */
@@ -180,7 +171,8 @@ class ResultCache
 
     /** Quiet mid-sweep checkpoint: atomically commits @p results as
      *  the journal's new prefix (unwritable locations warn once per
-     *  session, not once per pair). */
+     *  session, not once per pair). The session is the one
+     *  beginSweep() opened for this @p runner, @p suite and @p size. */
     void checkpoint(const SuiteRunner &runner,
                     const std::vector<workloads::WorkloadProfile> &suite,
                     workloads::InputSize size,
@@ -199,52 +191,13 @@ class ResultCache
     void invalidate();
 
   private:
-    /** One journal read: campaign-header classification plus the
-     *  longest order-verified record prefix. */
-    struct JournalRead
-    {
-        enum class Status
-        {
-            Missing,        //!< no file / unreadable
-            Malformed,      //!< campaign header damaged or legacy
-            ConfigMismatch, //!< other campaign's config key
-            PairsMismatch,  //!< other suite/size enumeration
-            ShardMismatch,  //!< other shard's journal
-            FormatMismatch, //!< other build's counter columns
-            Ok,
-        };
-        Status status = Status::Missing;
-        /** Campaign fingerprint found in the file (diagnostics). */
-        std::string foundFingerprint;
-        /** Order-verified prefix, profiles bound, replayed=true. */
-        std::vector<PairResult> rows;
-        /** Every expected pair present and nothing quarantined. */
-        bool complete = false;
-    };
-
-    JournalRead readJournal(
-        const SuiteRunner &runner,
-        const std::vector<workloads::WorkloadProfile> &suite,
-        workloads::InputSize size,
-        const std::vector<workloads::AppInputPair> &pairs) const;
-
-    /** Atomically commits @p results (write temp, then rename),
-     *  consulting the I/O fault hook. */
-    void save(const SuiteRunner &runner,
-              const std::vector<workloads::WorkloadProfile> &suite,
-              workloads::InputSize size,
-              const std::vector<PairResult> &results,
-              bool quiet = false) const;
-
     std::string path_;
     bool resume_ = false;
     ShardSpec shard_;
     JournalIoFaultInjector *ioFaults_ = nullptr;
-    /** Commit counter within the current sweep (I/O fault keying). */
-    mutable unsigned commitIndex_ = 0;
-    /** Set after one failed journal commit so a read-only location
-     *  warns once per sweep instead of once per pair. */
-    mutable bool journalWarned_ = false;
+    /** The current sweep's journal session, opened by beginSweep();
+     *  its commits change only per-session commit state. */
+    mutable JournalSession session_;
 };
 
 } // namespace suite

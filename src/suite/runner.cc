@@ -600,36 +600,5 @@ SuiteRunner::runPair(const AppInputPair &pair) const
     return failed;
 }
 
-std::vector<PairResult>
-SuiteRunner::runAll(const std::vector<WorkloadProfile> &suite,
-                    workloads::InputSize size) const
-{
-    return runAll(suite, size, PairObserver());
-}
-
-std::vector<PairResult>
-SuiteRunner::runAll(const std::vector<WorkloadProfile> &suite,
-                    workloads::InputSize size,
-                    const PairObserver &observer) const
-{
-    return runPairs(enumeratePairs(suite, size), observer);
-}
-
-std::vector<PairResult>
-SuiteRunner::runPairs(const std::vector<AppInputPair> &pairs,
-                      const PairObserver &observer) const
-{
-    // The ordered pool commits completed pairs to the observer
-    // strictly in canonical index order, which keeps progress output
-    // byte-compatible with a sequential run.
-    return runOrderedPool<PairResult>(
-        pairs.size(), options_.jobs,
-        [&](std::size_t i) { return runPair(pairs[i]); },
-        [&](const PairResult &result, std::size_t i) {
-            if (observer)
-                observer(result, i, pairs.size());
-        });
-}
-
 } // namespace suite
 } // namespace spec17

@@ -431,7 +431,8 @@ sim::SimResult finishMeasuredWindow(sim::CpuSimulator &simulator,
  * Runs pairs on a fresh simulator each (no cross-pair pollution).
  * Deterministic: identical options produce identical results, at any
  * job count -- a parallel sweep is byte-identical to a sequential
- * one.
+ * one. Sweeps run on the sweep engine (suite/fanout.hh) through
+ * ResultCache::runOrLoad; an empty cache path journals nothing.
  *
  * Every pair runs inside a failure boundary: exceptions, invariant
  * violations, malformed profiles and watchdog expiries become an
@@ -445,8 +446,9 @@ sim::SimResult finishMeasuredWindow(sim::CpuSimulator &simulator,
 class SuiteRunner
 {
   public:
-    /** Called after each pair of a sweep completes (observer gets the
-     *  result plus the pair's index and the sweep size). */
+    /** Called after each pair of a sweep (ResultCache::runOrLoad)
+     *  completes: the result plus the pair's index and the sweep
+     *  size. */
     using PairObserver = std::function<void(
         const PairResult &, std::size_t index, std::size_t total)>;
 
@@ -455,33 +457,6 @@ class SuiteRunner
     /** Runs a single pair inside the failure boundary; never throws
      *  for per-pair faults (the result is marked errored instead). */
     PairResult runPair(const workloads::AppInputPair &pair) const;
-
-    /** Runs every pair of @p suite at @p size, in suite order. */
-    std::vector<PairResult> runAll(
-        const std::vector<workloads::WorkloadProfile> &suite,
-        workloads::InputSize size) const;
-
-    /** runAll() variant notifying @p observer after each pair. */
-    std::vector<PairResult> runAll(
-        const std::vector<workloads::WorkloadProfile> &suite,
-        workloads::InputSize size, const PairObserver &observer) const;
-
-    /**
-     * Runs @p pairs through the worker pool (RunnerOptions::jobs;
-     * 1 = sequential on the calling thread) and returns results in
-     * pair order regardless of completion order: each worker pulls
-     * the next pair index from a shared counter and stores its result
-     * into the pre-sized slot for that pair.
-     *
-     * @p observer is invoked in canonical pair order -- a completed
-     * pair is held back until every earlier pair has been delivered
-     * (lowest-uncommitted-index drain) -- and never concurrently.
-     * Journaled sweeps run on the sweep engine instead
-     * (ResultCache::runOrLoad, suite/fanout.hh).
-     */
-    std::vector<PairResult> runPairs(
-        const std::vector<workloads::AppInputPair> &pairs,
-        const PairObserver &observer = {}) const;
 
     const RunnerOptions &options() const { return options_; }
 

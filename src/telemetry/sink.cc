@@ -1,11 +1,10 @@
 #include "telemetry/sink.hh"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <sstream>
 
+#include "util/atomic_file.hh"
 #include "util/logging.hh"
 
 namespace spec17 {
@@ -118,36 +117,19 @@ FileSink::write(const std::string &pair_name, const TimeSeries &series)
     std::error_code ec;
     std::filesystem::create_directories(directory_, ec);
     const std::string file = pathFor(pair_name);
-    // Same commit discipline as the result-cache journal: a crash
-    // mid-write can never leave a torn series behind.
-    const std::string temp = file + ".tmp";
-    {
-        std::ofstream out(temp, std::ios::trunc);
-        if (!out) {
-            if (!warned_)
-                warn("cannot write telemetry to ", temp,
-                     "; dropping series");
-            warned_ = true;
-            return;
-        }
-        if (format_ == Format::Csv)
-            renderSeriesCsv(series, out);
-        else
-            renderSeriesJsonl(series, out);
-        out.flush();
-        if (!out) {
-            warn("short write to ", temp, "; series not committed");
-            warned_ = true;
-            std::remove(temp.c_str());
-            return;
-        }
-    }
-    if (std::rename(temp.c_str(), file.c_str()) != 0) {
+    std::ostringstream rendered;
+    if (format_ == Format::Csv)
+        renderSeriesCsv(series, rendered);
+    else
+        renderSeriesJsonl(series, rendered);
+    // Same commit discipline as the result journal: a crash mid-write
+    // can never leave a torn series behind.
+    std::string error;
+    if (!writeFileAtomic(file, rendered.str(), error)) {
         if (!warned_)
-            warn("cannot commit telemetry to ", file, ": ",
-                 std::strerror(errno));
+            warn("cannot commit telemetry to ", file, ": ", error,
+                 "; dropping series");
         warned_ = true;
-        std::remove(temp.c_str());
     }
 }
 

@@ -124,7 +124,12 @@ saveArena(const std::string &path, const TraceArena &arena)
     appendLane(image, arena.lanes.target, n);
     appendLane(image, arena.lanes.depOnLoad, n);
     appendLane(image, arena.lanes.depOnPrev, n);
-    return writeFileAtomic(path, image);
+    std::string error;
+    if (!writeFileAtomic(path, image, error)) {
+        warn("cannot spill trace arena: ", error);
+        return false;
+    }
+    return true;
 }
 
 std::unique_ptr<TraceArena>

@@ -69,7 +69,8 @@ std::string describeTraceParams(const SyntheticTraceParams &params);
 /** @name S17A spill format (versioned, atomic temp+rename commit) */
 /// @{
 
-/** Serializes @p arena to @p path atomically; false on I/O failure. */
+/** Serializes @p arena to @p path atomically; false, with a warning,
+ *  on I/O failure. */
 bool saveArena(const std::string &path, const TraceArena &arena);
 
 /** Loads an arena spilled by saveArena(); nullptr when the file is

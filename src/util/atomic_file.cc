@@ -5,31 +5,31 @@
 #include <cstring>
 #include <fstream>
 
-#include "util/logging.hh"
-
 namespace spec17 {
 
 bool
-writeFileAtomic(const std::string &path, const std::string &contents)
+writeFileAtomic(const std::string &path, const std::string &contents,
+                std::string &error)
 {
     const std::string temp = path + ".tmp";
     {
         std::ofstream out(temp, std::ios::binary | std::ios::trunc);
         if (!out) {
-            warn("cannot write ", temp, "; ", path, " not updated");
+            error = "cannot write " + temp;
             return false;
         }
         out.write(contents.data(),
                   static_cast<std::streamsize>(contents.size()));
         out.flush();
         if (!out) {
-            warn("short write to ", temp, "; ", path, " not updated");
+            error = "short write to " + temp;
             std::remove(temp.c_str());
             return false;
         }
     }
     if (std::rename(temp.c_str(), path.c_str()) != 0) {
-        warn("cannot commit ", path, ": ", std::strerror(errno));
+        error = "cannot rename " + temp + " to " + path + ": "
+            + std::strerror(errno);
         std::remove(temp.c_str());
         return false;
     }

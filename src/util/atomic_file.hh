@@ -1,11 +1,11 @@
 /**
  * @file
- * Atomic whole-file writes: the temp+rename commit discipline the
- * result-cache journal and telemetry file sinks use, factored out for
- * any producer of a single-file artifact (bench JSON baselines, trace
- * exports). A crash or interruption mid-write can never leave a torn
- * file at the target path -- either the old contents survive or the
- * new contents are fully committed.
+ * Atomic whole-file writes: the one temp+rename commit every producer
+ * of a single-file artifact uses -- the v2 journals and their
+ * fsck/merge rewrites, telemetry series, trace-arena spills and bench
+ * JSON baselines. A crash or interruption mid-write can never leave a
+ * torn file at the target path -- either the old contents survive or
+ * the new contents are fully committed.
  */
 
 #ifndef SPEC17_UTIL_ATOMIC_FILE_HH_
@@ -20,12 +20,13 @@ namespace spec17 {
  * `path + ".tmp"`, are flushed and checked, and the temp file is then
  * renamed over @p path (an atomic replacement on POSIX filesystems).
  * On any failure the temp file is removed, the target is left
- * untouched, and a warning is emitted.
+ * untouched, and @p error names the reason; warning about it is the
+ * caller's decision.
  *
  * @return true when the file was fully committed.
  */
-bool writeFileAtomic(const std::string &path,
-                     const std::string &contents);
+bool writeFileAtomic(const std::string &path, const std::string &contents,
+                     std::string &error);
 
 } // namespace spec17
 

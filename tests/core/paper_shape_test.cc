@@ -13,7 +13,7 @@
 
 #include "core/compare.hh"
 #include "core/metrics.hh"
-#include "suite/runner.hh"
+#include "suite/result_cache.hh"
 
 namespace spec17 {
 namespace core {
@@ -30,8 +30,9 @@ refMetrics()
         options.sampleOps = 500000;
         options.warmupOps = 150000;
         return withoutErrored(deriveMetrics(
-            suite::SuiteRunner(options).runAll(
-                workloads::cpu2017Suite(), InputSize::Ref)));
+            suite::ResultCache("").runOrLoad(
+                suite::SuiteRunner(options), workloads::cpu2017Suite(),
+                InputSize::Ref)));
     }();
     return metrics;
 }

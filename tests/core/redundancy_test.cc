@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/subset.hh"
+#include "suite/result_cache.hh"
 
 namespace spec17 {
 namespace core {
@@ -24,8 +25,9 @@ const std::vector<suite::PairResult> &
 refResults()
 {
     static const std::vector<suite::PairResult> results =
-        suite::SuiteRunner(fastOptions())
-            .runAll(workloads::cpu2017Suite(), InputSize::Ref);
+        suite::ResultCache("").runOrLoad(suite::SuiteRunner(fastOptions()),
+                                         workloads::cpu2017Suite(),
+                                         InputSize::Ref);
     return results;
 }
 

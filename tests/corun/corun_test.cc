@@ -2,8 +2,9 @@
  * @file
  * Co-run interference engine: planner enumeration and mask legality,
  * runner determinism (byte-identical journals at any --jobs count),
- * journal resume, row serialization, and the analysis artifacts
- * (slowdown matrix, sensitivity/aggressiveness scores, Pareto table).
+ * journal resume and damage recovery, row serialization, and the
+ * analysis artifacts (slowdown matrix, sensitivity/aggressiveness
+ * scores, Pareto table).
  */
 
 #include "corun/analysis.hh"
@@ -184,10 +185,10 @@ TEST(CorunRunner, SweepIsByteIdenticalAcrossJobCounts)
 
     CorunRunner sequential(fastOptions(1));
     CorunRunner parallel(fastOptions(8));
-    const auto golden = sequential.runGroups(groups);
+    const auto golden = CorunStore("").runOrLoad(sequential, groups);
     std::vector<std::size_t> seen;
-    const auto pooled = parallel.runGroups(
-        groups,
+    const auto pooled = CorunStore("").runOrLoad(
+        parallel, groups,
         [&](const CorunResult &, std::size_t index, std::size_t) {
             seen.push_back(index);
         });
@@ -221,7 +222,8 @@ TEST(CorunRunner, MembersNeverBeatTheirSoloBaseline)
 {
     const auto groups =
         planGroups(workloads::cpu2017Suite(), fastPlan());
-    const auto results = CorunRunner(fastOptions()).runGroups(groups);
+    const auto results =
+        CorunStore("").runOrLoad(CorunRunner(fastOptions()), groups);
     for (const CorunResult &result : results) {
         for (const MemberResult &member : result.members) {
             // Contention only adds latency: co-run cycles cannot
@@ -328,6 +330,56 @@ TEST(CorunStore, ResumeReplaysPrefixAndRestoresIdenticalBytes)
     resumed.invalidate();
 }
 
+/** Offset just past the @p n-th newline of @p text. */
+std::size_t
+afterNewline(const std::string &text, std::size_t n)
+{
+    std::size_t at = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        at = text.find('\n', at) + 1;
+    return at;
+}
+
+TEST(CorunStore, DamagedJournalResumesToTheCleanBytes)
+{
+    const std::string base = tempBase("damage");
+    const auto groups =
+        planGroups(workloads::cpu2017Suite(), fastPlan());
+    CorunRunner runner(fastOptions(2));
+
+    CorunStore store(base);
+    store.invalidate();
+    const auto golden = store.runOrLoad(runner, groups);
+    const std::string file = store.journalFile(runner);
+    const std::string clean = fileBytes(file);
+    ASSERT_EQ(groups.size(), 3u);
+    ASSERT_FALSE(clean.empty());
+
+    // Lines 0-1 are the campaign and column headers; records follow.
+    std::string flipped = clean;
+    flipped[afterNewline(clean, 3) + 10] ^= 0x01;
+    const std::vector<std::pair<std::string, std::string>> damage = {
+        // A crash mid-append: the last record is cut off mid-line.
+        {"torn mid-record tail", clean.substr(0, clean.size() - 30)},
+        // Media bit-rot inside the middle record.
+        {"mid-file bit flip", flipped},
+        // A stray record after a complete journal.
+        {"trailing junk", clean + "junk\n"},
+    };
+    for (const auto &[name, bytes] : damage) {
+        SCOPED_TRACE(name);
+        {
+            std::ofstream out(file, std::ios::trunc | std::ios::binary);
+            out << bytes;
+        }
+        CorunStore resumed(base, /*resume=*/true);
+        expectResultsIdentical(golden, resumed.runOrLoad(runner, groups));
+        EXPECT_TRUE(suite::scanJournal(file).clean());
+        EXPECT_EQ(fileBytes(file), clean);
+    }
+    store.invalidate();
+}
+
 TEST(CorunStore, ResumeRefusesForeignConfig)
 {
     const std::string base = tempBase("mismatch");
@@ -340,7 +392,7 @@ TEST(CorunStore, ResumeRefusesForeignConfig)
     CorunOptions other = fastOptions();
     other.chunkOps = 4000;
     EXPECT_THROW(store.runOrLoad(CorunRunner(other), groups),
-                 CorunJournalMismatchError);
+                 suite::JournalConfigMismatchError);
     store.invalidate();
 }
 

@@ -126,8 +126,8 @@ TEST(ArenaReplayProperty, RandomBudgetsAndBatchSizesMatchLiveGeneration)
     telemetry::MemorySink ref_sink;
     RunnerOptions ref_options = laneOptions(1, 0, nullptr);
     ref_options.telemetrySink = &ref_sink;
-    const auto golden =
-        SuiteRunner(ref_options).runAll(suite, InputSize::Test);
+    const auto golden = ResultCache("").runOrLoad(
+        SuiteRunner(ref_options), suite, InputSize::Test);
     ASSERT_FALSE(ref_sink.all().empty());
 
     Rng rng(0xc0ffee);
@@ -141,8 +141,8 @@ TEST(ArenaReplayProperty, RandomBudgetsAndBatchSizesMatchLiveGeneration)
             telemetry::MemorySink sink;
             RunnerOptions options = laneOptions(jobs, batch, &store);
             options.telemetrySink = &sink;
-            const auto results =
-                SuiteRunner(options).runAll(suite, InputSize::Test);
+            const auto results = ResultCache("").runOrLoad(
+                SuiteRunner(options), suite, InputSize::Test);
 
             expectResultsIdentical(golden, results);
             expectSameTelemetry(ref_sink, sink);

@@ -106,8 +106,8 @@ TEST(HotPathSoaProperty, RandomBatchSizesMatchReferenceLane)
     telemetry::MemorySink ref_sink;
     RunnerOptions ref_options = laneOptions(1, 0, /*unbatched=*/true);
     ref_options.telemetrySink = &ref_sink;
-    const auto golden =
-        SuiteRunner(ref_options).runAll(suite, InputSize::Test);
+    const auto golden = ResultCache("").runOrLoad(
+        SuiteRunner(ref_options), suite, InputSize::Test);
     ASSERT_FALSE(ref_sink.all().empty());
 
     for (const std::uint64_t batch : batchSizePopulation()) {
@@ -118,8 +118,8 @@ TEST(HotPathSoaProperty, RandomBatchSizesMatchReferenceLane)
             RunnerOptions options =
                 laneOptions(jobs, batch, /*unbatched=*/false);
             options.telemetrySink = &sink;
-            const auto results =
-                SuiteRunner(options).runAll(suite, InputSize::Test);
+            const auto results = ResultCache("").runOrLoad(
+                SuiteRunner(options), suite, InputSize::Test);
 
             expectResultsIdentical(golden, results);
 

@@ -68,7 +68,8 @@ TEST(FaultIsolation, InjectedThrowIsContainedToOnePair)
     SuiteRunner runner(options);
 
     const auto results =
-        runner.runAll(workloads::cpu2006Suite(), InputSize::Test);
+        ResultCache("").runOrLoad(runner, workloads::cpu2006Suite(),
+                                  InputSize::Test);
     ASSERT_EQ(results.size(), names.size());
     for (const auto &result : results) {
         if (result.name == victim) {
@@ -110,7 +111,8 @@ TEST(FaultIsolation, RetryRecoversTransientFailure)
     SuiteRunner runner(options);
 
     const auto results =
-        runner.runAll(workloads::cpu2006Suite(), InputSize::Test);
+        ResultCache("").runOrLoad(runner, workloads::cpu2006Suite(),
+                                  InputSize::Test);
     const auto &recovered = results.front();
     ASSERT_EQ(recovered.name, flaky);
     EXPECT_FALSE(recovered.errored);
@@ -211,9 +213,11 @@ TEST(FaultIsolation, RetryConfigDoesNotPerturbFaultFreeResults)
     SuiteRunner guarded(guarded_options);
 
     const auto baseline =
-        plain.runAll(workloads::cpu2006Suite(), InputSize::Test);
+        ResultCache("").runOrLoad(plain, workloads::cpu2006Suite(),
+                                  InputSize::Test);
     const auto isolated =
-        guarded.runAll(workloads::cpu2006Suite(), InputSize::Test);
+        ResultCache("").runOrLoad(guarded, workloads::cpu2006Suite(),
+                                  InputSize::Test);
     ASSERT_EQ(baseline.size(), isolated.size());
     for (std::size_t i = 0; i < baseline.size(); ++i) {
         EXPECT_EQ(baseline[i].name, isolated[i].name);

@@ -90,29 +90,29 @@ expectResultsIdentical(const std::vector<PairResult> &a,
 
 TEST(HotPathGolden, ResultsMatchReferenceLaneAtAnyBatchSize)
 {
-    const auto golden = SuiteRunner(referenceOptions())
-                            .runAll(workloads::cpu2006Suite(),
-                                    InputSize::Test);
+    const auto golden = ResultCache("").runOrLoad(
+        SuiteRunner(referenceOptions()), workloads::cpu2006Suite(),
+        InputSize::Test);
     // 1 = degenerate, 7 = never divides a sampling interval, 64/256/
     // 1024 and the simulator default cover the production sizes.
     for (const std::uint64_t batch :
          {1ull, 7ull, 64ull, 256ull, 1024ull, 0ull}) {
         SCOPED_TRACE(::testing::Message() << "batchOps=" << batch);
-        const auto batched = SuiteRunner(fastOptions(1, batch))
-                                 .runAll(workloads::cpu2006Suite(),
-                                         InputSize::Test);
+        const auto batched = ResultCache("").runOrLoad(
+            SuiteRunner(fastOptions(1, batch)), workloads::cpu2006Suite(),
+            InputSize::Test);
         expectResultsIdentical(golden, batched);
     }
 }
 
 TEST(HotPathGolden, ResultsMatchReferenceLaneOnWorkerPool)
 {
-    const auto golden = SuiteRunner(referenceOptions())
-                            .runAll(workloads::cpu2006Suite(),
-                                    InputSize::Test);
-    const auto batched = SuiteRunner(fastOptions(8, 64))
-                             .runAll(workloads::cpu2006Suite(),
-                                     InputSize::Test);
+    const auto golden = ResultCache("").runOrLoad(
+        SuiteRunner(referenceOptions()), workloads::cpu2006Suite(),
+        InputSize::Test);
+    const auto batched = ResultCache("").runOrLoad(
+        SuiteRunner(fastOptions(8, 64)), workloads::cpu2006Suite(),
+        InputSize::Test);
     expectResultsIdentical(golden, batched);
 }
 
@@ -166,7 +166,8 @@ TEST(HotPathGolden, TelemetrySeriesIdenticalAcrossLanes)
     RunnerOptions ref_options = referenceOptions();
     ref_options.sampleIntervalOps = 20000;
     ref_options.telemetrySink = &ref_sink;
-    SuiteRunner(ref_options).runAll(suite, InputSize::Test);
+    ResultCache("").runOrLoad(SuiteRunner(ref_options), suite,
+                              InputSize::Test);
     ASSERT_FALSE(ref_sink.all().empty());
 
     for (const std::uint64_t batch : {7ull, 4096ull}) {
@@ -175,7 +176,8 @@ TEST(HotPathGolden, TelemetrySeriesIdenticalAcrossLanes)
         RunnerOptions options = fastOptions(1, batch);
         options.sampleIntervalOps = 20000;
         options.telemetrySink = &sink;
-        SuiteRunner(options).runAll(suite, InputSize::Test);
+        ResultCache("").runOrLoad(SuiteRunner(options), suite,
+                                  InputSize::Test);
 
         ASSERT_EQ(sink.all().size(), ref_sink.all().size());
         for (const auto &[name, series] : ref_sink.all()) {
@@ -205,8 +207,9 @@ TEST(HotPathGolden, InjectedFaultsFireIdenticallyMidBatch)
         injector.set(thrown, 0, FaultInjector::Action::Throw);
         options.faultInjector = &injector;
         options.pairDeadlineOps = 200000; // > warmup + sample
-        return SuiteRunner(options).runAll(workloads::cpu2006Suite(),
-                                           InputSize::Test);
+        return ResultCache("").runOrLoad(SuiteRunner(options),
+                                         workloads::cpu2006Suite(),
+                                         InputSize::Test);
     };
 
     const auto golden = sweep(referenceOptions());
@@ -258,8 +261,9 @@ TEST(HotPathGolden, RetriesRecoverIdenticallyAcrossLanes)
         injector.set(flaky, 0, FaultInjector::Action::Throw);
         options.faultInjector = &injector;
         options.maxRetries = 1;
-        return SuiteRunner(options).runAll(workloads::cpu2006Suite(),
-                                           InputSize::Test);
+        return ResultCache("").runOrLoad(SuiteRunner(options),
+                                         workloads::cpu2006Suite(),
+                                         InputSize::Test);
     };
 
     const auto golden = sweep(referenceOptions());

@@ -82,10 +82,10 @@ TEST(ParallelSweep, ResultsMatchSequentialAtAnyJobCount)
 {
     SuiteRunner sequential(fastOptions(1));
     SuiteRunner parallel(fastOptions(8));
-    const auto golden =
-        sequential.runAll(workloads::cpu2006Suite(), InputSize::Test);
-    const auto pooled =
-        parallel.runAll(workloads::cpu2006Suite(), InputSize::Test);
+    const auto golden = ResultCache("").runOrLoad(
+        sequential, workloads::cpu2006Suite(), InputSize::Test);
+    const auto pooled = ResultCache("").runOrLoad(
+        parallel, workloads::cpu2006Suite(), InputSize::Test);
     expectResultsIdentical(golden, pooled);
 }
 
@@ -93,10 +93,10 @@ TEST(ParallelSweep, ZeroJobsMeansHardwareConcurrency)
 {
     SuiteRunner sequential(fastOptions(1));
     SuiteRunner parallel(fastOptions(0));
-    const auto golden =
-        sequential.runAll(workloads::cpu2006Suite(), InputSize::Test);
-    const auto pooled =
-        parallel.runAll(workloads::cpu2006Suite(), InputSize::Test);
+    const auto golden = ResultCache("").runOrLoad(
+        sequential, workloads::cpu2006Suite(), InputSize::Test);
+    const auto pooled = ResultCache("").runOrLoad(
+        parallel, workloads::cpu2006Suite(), InputSize::Test);
     expectResultsIdentical(golden, pooled);
 }
 
@@ -141,12 +141,14 @@ TEST(ParallelSweep, TelemetrySeriesMatchSequential)
     RunnerOptions seq_options = fastOptions(1);
     seq_options.sampleIntervalOps = 20000;
     seq_options.telemetrySink = &seq_sink;
-    SuiteRunner(seq_options).runAll(suite, InputSize::Test);
+    ResultCache("").runOrLoad(SuiteRunner(seq_options), suite,
+                              InputSize::Test);
 
     RunnerOptions par_options = fastOptions(8);
     par_options.sampleIntervalOps = 20000;
     par_options.telemetrySink = &par_sink;
-    SuiteRunner(par_options).runAll(suite, InputSize::Test);
+    ResultCache("").runOrLoad(SuiteRunner(par_options), suite,
+                              InputSize::Test);
 
     ASSERT_FALSE(seq_sink.all().empty());
     ASSERT_EQ(par_sink.all().size(), seq_sink.all().size());
@@ -165,8 +167,8 @@ TEST(ParallelSweep, ObserverSeesCanonicalOrderUnderParallelism)
     SuiteRunner runner(fastOptions(8));
     std::vector<std::string> seen_names;
     std::vector<std::size_t> seen_indices;
-    const auto results = runner.runAll(
-        workloads::cpu2006Suite(), InputSize::Test,
+    const auto results = ResultCache("").runOrLoad(
+        runner, workloads::cpu2006Suite(), InputSize::Test,
         [&](const PairResult &result, std::size_t index,
             std::size_t total) {
             // The ordered-commit drain serializes observer calls, so
@@ -196,8 +198,8 @@ TEST(ParallelSweep, InjectedThrowIsContainedUnderParallelism)
     options.faultInjector = &injector;
     SuiteRunner runner(options);
 
-    const auto results =
-        runner.runAll(workloads::cpu2006Suite(), InputSize::Test);
+    const auto results = ResultCache("").runOrLoad(
+        runner, workloads::cpu2006Suite(), InputSize::Test);
     ASSERT_EQ(results.size(), names.size());
     for (const auto &result : results) {
         if (result.name == victim) {

@@ -4,6 +4,8 @@
 
 #include <limits>
 
+#include "suite/result_cache.hh"
+
 namespace spec17 {
 namespace suite {
 namespace {
@@ -113,8 +115,8 @@ TEST(Runner, TestInputsRunFasterThanRef)
 TEST(Runner, RunAllCoversEveryPair)
 {
     SuiteRunner runner(fastOptions());
-    const auto results =
-        runner.runAll(workloads::cpu2006Suite(), InputSize::Ref);
+    const auto results = ResultCache("").runOrLoad(
+        runner, workloads::cpu2006Suite(), InputSize::Ref);
     EXPECT_EQ(results.size(), 29u);
 }
 

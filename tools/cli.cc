@@ -642,7 +642,7 @@ cmdCorun(const CommandLine &command, std::ostream &out,
     std::vector<corun::CorunResult> results;
     try {
         results = store.runOrLoad(runner, groups, observer);
-    } catch (const corun::CorunJournalMismatchError &e) {
+    } catch (const suite::JournalConfigMismatchError &e) {
         err << "error: " << e.what() << "\n";
         return 2;
     }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Runs every end-to-end smoke check against one built tree: the bench
-# identity/speedup gates, the shard round-trip plus fsck, the co-run and
-# explorer jobs-1-vs-2 and kill-plus---resume byte comparisons, and a
-# telemetry sweep. Every output lands in OUT_DIR (the CI artifact); any
-# failed check exits nonzero.
+# identity/speedup gates, the sweep and co-run shard round-trips plus
+# fsck, the co-run and explorer jobs-1-vs-2 and kill-plus---resume byte
+# comparisons, and a telemetry sweep. Every output lands in OUT_DIR
+# (the CI artifact); any failed check exits nonzero.
 #
 # Usage: tools/smoke.sh BUILD_DIR OUT_DIR
 set -euo pipefail
@@ -50,7 +50,7 @@ fi
 "$spec17" fsck --repair torn.csv
 "$spec17" fsck torn.csv
 
-echo "== co-run: jobs 1 vs 2 and torn journal + --resume are identical"
+echo "== co-run: jobs 1 vs 2, torn + --resume and 3 merged shards are identical"
 SPEC17_CACHE=ref "$spec17" corun --size=test "${small[@]}" --jobs=1 \
   --progress
 SPEC17_CACHE=par "$spec17" corun --size=test "${small[@]}" --jobs=2
@@ -59,6 +59,13 @@ head -n 5 ref.corun.test.csv > torn.corun.test.csv
 SPEC17_CACHE=torn "$spec17" corun --size=test "${small[@]}" --jobs=2 \
   --resume
 cmp ref.corun.test.csv torn.corun.test.csv
+for k in 1 2 3; do
+  SPEC17_CACHE=corun-camp "$spec17" corun --size=test "${small[@]}" \
+    --jobs=2 --shard=$k/3
+done
+"$spec17" merge --out=corun-merged.csv corun-camp.corun.test.shard*of3.csv
+cmp ref.corun.test.csv corun-merged.csv
+"$spec17" fsck corun-merged.csv
 "$spec17" corun --size=test --apps=505.mcf_r,519.lbm_r --no-self \
   --partition "${small[@]}" --no-cache --export-jsonl=corun-partition.jsonl
 "$bench/bench_corun" "${small[@]}" --repeats=2 --out=BENCH_corun.ci.json
