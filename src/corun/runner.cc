@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "sim/multicore.hh"
+#include "suite/arena_store.hh"
 #include "suite/runner.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -92,6 +93,18 @@ memberParams(const CorunOptions &options, const WorkloadProfile &profile,
     return params;
 }
 
+/**
+ * The arena a member trace replays from @p store (nullptr without
+ * one: live generation). Always acquired: a member's solo baseline
+ * and every group it joins at the same context read the same trace.
+ */
+std::shared_ptr<const trace::TraceArena>
+memberArena(suite::TraceArenaStore *store,
+            const trace::SyntheticTraceParams &params)
+{
+    return store != nullptr ? store->acquire(params) : nullptr;
+}
+
 } // namespace
 
 double
@@ -108,10 +121,10 @@ CorunRunner::soloCycles(const WorkloadProfile &profile) const
             options_.system, 1,
             deriveSeed(deriveSeed(options_.seed, "corun-solo"),
                        profile.name));
-        // With a store attached, the capture is shared between the
-        // solo baseline and every group the member joins.
+        const trace::SyntheticTraceParams params =
+            memberParams(options_, profile, 0);
         const suite::PairTrace trace = suite::openTrace(
-            memberParams(options_, profile, 0), options_.arenaStore);
+            params, memberArena(options_.arenaStore, params));
         suite::prefillSteadyState(machine.mutableCore(0),
                                   *trace.generator);
         const std::vector<sim::SimResult> parts = machine.runEach(
@@ -145,9 +158,10 @@ CorunRunner::runGroup(const CorunGroup &group) const
     std::vector<std::shared_ptr<trace::TraceSource>> sources;
     sources.reserve(n);
     for (unsigned c = 0; c < n; ++c) {
+        const trace::SyntheticTraceParams params =
+            memberParams(options_, *group.members[c], c);
         const suite::PairTrace trace = suite::openTrace(
-            memberParams(options_, *group.members[c], c),
-            options_.arenaStore);
+            params, memberArena(options_.arenaStore, params));
         suite::prefillSteadyState(machine.mutableCore(c),
                                   *trace.generator);
         sources.push_back(trace.source);

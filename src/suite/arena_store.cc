@@ -44,7 +44,20 @@ TraceArenaStore::spillPathFor(const std::string &key) const
 }
 
 std::shared_ptr<const trace::TraceArena>
+TraceArenaStore::find(const trace::SyntheticTraceParams &params)
+{
+    return lookup(params, false);
+}
+
+std::shared_ptr<const trace::TraceArena>
 TraceArenaStore::acquire(const trace::SyntheticTraceParams &params)
+{
+    return lookup(params, true);
+}
+
+std::shared_ptr<const trace::TraceArena>
+TraceArenaStore::lookup(const trace::SyntheticTraceParams &params,
+                        bool capture)
 {
     const std::string key = trace::describeTraceParams(params);
     if (std::optional<Entry> hit = table_.tryGet(key)) {
@@ -64,6 +77,8 @@ TraceArenaStore::acquire(const trace::SyntheticTraceParams &params)
         }
     }
     if (arena == nullptr) {
+        if (!capture)
+            return nullptr;
         arena = std::make_shared<const trace::TraceArena>(
             trace::captureArena(params));
         captures_.fetch_add(1);

@@ -4,14 +4,21 @@
  * trace arenas (trace/arena.hh), keyed by the exact synthetic trace
  * configuration.
  *
- * The first acquire() of a (profile, seed, trace-config) captures the
- * generated stream into an arena; subsequent acquires -- other design
- * points of a multi-point sweep, the co-run engine's repeated solo
- * baselines, retries at the same seed -- replay it instead of
- * regenerating. Resident arenas live under a byte budget with
- * least-recently-used eviction; an optional spill directory persists
- * every captured arena in the versioned S17A format (atomic
- * temp+rename), so evicted or cross-run arenas reload instead of
+ * A capture copies a whole trace, so it only pays when a second
+ * simulation will replay it. Callers pick one of two lookups:
+ *  - acquire() is find-or-capture, for callers that know a second read
+ *    of the same trace follows: a sweep row with two or more cells
+ *    (design points of a multi-point sweep), and the co-run engine,
+ *    whose solo baseline and every group read each member trace;
+ *  - find() returns what the store already holds and never captures,
+ *    for a single read: a runner attempt (stat, runPair, retries --
+ *    which perturb their seed, so they never share a trace anyway)
+ *    and a sweep row with one cell. On a miss the caller generates
+ *    live.
+ * Resident arenas live under a byte budget with least-recently-used
+ * eviction; an optional spill directory persists every captured arena
+ * in the versioned S17A format (atomic temp+rename), so evicted or
+ * cross-run arenas reload -- through either lookup -- instead of
  * recapturing.
  *
  * Replay is observation-equivalent to live generation (pinned by the
@@ -60,13 +67,20 @@ class TraceArenaStore
                              std::string spill_dir = "");
 
     /**
-     * The arena for @p params: resident hit, spill reload, or fresh
-     * capture, in that order. A spill that fails to load, or loads
-     * with an op count other than params.numOps, is recaptured. Never
-     * returns nullptr and never throws for a bad spill -- an uncachable
-     * (over-budget) arena is still captured and returned, it just
-     * isn't retained. Racing captures resolve first-write-wins
-     * (identical streams, so results cannot depend on the winner).
+     * The arena the store already holds for @p params: a resident hit
+     * or a spill reload (retained like a capture), in that order;
+     * nullptr otherwise. Never captures. A spill that fails to load,
+     * or loads with an op count other than params.numOps, is a miss.
+     */
+    std::shared_ptr<const trace::TraceArena>
+    find(const trace::SyntheticTraceParams &params);
+
+    /**
+     * find(), falling back to a fresh capture. Never returns nullptr
+     * and never throws for a bad spill -- an uncachable (over-budget)
+     * arena is still captured and returned, it just isn't retained.
+     * Racing captures resolve first-write-wins (identical streams, so
+     * results cannot depend on the winner).
      */
     std::shared_ptr<const trace::TraceArena>
     acquire(const trace::SyntheticTraceParams &params);
@@ -87,6 +101,11 @@ class TraceArenaStore
          *  mutating the memo. */
         std::shared_ptr<std::atomic<std::uint64_t>> lastUse;
     };
+
+    /** The body of find() and acquire(): @p capture on a miss, or
+     *  return nullptr. */
+    std::shared_ptr<const trace::TraceArena>
+    lookup(const trace::SyntheticTraceParams &params, bool capture);
 
     /** Evicts least-recently-used entries until under budget. */
     void evictOverBudget();

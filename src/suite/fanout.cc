@@ -103,7 +103,7 @@ using Row = std::vector<std::optional<PairResult>>;
 
 /**
  * True when @p options let a session's single-threaded cells run as
- * lockstep replay cells: an arena store is attached, and nothing must
+ * lockstep cells: an arena store is attached, and nothing must
  * observe or interrupt an attempt from inside -- no interval sampling,
  * fault injection or watchdog deadline -- and the batched lane is on
  * (the unbatched reference lane stays the runner's own).
@@ -160,8 +160,8 @@ class DonorPool
 
 /**
  * Simulates @p pair for every session index in @p active, writing
- * each session's result into @p row: lockstep replay where the cell
- * allows it, the session's own SuiteRunner::runPair otherwise.
+ * each session's result into @p row: lockstep where the cell allows
+ * it, the session's own SuiteRunner::runPair otherwise.
  */
 void
 runFanoutPair(const AppInputPair &pair,
@@ -176,13 +176,29 @@ runFanoutPair(const AppInputPair &pair,
         row[p] = sessions[p].runner.runPair(pair);
     };
 
+    const bool well_formed = profile.validationError().empty();
+    const RunnerOptions &base = sessions[active.front()].runner.options();
+    const workloads::BuildOptions build = attemptBuildOptions(base, 0);
+
+    // The row's one capture decision: a capture copies the whole
+    // trace, so it only pays when a second cell will read it. With two
+    // or more cells, every trace of the pair -- each thread's, for a
+    // threaded pair -- is acquired here, before any cell runs, and
+    // held for the row: lockstep cells replay it and runPair cells
+    // find it. A lone cell captures nothing; it replays what the store
+    // already holds, else generates live.
+    std::vector<std::shared_ptr<const trace::TraceArena>> arenas;
+    if (base.arenaStore != nullptr && well_formed && active.size() >= 2) {
+        for (unsigned t = 0; t < profile.numThreads; ++t)
+            arenas.push_back(base.arenaStore->acquire(
+                workloads::buildTraceParams(pair, build, t)));
+    }
+
     // The multicore interleaver's chunk schedule shapes shared-L3
     // contention, so it runs per session; a malformed profile is a
-    // contained per-session failure. Both take the runner's path (the
-    // arena store still deduplicates their trace captures), as do
-    // sessions the lockstep path cannot serve.
-    const bool replayable =
-        profile.numThreads == 1 && profile.validationError().empty();
+    // contained per-session failure. Both take the runner's path, as
+    // do sessions the lockstep path cannot serve.
+    const bool replayable = profile.numThreads == 1 && well_formed;
     std::vector<std::size_t> lockstep;
     for (std::size_t p : active) {
         if (replayable && lockstepEligible(sessions[p].runner.options()))
@@ -193,23 +209,31 @@ runFanoutPair(const AppInputPair &pair,
     if (lockstep.empty())
         return;
 
-    const RunnerOptions &base = sessions[lockstep.front()].runner.options();
-    const workloads::BuildOptions build = attemptBuildOptions(base, 0);
     const std::uint64_t pair_seed = pairSimSeed(pair, build.seed);
 
-    // The generator is only consulted for its region layout (prefill
-    // never consumes ops); the simulated stream is the shared arena.
+    // The generator gives prefill its region layout (prefill never
+    // consumes ops). Every cell replays the row's arena; a lone cell
+    // the store holds nothing for simulates the generator itself.
     trace::SyntheticTraceGenerator generator(
         workloads::buildTraceParams(pair, build, 0));
-    const std::shared_ptr<const trace::TraceArena> arena =
-        base.arenaStore->acquire(generator.params());
+    const std::shared_ptr<const trace::TraceArena> arena = arenas.empty()
+        ? base.arenaStore->find(generator.params())
+        : arenas.front();
 
     const std::size_t n = lockstep.size();
+    SPEC17_ASSERT(arena != nullptr || n == 1,
+                  "lockstep cells without an arena to share");
+    std::vector<trace::ReplaySource> replays;
+    std::vector<trace::TraceSource *> sources(n, &generator);
+    if (arena != nullptr) {
+        replays.reserve(n);
+        for (std::size_t j = 0; j < n; ++j)
+            sources[j] = &replays.emplace_back(arena);
+    }
+
     std::vector<std::unique_ptr<sim::CpuSimulator>> recycled =
         donors.take(n);
     std::vector<std::unique_ptr<sim::CpuSimulator>> sims(n);
-    std::vector<trace::ReplaySource> replays;
-    replays.reserve(n);
     std::map<std::string, std::size_t> import_leaders;
     std::map<std::string, std::size_t> hier_leaders;
     std::vector<std::size_t> leader_of(n);
@@ -260,7 +284,6 @@ runFanoutPair(const AppInputPair &pair,
         }
         if (point.batchOps != 0)
             sims[j]->setBatchOps(point.batchOps);
-        replays.emplace_back(arena);
     }
 
     // Per-leader lane logs, recorded fresh each lockstep chunk.
@@ -279,13 +302,13 @@ runFanoutPair(const AppInputPair &pair,
         if (lead == j) {
             if (group_size[j] > 1) {
                 logs[j].clear();
-                return sims[j]->stepRecording(replays[j], chunk,
+                return sims[j]->stepRecording(*sources[j], chunk,
                                               logs[j]);
             }
-            return sims[j]->step(replays[j], chunk);
+            return sims[j]->step(*sources[j], chunk);
         }
         cursors[j] = 0;
-        return sims[j]->stepImporting(replays[j], chunk, logs[lead],
+        return sims[j]->stepImporting(*sources[j], chunk, logs[lead],
                                       cursors[j]);
     };
 
@@ -359,7 +382,7 @@ runFanoutPair(const AppInputPair &pair,
             PairResult result = makePairResult(pair);
             finalizePairResult(
                 sessions[p].runner.options(),
-                finishMeasuredWindow(*sims[j], replays[j], warm[j],
+                finishMeasuredWindow(*sims[j], *sources[j], warm[j],
                                      warm_cycles[j]),
                 result);
             row[p] = std::move(result);

@@ -6,15 +6,27 @@
  * order as the shared pass advances. ResultCache::runOrLoad is its
  * one-session call; the explorer runs one session per design point.
  *
+ * Each row (one pair under every session still running it) decides
+ * once whether to capture, because a capture copies the whole trace
+ * and only pays when a second cell reads it:
+ *  - a row with two or more cells acquires each of the pair's traces
+ *    from the arena store (suite/arena_store.hh) before any cell runs
+ *    -- every thread's, for a threaded pair -- so lockstep cells
+ *    replay it and runPair cells find it;
+ *  - a row with one cell -- every row of a one-session sweep
+ *    (ResultCache::runOrLoad) and of explore's resume tails --
+ *    captures nothing: the cell replays what the store already holds
+ *    and otherwise generates live.
+ *
  * Each cell (one pair under one session) takes one of two paths:
- *  - lockstep replay, for a single-threaded pair of a session that can
- *    replay with nothing observing or interrupting the attempt (an
- *    arena store attached; no interval sampling, fault injection,
- *    watchdog deadline or unbatched reference lane). Three cost levers
- *    compose here (docs/performance.md):
- *     - capture-once/replay-many arenas (suite/arena_store.hh): the
- *       pair's trace is generated once, every cell replays it
- *       zero-copy, and each lockstep chunk is read once for all cells;
+ *  - lockstep, for a single-threaded pair of a session that can run
+ *    with nothing observing or interrupting the attempt (an arena
+ *    store attached; no interval sampling, fault injection, watchdog
+ *    deadline or unbatched reference lane). Three cost levers compose
+ *    here (docs/performance.md):
+ *     - capture-once/replay-many arenas: the row's trace is generated
+ *       once, every cell replays it zero-copy, and each lockstep
+ *       chunk is read once for all cells;
  *     - prefill-state cloning: cells sharing a hierarchy form a clone
  *       group -- one leader pays the steady-state prefill, siblings
  *       copy its cache state (CpuSimulator::copyPrefillFrom);

@@ -115,8 +115,9 @@ class ResultCache
      * shard's slice is loaded/run/journaled.
      * Profile pointers in returned results are rebound into @p suite.
      * The sweep is the one-session call of the sweep engine
-     * (suite/fanout.hh), so single-threaded pairs replay in lockstep
-     * when the runner's options allow it.
+     * (suite/fanout.hh): each trace has one reader, so the sweep
+     * captures no trace arena; it replays only what the runner's
+     * store already holds and otherwise generates live.
      *
      * @param observer notified after each pair of a simulated sweep,
      *        always in canonical pair order (even when the runner

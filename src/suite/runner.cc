@@ -58,16 +58,17 @@ prefillSteadyState(sim::CpuSimulator &core,
 
 PairTrace
 openTrace(const trace::SyntheticTraceParams &params,
-          TraceArenaStore *store, const bool *cancel,
-          telemetry::MetricsRegistry *registry, const std::string &prefix)
+          std::shared_ptr<const trace::TraceArena> arena,
+          const bool *cancel, telemetry::MetricsRegistry *registry,
+          const std::string &prefix)
 {
     PairTrace opened;
     opened.generator =
         std::make_shared<trace::SyntheticTraceGenerator>(params);
     std::function<std::uint64_t()> emitted;
-    if (store != nullptr) {
-        auto replay = std::make_shared<trace::ReplaySource>(
-            store->acquire(opened.generator->params()));
+    if (arena != nullptr) {
+        auto replay =
+            std::make_shared<trace::ReplaySource>(std::move(arena));
         replay->setCancelFlag(cancel);
         emitted = [r = replay.get()] { return r->deliveredOps(); };
         opened.source = std::move(replay);
@@ -384,15 +385,17 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
                             options_.pairDeadlineMs);
     bool cancelled = false;
 
-    // The watchdog's cooperative cancel must act DURING trace
-    // generation -- a fault-injected runaway captured to completion
-    // would defeat it -- so replay stands down whenever the fault
-    // layer or a per-attempt deadline is armed.
-    TraceArenaStore *const store = options_.faultInjector == nullptr
-            && options_.pairDeadlineOps == 0
-            && options_.pairDeadlineMs == 0
-        ? options_.arenaStore
-        : nullptr;
+    // An attempt is one read of each trace, so it replays only what
+    // the store already holds -- a sweep row with a second reader
+    // acquired it -- and otherwise generates live. It never captures,
+    // so a fault-injected runaway is generated under the watchdog's
+    // cooperative cancel, never captured to completion.
+    const auto arena_of = [this](const trace::SyntheticTraceParams &params)
+        -> std::shared_ptr<const trace::TraceArena> {
+        return options_.arenaStore != nullptr
+            ? options_.arenaStore->find(params)
+            : nullptr;
+    };
 
     sim::SimResult sim_result;
     if (profile.numThreads > 1) {
@@ -422,10 +425,11 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
             if (options_.batchOps != 0)
                 core.setBatchOps(options_.batchOps);
             core.setUnbatchedStepping(options_.unbatchedStepping);
-            const PairTrace trace = openTrace(
-                workloads::buildTraceParams(pair, build, t), store,
-                &cancelled, registry.get(),
-                "core" + std::to_string(t) + ".");
+            const trace::SyntheticTraceParams params =
+                workloads::buildTraceParams(pair, build, t);
+            const PairTrace trace =
+                openTrace(params, arena_of(params), &cancelled,
+                          registry.get(), "core" + std::to_string(t) + ".");
             prefillSteadyState(core, *trace.generator);
             sources.push_back(trace.source);
         }
@@ -469,9 +473,10 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
             registry = std::make_unique<telemetry::MetricsRegistry>();
             telemetry::registerSimulatorMetrics(*registry, simulator);
         }
-        const PairTrace trace =
-            openTrace(workloads::buildTraceParams(pair, build, 0), store,
-                      &cancelled, registry.get());
+        const trace::SyntheticTraceParams params =
+            workloads::buildTraceParams(pair, build, 0);
+        const PairTrace trace = openTrace(params, arena_of(params),
+                                          &cancelled, registry.get());
         trace::TraceSource &source = *trace.source;
         prefillSteadyState(simulator, *trace.generator);
         std::uint64_t executed =

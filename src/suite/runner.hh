@@ -30,6 +30,7 @@
 #include "telemetry/sampler.hh"
 #include "util/logging.hh"
 #include "telemetry/sink.hh"
+#include "trace/arena.hh"
 #include "workloads/builder.hh"
 #include "workloads/profile.hh"
 
@@ -64,14 +65,20 @@ struct PairTrace
 
 /**
  * The one trace factory of the suite and co-run engines: opens the
- * trace for @p params, replayed from @p store when one is given and
- * generated live otherwise. @p cancel (may be null) is the watchdog's
- * cooperative cancel flag, installed on the consumed source. With a
+ * trace for @p params, replaying @p arena when one is given and
+ * generating live otherwise. The caller's store lookup picks the arena
+ * (suite/arena_store.hh): a runner attempt passes find()'s result, so
+ * it replays only what the store already holds and never captures;
+ * the co-run engine passes acquire()'s, because its solo baseline and
+ * every group read each member trace. @p cancel (may be null) is the
+ * watchdog's cooperative cancel flag, installed on the consumed
+ * source, so it acts on replay and live generation alike. With a
  * @p registry, the source's emission counter is registered there as
  * "<prefix>trace.emitted".
  */
 PairTrace openTrace(const trace::SyntheticTraceParams &params,
-                    TraceArenaStore *store, const bool *cancel = nullptr,
+                    std::shared_ptr<const trace::TraceArena> arena,
+                    const bool *cancel = nullptr,
                     telemetry::MetricsRegistry *registry = nullptr,
                     const std::string &prefix = "");
 
@@ -288,15 +295,16 @@ struct RunnerOptions
     /** @name Trace capture/replay (see docs/performance.md) */
     /// @{
     /**
-     * Capture-once/replay-many arena store. When set, eligible pairs
-     * (no fault injector, no watchdog deadlines -- the watchdog's
-     * cooperative cancel must act DURING generation) replay the
-     * recorded micro-op stream instead of regenerating it. Replay is
-     * draw-for-draw identical to live generation (pinned by the arena
-     * golden tests), so the store -- and its budget, eviction and
-     * spill knobs -- is an execution strategy and deliberately NOT
-     * part of the config key. Borrowed pointer; must outlive the
-     * runner and supports concurrent acquires.
+     * Capture-once/replay-many arena store. When set, a trace that
+     * a second simulation will read is captured once and replayed
+     * instead of regenerated: the sweep engine acquires every trace
+     * of a row with two or more cells, and runPair() replays whatever
+     * the store holds (it never captures; a miss generates live).
+     * Replay is draw-for-draw identical to live generation (pinned by
+     * the arena golden tests), so the store -- and its budget,
+     * eviction and spill knobs -- is an execution strategy and
+     * deliberately NOT part of the config key. Borrowed pointer; must
+     * outlive the runner and supports concurrent lookups.
      */
     TraceArenaStore *arenaStore = nullptr;
     /// @}

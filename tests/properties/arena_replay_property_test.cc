@@ -9,9 +9,15 @@
  * jobs 1 and jobs 8. Budget and eviction behaviour are execution
  * strategy, never semantics (docs/determinism.md); this test is the
  * property-level enforcement of that claim.
+ *
+ * The sweep engine captures a trace only when a second cell of its
+ * row reads it, so a one-session sweep replays only what the store
+ * already holds. The replay tests therefore either pre-warm the store
+ * or run two sessions; the capture-policy tests pin the rule itself.
  */
 
 #include "suite/arena_store.hh"
+#include "suite/fanout.hh"
 #include "suite/result_cache.hh"
 
 #include <gtest/gtest.h>
@@ -45,10 +51,7 @@ laneOptions(unsigned jobs, std::uint64_t batch_ops,
     options.jobs = jobs;
     options.batchOps = batch_ops;
     // Interval sampling stays on so replayed pairs publish the same
-    // telemetry series live generation does. No watchdog deadlines:
-    // an armed deadline disables replay by design (the cooperative
-    // cancel must act DURING generation), which would turn this test
-    // into a trivial live-vs-live comparison.
+    // telemetry series live generation does.
     options.sampleIntervalOps = kIntervalOps;
     options.arenaStore = store;
     return options;
@@ -72,6 +75,43 @@ budgetPopulation()
     for (int draw = 0; draw < 2; ++draw)
         budgets.push_back(1 + rng.nextBounded(16 * kMiB));
     return budgets;
+}
+
+/**
+ * Acquires every trace a sweep of (@p suite, @p size) under
+ * @p options reads: attempt 0, every thread of every well-formed pair.
+ * A one-session sweep is one read of each trace and never captures,
+ * so pre-warming is what makes it replay.
+ */
+void
+prewarm(TraceArenaStore &store, const RunnerOptions &options,
+        const std::vector<workloads::WorkloadProfile> &suite,
+        InputSize size)
+{
+    const workloads::BuildOptions build = attemptBuildOptions(options, 0);
+    for (const auto &pair : workloads::enumeratePairs(suite, size)) {
+        if (!pair.profile->validationError().empty())
+            continue;
+        for (unsigned t = 0; t < pair.profile->numThreads; ++t)
+            store.acquire(workloads::buildTraceParams(pair, build, t));
+    }
+}
+
+/**
+ * Sweeps (@p suite, @p size) as two journal-less sessions, @p a and
+ * @p b, through the sweep engine: every row has two cells, so the
+ * engine captures each of its traces once and both cells replay it.
+ */
+std::vector<std::vector<PairResult>>
+twoSessionSweep(const RunnerOptions &a, const RunnerOptions &b,
+                const std::vector<workloads::WorkloadProfile> &suite,
+                InputSize size)
+{
+    const SuiteRunner runner_a(a), runner_b(b);
+    ResultCache journal_a(""), journal_b("");
+    return runFanoutSweep(
+        {{runner_a, journal_a, {}}, {runner_b, journal_b, {}}}, suite,
+        size);
 }
 
 std::string
@@ -138,14 +178,21 @@ TEST(ArenaReplayProperty, RandomBudgetsAndBatchSizesMatchLiveGeneration)
             SCOPED_TRACE(::testing::Message()
                          << "budget=" << budget << " batchOps=" << batch
                          << " jobs=" << jobs);
-            telemetry::MemorySink sink;
+            // Two sessions, each publishing to its own sink: every
+            // row captures its trace mid-sweep (evicting under small
+            // budgets) and both sessions' cells replay it.
+            telemetry::MemorySink sink_a, sink_b;
             RunnerOptions options = laneOptions(jobs, batch, &store);
-            options.telemetrySink = &sink;
-            const auto results = ResultCache("").runOrLoad(
-                SuiteRunner(options), suite, InputSize::Test);
+            options.telemetrySink = &sink_a;
+            RunnerOptions options_b = options;
+            options_b.telemetrySink = &sink_b;
+            const auto results = twoSessionSweep(options, options_b,
+                                                 suite, InputSize::Test);
 
-            expectResultsIdentical(golden, results);
-            expectSameTelemetry(ref_sink, sink);
+            expectResultsIdentical(golden, results[0]);
+            expectResultsIdentical(golden, results[1]);
+            expectSameTelemetry(ref_sink, sink_a);
+            expectSameTelemetry(ref_sink, sink_b);
         }
         // Both sweeps replayed through the store: every pair was
         // captured (first sweep) and the second sweep was served from
@@ -171,12 +218,14 @@ TEST(ArenaReplayProperty, JournalBytesMatchLiveGeneration)
 
     // A journal-focused subset (journal content depends on results
     // only, pinned exhaustively above): one starved budget, one
-    // everything-resident budget, reusing one store across job counts
-    // so the jobs=8 run replays arenas the jobs=1 run captured.
+    // everything-resident budget, each store pre-warmed once so the
+    // jobs=1 and jobs=8 sweeps both replay whatever it retained.
     Rng rng(0x5411e);
     for (const std::uint64_t budget : {std::uint64_t(1), 512 * kMiB}) {
         TraceArenaStore store(budget);
         const std::uint64_t batch = 1 + rng.nextBounded(4096);
+        prewarm(store, laneOptions(1, batch, &store), suite,
+                InputSize::Test);
         for (const unsigned jobs : {1u, 8u}) {
             SCOPED_TRACE(::testing::Message()
                          << "budget=" << budget << " batchOps=" << batch
@@ -190,8 +239,8 @@ TEST(ArenaReplayProperty, JournalBytesMatchLiveGeneration)
             EXPECT_EQ(fileBytes(base + ".cpu2006.test.csv"), ref_bytes);
             cache.invalidate();
         }
-        // The full-budget store serves the second sweep from
-        // residency: replay-of-a-replayed-capture is still identical.
+        // The full-budget store serves both sweeps from residency:
+        // replay-of-a-replayed-capture is still identical.
         if (budget > kMiB)
             EXPECT_GT(store.stats().hits, 0u);
     }
@@ -217,7 +266,10 @@ TEST(ArenaReplayProperty, RunOrLoadCellsMatchLiveGeneration)
         fileBytes(ref_base + ".cpu2006.test.csv");
     ASSERT_FALSE(ref_bytes.empty());
 
+    // Pre-warmed: a one-session sweep replays only what the store
+    // already holds.
     TraceArenaStore store(512 * kMiB);
+    prewarm(store, live, suite, InputSize::Test);
     for (const std::uint64_t interval : {std::uint64_t(0), kIntervalOps}) {
         for (const unsigned jobs : {1u, 8u}) {
             SCOPED_TRACE(::testing::Message()
@@ -238,6 +290,99 @@ TEST(ArenaReplayProperty, RunOrLoadCellsMatchLiveGeneration)
     }
     EXPECT_GT(store.stats().hits, 0u);
     ref_cache.invalidate();
+}
+
+/** Sum of numThreads over the well-formed pairs of (@p suite,
+ *  @p size) -- the traces a sweep of it reads -- or, with
+ *  @p threaded_only, over its threaded pairs alone. */
+std::uint64_t
+traceCount(const std::vector<workloads::WorkloadProfile> &suite,
+           InputSize size, bool threaded_only)
+{
+    std::uint64_t count = 0;
+    for (const auto &pair : workloads::enumeratePairs(suite, size)) {
+        const auto &profile = *pair.profile;
+        if (profile.validationError().empty()
+            && (!threaded_only || profile.numThreads > 1))
+            count += profile.numThreads;
+    }
+    return count;
+}
+
+// cpu2017 `test` is the substrate of the capture-policy tests: unlike
+// cpu2006 it has four-thread pairs, whose cells run through runPair.
+
+TEST(ArenaCapturePolicy, OneSessionSweepCapturesNothing)
+{
+    // Each trace of a one-session sweep has exactly one reader, so the
+    // sweep generates live and leaves a cold store cold, with journal
+    // bytes equal to the store-less sweep's.
+    const auto &suite = workloads::cpu2017Suite();
+    const std::string dir(::testing::TempDir());
+    RunnerOptions live = laneOptions(1, 0, nullptr);
+    live.sampleIntervalOps = 0;
+    const std::string ref_base = dir + "/spec17_capture_policy_ref";
+    ResultCache ref_cache(ref_base);
+    ref_cache.invalidate();
+    const auto golden =
+        ref_cache.runOrLoad(SuiteRunner(live), suite, InputSize::Test);
+    const std::string ref_bytes =
+        fileBytes(ref_base + ".cpu2017.test.csv");
+    ASSERT_FALSE(ref_bytes.empty());
+
+    for (const unsigned jobs : {1u, 8u}) {
+        SCOPED_TRACE(::testing::Message() << "jobs=" << jobs);
+        TraceArenaStore store(512 * kMiB);
+        RunnerOptions options = laneOptions(jobs, 0, &store);
+        options.sampleIntervalOps = 0;
+        const std::string base = dir + "/spec17_capture_policy_j"
+            + std::to_string(jobs);
+        ResultCache cache(base);
+        cache.invalidate();
+        expectResultsIdentical(
+            golden,
+            cache.runOrLoad(SuiteRunner(options), suite, InputSize::Test));
+        EXPECT_EQ(fileBytes(base + ".cpu2017.test.csv"), ref_bytes);
+        cache.invalidate();
+        EXPECT_EQ(store.stats().captures, 0u);
+        EXPECT_EQ(store.stats().entries, 0u);
+    }
+    ref_cache.invalidate();
+}
+
+TEST(ArenaCapturePolicy, TwoSessionSweepCapturesEachTraceOnce)
+{
+    // Every row has a second reader, so each trace -- every thread's
+    // of a threaded pair -- is captured exactly once, up front. The
+    // threaded pairs' runPair cells of both sessions find their
+    // thread traces instead of generating them. The sessions differ
+    // in batch size only, so their lockstep cells form a prefill clone
+    // group, and both must match the store-less sweep.
+    const auto &suite = workloads::cpu2017Suite();
+    RunnerOptions live = laneOptions(1, 0, nullptr);
+    live.sampleIntervalOps = 0;
+    const auto golden = ResultCache("").runOrLoad(SuiteRunner(live), suite,
+                                                  InputSize::Test);
+
+    for (const unsigned jobs : {1u, 8u}) {
+        SCOPED_TRACE(::testing::Message() << "jobs=" << jobs);
+        TraceArenaStore store(512 * kMiB);
+        RunnerOptions options = laneOptions(jobs, 0, &store);
+        options.sampleIntervalOps = 0;
+        RunnerOptions rebatched = options;
+        rebatched.batchOps = 777;
+        const auto results =
+            twoSessionSweep(options, rebatched, suite, InputSize::Test);
+        expectResultsIdentical(golden, results[0]);
+        expectResultsIdentical(golden, results[1]);
+
+        const TraceArenaStore::Stats stats = store.stats();
+        EXPECT_EQ(stats.captures,
+                  traceCount(suite, InputSize::Test, false));
+        ASSERT_EQ(stats.evictions, 0u);
+        EXPECT_EQ(stats.hits,
+                  2 * traceCount(suite, InputSize::Test, true));
+    }
 }
 
 } // namespace

@@ -1,9 +1,10 @@
 /**
  * @file
  * TraceArenaStore tests: capture-once/replay-many semantics (first
- * acquire captures, later acquires hit residency), least-recently-used
- * eviction under the byte budget, uncached service of arenas larger
- * than the whole budget, and S17A spill reload across store instances.
+ * acquire captures, later acquires hit residency), find() never
+ * capturing, least-recently-used eviction under the byte budget,
+ * uncached service of arenas larger than the whole budget, and S17A
+ * spill reload across store instances.
  */
 
 #include "suite/arena_store.hh"
@@ -57,6 +58,27 @@ TEST(ArenaStore, FirstAcquireCapturesLaterAcquiresHit)
     EXPECT_EQ(stats.hits, 1u);
     EXPECT_EQ(stats.entries, 1u);
     EXPECT_EQ(stats.residentBytes, first->byteSize());
+}
+
+TEST(ArenaStore, FindServesWhatIsHeldAndNeverCaptures)
+{
+    TraceArenaStore store(64 * kMiB);
+    const auto p = params(5000, 42);
+    EXPECT_EQ(store.find(p), nullptr);
+    EXPECT_EQ(store.stats().captures, 0u);
+    EXPECT_EQ(store.stats().entries, 0u);
+
+    const auto captured = store.acquire(p);
+    EXPECT_EQ(store.find(p).get(), captured.get());
+    const TraceArenaStore::Stats stats = store.stats();
+    EXPECT_EQ(stats.captures, 1u);
+    EXPECT_EQ(stats.hits, 1u);
+
+    // An over-budget arena is served to its acquirer but never held,
+    // so a later find() misses.
+    TraceArenaStore tiny(1024);
+    ASSERT_NE(tiny.acquire(p), nullptr);
+    EXPECT_EQ(tiny.find(p), nullptr);
 }
 
 TEST(ArenaStore, DistinctConfigsGetDistinctArenas)
@@ -128,6 +150,27 @@ TEST(ArenaStore, SpilledArenasReloadAcrossStores)
     EXPECT_EQ(stats.captures, 0u);
     EXPECT_EQ(stats.spillLoads, 1u);
     std::remove(spill_path.c_str());
+}
+
+TEST(ArenaStore, FindReloadsSpillsButNeverCaptures)
+{
+    const std::string spill_dir =
+        std::string(::testing::TempDir()) + "/arena_store_find_spill";
+    const auto p = params(5000, 98);
+    TraceArenaStore writer(64 * kMiB, spill_dir);
+    writer.acquire(p);
+
+    TraceArenaStore reader(64 * kMiB, spill_dir);
+    const auto arena = reader.find(p);
+    ASSERT_NE(arena, nullptr);
+    EXPECT_EQ(arena->numOps, 5000u);
+    EXPECT_EQ(reader.find(params(5000, 97)), nullptr);
+    const TraceArenaStore::Stats stats = reader.stats();
+    EXPECT_EQ(stats.captures, 0u);
+    EXPECT_EQ(stats.spillLoads, 1u);
+    EXPECT_EQ(stats.entries, 1u);
+    std::remove(
+        writer.spillPathFor(trace::describeTraceParams(p)).c_str());
 }
 
 } // namespace

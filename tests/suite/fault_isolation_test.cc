@@ -15,6 +15,8 @@
 #include <sstream>
 
 #include "core/metrics.hh"
+#include "suite/arena_store.hh"
+#include "util/units.hh"
 
 namespace spec17 {
 namespace suite {
@@ -199,6 +201,62 @@ TEST(FaultIsolation, StalledGenerationTripsTheOpBudgetWatchdog)
     // The same budget leaves healthy pairs untouched.
     const auto healthy = runner.runPair(pairs.back());
     EXPECT_FALSE(healthy.errored);
+}
+
+TEST(FaultIsolation, ArmedAttemptsReplayHeldTracesButNeverCapture)
+{
+    // An attempt replays only what the store already holds, even with
+    // the fault layer and a deadline armed. A runaway or a retry has
+    // its own trace (a longer one, a perturbed seed), so both generate
+    // live under the watchdog's cancel and leave the store untouched.
+    const auto pairs =
+        enumeratePairs(workloads::cpu2006Suite(), InputSize::Test);
+    const auto &victim = pairs.front();
+    const auto &healthy = pairs.back();
+
+    ScriptedFaultInjector injector;
+    injector.set(victim.displayName(), 0, FaultInjector::Action::Stall);
+    RunnerOptions options = fastOptions();
+    options.faultInjector = &injector;
+    options.pairDeadlineOps = 200000; // > sample + warmup
+    options.maxRetries = 1;
+    const SuiteRunner live(options);
+
+    TraceArenaStore store(64 * kMiB);
+    const workloads::BuildOptions build = attemptBuildOptions(options, 0);
+    for (const auto *pair : {&victim, &healthy})
+        store.acquire(workloads::buildTraceParams(*pair, build, 0));
+    options.arenaStore = &store;
+    const SuiteRunner replaying(options);
+
+    for (const auto *pair : {&victim, &healthy}) {
+        SCOPED_TRACE(pair->displayName());
+        const PairResult expected = live.runPair(*pair);
+        const PairResult got = replaying.runPair(*pair);
+        // The victim stalled, then recovered on its retry.
+        EXPECT_FALSE(got.errored);
+        EXPECT_EQ(got.failures.size(), pair == &victim ? 1u : 0u);
+        EXPECT_EQ(got.attempts, expected.attempts);
+        ASSERT_EQ(got.failures.size(), expected.failures.size());
+        for (std::size_t f = 0; f < got.failures.size(); ++f) {
+            EXPECT_EQ(got.failures[f].category,
+                      expected.failures[f].category);
+            EXPECT_EQ(got.failures[f].opsCompleted,
+                      expected.failures[f].opsCompleted);
+        }
+        for (std::size_t e = 0; e < counters::kNumPerfEvents; ++e) {
+            const auto event = static_cast<counters::PerfEvent>(e);
+            EXPECT_EQ(got.counters.get(event),
+                      expected.counters.get(event));
+        }
+    }
+    // Only the healthy pair replayed its held trace; the victim's
+    // runaway and retry read neither held trace, and nothing was
+    // captured beyond the two acquires above.
+    const TraceArenaStore::Stats stats = store.stats();
+    EXPECT_EQ(stats.captures, 2u);
+    EXPECT_EQ(stats.entries, 2u);
+    EXPECT_EQ(stats.hits, 1u);
 }
 
 TEST(FaultIsolation, RetryConfigDoesNotPerturbFaultFreeResults)

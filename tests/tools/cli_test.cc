@@ -820,6 +820,11 @@ TEST(CliRun, MalformedArgvIsAContainedUsageError)
         {"explore", "--axis=predictor", "--sample-interval-ops=1000"},
         {"corun", "--suite=cpu2006"},
         {"list", "--predictor=tage"},
+        {"list", "cpu2006"},
+        {"stat", "505.mcf_r", "519.lbm_r"},
+        {"events", "extra"},
+        {"config", "foo"},
+        {"replay", "a.s17t", "b.s17t"},
         {"--help"},
     };
     for (const auto &argv : cases) {

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <charconv>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "core/characterizer.hh"
 #include "util/logging.hh"
@@ -1117,6 +1119,19 @@ reads(const VerbSpec &verb, const std::string &flag)
         != std::string::npos;
 }
 
+/** Most positionals @p verb takes after its name: none without a
+ *  `needs` text, one with it, any number when the synopsis ends in
+ *  "...>" (merge, fsck). */
+std::size_t
+maxPositionals(const VerbSpec &verb)
+{
+    if (verb.needs[0] == '\0')
+        return 0;
+    return std::string_view(verb.synopsis).ends_with("...>")
+        ? std::numeric_limits<std::size_t>::max()
+        : 1;
+}
+
 /** The error for @p value breaking @p spec's contract, or "". */
 std::string
 contractError(const FlagSpec &spec, const std::string &value)
@@ -1476,9 +1491,15 @@ runCommand(const CommandLine &command, std::ostream &out,
             error = contractError(*named(flagTable(), name), value);
     if (error.empty())
         error = relationError(command);
-    if (error.empty() && verb->needs[0] != '\0'
-        && command.positional.size() < 2)
+    const std::size_t given = command.positional.size() - 1;
+    const std::size_t most = maxPositionals(*verb);
+    if (error.empty() && verb->needs[0] != '\0' && given == 0)
         error = std::string(verb->name) + " needs " + verb->needs;
+    if (error.empty() && given > most)
+        error = "unexpected argument '" + command.positional[most + 1]
+            + "': " + verb->name + " takes "
+            + (most == 0 ? "no positional arguments"
+                         : "one positional argument");
     if (!error.empty()) {
         err << "error: " << error << "\n";
         return 2;

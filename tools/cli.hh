@@ -82,7 +82,10 @@ struct VerbSpec
     const char *summary;  //!< one-line description
     int (*run)(const CommandLine &, std::ostream &out, std::ostream &err);
     std::string flags;      //!< space-separated flags the handler reads
-    const char *needs = ""; //!< missing-positional error text, or ""
+    /** Missing-positional error text, or "". It also sets the
+     *  arity: a verb with it takes one positional (any number when
+     *  the synopsis ends in "...>"), a verb without it takes none. */
+    const char *needs = "";
 };
 
 /** Every subcommand, in usage() order. */

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Runs every end-to-end smoke check against one built tree: the bench
 # identity/speedup gates, the sweep and co-run shard round-trips plus
-# fsck, the co-run and explorer jobs-1-vs-2 and kill-plus---resume byte
-# comparisons, and a telemetry sweep. Every output lands in OUT_DIR
+# fsck, a store-on vs store-off sweep over threaded pairs, the co-run
+# and explorer jobs-1-vs-2 and kill-plus---resume byte comparisons, and
+# a telemetry sweep. Every output lands in OUT_DIR
 # (the CI artifact); any failed check exits nonzero.
 #
 # Usage: tools/smoke.sh BUILD_DIR OUT_DIR
@@ -19,6 +20,7 @@ cd "$2"
 spec17=$build/tools/spec17
 bench=$build/bench
 sweep=(--suite=cpu2006 --size=test --sample=20000 --warmup=5000)
+sweep17=(--suite=cpu2017 --size=test --sample=20000 --warmup=5000 --jobs=2)
 small=(--sample=30000 --warmup=10000)
 explore=(--multi-axis=way-predictor,l2-prefetcher --suite=cpu2006
          --size=test "${small[@]}")
@@ -49,6 +51,12 @@ if "$spec17" fsck torn.csv; then
 fi
 "$spec17" fsck --repair torn.csv
 "$spec17" fsck torn.csv
+
+echo "== arena store on vs off: a sweep with threaded pairs is identical"
+SPEC17_CACHE=store-on "$spec17" characterize "${sweep17[@]}"
+SPEC17_CACHE=store-off "$spec17" characterize "${sweep17[@]}" \
+  --trace-arena-mb=0
+cmp store-on.cpu2017.test.csv store-off.cpu2017.test.csv
 
 echo "== co-run: jobs 1 vs 2, torn + --resume and 3 merged shards are identical"
 SPEC17_CACHE=ref "$spec17" corun --size=test "${small[@]}" --jobs=1 \
