@@ -135,8 +135,9 @@ class ExploreRunner
      * Runs and scores an explicit point list (plan order preserved,
      * Pareto marked over the list), one sweep session per point on
      * the sweep engine (suite/fanout.hh): with an arena store, one
-     * trace capture feeds every point per pair. Results and journals
-     * are identical to independent per-point sweeps.
+     * trace capture feeds every point per pair and is released once
+     * they have run, so each descent stage captures anew. Results and
+     * journals are identical to independent per-point sweeps.
      * @p step_tag namespaces the per-point journals (descent stages).
      */
     std::vector<PointResult> runPoints(

@@ -122,6 +122,9 @@ TagePredictor::TagePredictor(const TageConfig &config)
                       config.minHistory <= config.maxHistory &&
                       config.maxHistory <= 64,
                   "tage history lengths out of sane range");
+    SPEC17_ASSERT(config.historyTables <= config.maxHistoryTables(),
+                  "tage history tables out of sane range (at most ",
+                  config.maxHistoryTables(), ")");
 
     // Geometric history series: L(i) = min * (max/min)^(i/(N-1)),
     // rounded, clamped monotonic. With one table, L(0) = minHistory.

@@ -191,6 +191,16 @@ struct TageConfig
     unsigned maxHistory = 64;
     /** log2 entries of the base bimodal table. */
     unsigned baseBits = 12;
+
+    /** Most tagged tables the history series holds (61 at the
+     *  defaults): their lengths rise strictly from minHistory to
+     *  maxHistory, so a further table would overshoot maxHistory or,
+     *  at the 64 clamp, repeat a length. */
+    unsigned
+    maxHistoryTables() const
+    {
+        return maxHistory - minHistory + 1;
+    }
 };
 
 /**

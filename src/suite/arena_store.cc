@@ -106,6 +106,12 @@ TraceArenaStore::lookup(const trace::SyntheticTraceParams &params,
 }
 
 void
+TraceArenaStore::release(const trace::SyntheticTraceParams &params)
+{
+    table_.erase(trace::describeTraceParams(params));
+}
+
+void
 TraceArenaStore::evictOverBudget()
 {
     for (;;) {

@@ -15,6 +15,12 @@
  *    which perturb their seed, so they never share a trace anyway)
  *    and a sweep row with one cell. On a miss the caller generates
  *    live.
+ * A sweep row that acquired its traces release()s them once its cells
+ * have run: no other row of the sweep reads its pair, so the store
+ * stops holding arenas nothing reads again. A later sweep of the same
+ * traces (the next explore descent stage) recaptures them; measured,
+ * that is no slower than keeping every arena resident between stages
+ * (docs/performance.md).
  * Resident arenas live under a byte budget with least-recently-used
  * eviction; an optional spill directory persists every captured arena
  * in the versioned S17A format (atomic temp+rename), so evicted or
@@ -84,6 +90,13 @@ class TraceArenaStore
      */
     std::shared_ptr<const trace::TraceArena>
     acquire(const trace::SyntheticTraceParams &params);
+
+    /**
+     * Drops the resident arena for @p params, if any, for a caller
+     * done reading it. Holders keep their copy, a spill file stays,
+     * and it is not counted as an eviction.
+     */
+    void release(const trace::SyntheticTraceParams &params);
 
     Stats stats() const;
 

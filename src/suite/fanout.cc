@@ -158,6 +158,20 @@ class DonorPool
     std::vector<std::unique_ptr<sim::CpuSimulator>> donors_;
 };
 
+/** Releases the traces a row acquired from @p store when the row
+ *  ends, on every return path. */
+struct RowRelease
+{
+    TraceArenaStore *store = nullptr;
+    std::vector<trace::SyntheticTraceParams> traces;
+
+    ~RowRelease()
+    {
+        for (const trace::SyntheticTraceParams &params : traces)
+            store->release(params);
+    }
+};
+
 /**
  * Simulates @p pair for every session index in @p active, writing
  * each session's result into @p row: lockstep where the cell allows
@@ -185,13 +199,20 @@ runFanoutPair(const AppInputPair &pair,
     // or more cells, every trace of the pair -- each thread's, for a
     // threaded pair -- is acquired here, before any cell runs, and
     // held for the row: lockstep cells replay it and runPair cells
-    // find it. A lone cell captures nothing; it replays what the store
-    // already holds, else generates live.
+    // find it. The row releases them from the store when it ends, so
+    // a sweep holds only its running rows' arenas. A lone cell
+    // captures nothing; it replays what the store already holds, else
+    // generates live.
     std::vector<std::shared_ptr<const trace::TraceArena>> arenas;
+    RowRelease release;
     if (base.arenaStore != nullptr && well_formed && active.size() >= 2) {
-        for (unsigned t = 0; t < profile.numThreads; ++t)
-            arenas.push_back(base.arenaStore->acquire(
-                workloads::buildTraceParams(pair, build, t)));
+        release.store = base.arenaStore;
+        for (unsigned t = 0; t < profile.numThreads; ++t) {
+            release.traces.push_back(
+                workloads::buildTraceParams(pair, build, t));
+            arenas.push_back(
+                base.arenaStore->acquire(release.traces.back()));
+        }
     }
 
     // The multicore interleaver's chunk schedule shapes shared-L3

@@ -12,7 +12,9 @@
  *  - a row with two or more cells acquires each of the pair's traces
  *    from the arena store (suite/arena_store.hh) before any cell runs
  *    -- every thread's, for a threaded pair -- so lockstep cells
- *    replay it and runPair cells find it;
+ *    replay it and runPair cells find it, and releases them when it
+ *    ends: no row reads another's pair, so a sweep holds only its
+ *    running rows' arenas;
  *  - a row with one cell -- every row of a one-session sweep
  *    (ResultCache::runOrLoad) and of explore's resume tails --
  *    captures nothing: the cell replays what the store already holds

@@ -302,6 +302,9 @@ TEST(ExploreGolden, CrossTableIdenticalAcrossFanoutAndJobs)
     // The shared-arena fan-out engine must score the bit-identical
     // table, at any job count: one capture per pair feeding all 12
     // points is an execution strategy, never semantics.
+    const std::size_t pairs = workloads::enumeratePairs(
+                                  workloads::cpu2006Suite(), InputSize::Test)
+                                  .size();
     for (const unsigned jobs : {1u, 8u}) {
         SCOPED_TRACE(::testing::Message() << "jobs=" << jobs);
         suite::TraceArenaStore store(512 * kMiB);
@@ -310,8 +313,10 @@ TEST(ExploreGolden, CrossTableIdenticalAcrossFanoutAndJobs)
         fanout.runner.arenaStore = &store;
         expectSameTable(baseline, ExploreRunner(fanout).runCross(axes));
         // The engine captured each pair's trace once; the points
-        // replayed it rather than re-acquiring through the store.
-        EXPECT_GT(store.stats().captures, 0u);
+        // replayed it rather than re-acquiring through the store, and
+        // the pair's row released it once they had run.
+        EXPECT_EQ(store.stats().captures, pairs);
+        EXPECT_EQ(store.stats().entries, 0u);
     }
 }
 
@@ -323,6 +328,13 @@ TEST(ExploreGolden, DescentFoldsEachStagesKneeIntoTheBase)
     const auto steps = ExploreRunner(options).runDescent(
         {"way-predictor", "l2-prefetcher"});
     ASSERT_EQ(steps.size(), 2u);
+    // Each stage captured every pair's trace once and released it with
+    // the pair's row, so stage 2 recaptured what stage 1 had read.
+    EXPECT_EQ(store.stats().captures,
+              2 * workloads::enumeratePairs(workloads::cpu2006Suite(),
+                                            InputSize::Test)
+                      .size());
+    EXPECT_EQ(store.stats().entries, 0u);
     EXPECT_EQ(steps[0].axis, "way-predictor");
     EXPECT_EQ(steps[1].axis, "l2-prefetcher");
     for (const auto &step : steps) {

@@ -100,7 +100,8 @@ prewarm(TraceArenaStore &store, const RunnerOptions &options,
 /**
  * Sweeps (@p suite, @p size) as two journal-less sessions, @p a and
  * @p b, through the sweep engine: every row has two cells, so the
- * engine captures each of its traces once and both cells replay it.
+ * engine acquires each of its traces once, both cells replay it, and
+ * the row releases it when it ends.
  */
 std::vector<std::vector<PairResult>>
 twoSessionSweep(const RunnerOptions &a, const RunnerOptions &b,
@@ -178,14 +179,19 @@ TEST(ArenaReplayProperty, RandomBudgetsAndBatchSizesMatchLiveGeneration)
             SCOPED_TRACE(::testing::Message()
                          << "budget=" << budget << " batchOps=" << batch
                          << " jobs=" << jobs);
-            // Two sessions, each publishing to its own sink: every
-            // row captures its trace mid-sweep (evicting under small
-            // budgets) and both sessions' cells replay it.
+            // Two sessions, each publishing to its own sink. The store
+            // starts with as many of the sweep's traces as the budget
+            // holds (evicting under small budgets); every row finds or
+            // recaptures its trace mid-sweep (evicting again), both
+            // sessions' cells replay it, and the row releases it.
             telemetry::MemorySink sink_a, sink_b;
             RunnerOptions options = laneOptions(jobs, batch, &store);
             options.telemetrySink = &sink_a;
             RunnerOptions options_b = options;
             options_b.telemetrySink = &sink_b;
+            prewarm(store, options, suite, InputSize::Test);
+            EXPECT_LE(store.stats().residentBytes, budget);
+            const std::uint64_t captured = store.stats().captures;
             const auto results = twoSessionSweep(options, options_b,
                                                  suite, InputSize::Test);
 
@@ -193,9 +199,16 @@ TEST(ArenaReplayProperty, RandomBudgetsAndBatchSizesMatchLiveGeneration)
             expectResultsIdentical(golden, results[1]);
             expectSameTelemetry(ref_sink, sink_a);
             expectSameTelemetry(ref_sink, sink_b);
+            // Every row released its traces. Everything fits the full
+            // budget, so there the sweep is served from residency
+            // without a single capture.
+            EXPECT_EQ(store.stats().entries, 0u);
+            if (budget == 512 * kMiB) {
+                EXPECT_EQ(store.stats().captures, captured);
+            }
         }
         // Both sweeps replayed through the store: every pair was
-        // captured (first sweep) and the second sweep was served from
+        // captured (pre-warm or row) and each sweep was served from
         // residency wherever the budget allowed.
         EXPECT_GT(store.stats().captures, 0u);
         EXPECT_LE(store.stats().residentBytes, budget);
@@ -353,11 +366,12 @@ TEST(ArenaCapturePolicy, OneSessionSweepCapturesNothing)
 TEST(ArenaCapturePolicy, TwoSessionSweepCapturesEachTraceOnce)
 {
     // Every row has a second reader, so each trace -- every thread's
-    // of a threaded pair -- is captured exactly once, up front. The
-    // threaded pairs' runPair cells of both sessions find their
-    // thread traces instead of generating them. The sessions differ
-    // in batch size only, so their lockstep cells form a prefill clone
-    // group, and both must match the store-less sweep.
+    // of a threaded pair -- is captured exactly once, up front, and
+    // released when its row ends. The threaded pairs' runPair cells
+    // of both sessions find their thread traces instead of generating
+    // them. The sessions differ in batch size only, so their lockstep
+    // cells form a prefill clone group, and both must match the
+    // store-less sweep.
     const auto &suite = workloads::cpu2017Suite();
     RunnerOptions live = laneOptions(1, 0, nullptr);
     live.sampleIntervalOps = 0;
@@ -382,6 +396,7 @@ TEST(ArenaCapturePolicy, TwoSessionSweepCapturesEachTraceOnce)
         ASSERT_EQ(stats.evictions, 0u);
         EXPECT_EQ(stats.hits,
                   2 * traceCount(suite, InputSize::Test, true));
+        EXPECT_EQ(stats.entries, 0u);
     }
 }
 

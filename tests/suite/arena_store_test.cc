@@ -2,9 +2,10 @@
  * @file
  * TraceArenaStore tests: capture-once/replay-many semantics (first
  * acquire captures, later acquires hit residency), find() never
- * capturing, least-recently-used eviction under the byte budget,
- * uncached service of arenas larger than the whole budget, and S17A
- * spill reload across store instances.
+ * capturing, release() dropping only the store's copy,
+ * least-recently-used eviction under the byte budget, uncached
+ * service of arenas larger than the whole budget, and S17A spill
+ * reload across store instances.
  */
 
 #include "suite/arena_store.hh"
@@ -79,6 +80,57 @@ TEST(ArenaStore, FindServesWhatIsHeldAndNeverCaptures)
     TraceArenaStore tiny(1024);
     ASSERT_NE(tiny.acquire(p), nullptr);
     EXPECT_EQ(tiny.find(p), nullptr);
+}
+
+TEST(ArenaStore, ReleaseDropsOnlyTheStoresCopy)
+{
+    TraceArenaStore store(64 * kMiB);
+    const auto p = params(5000, 42);
+    const auto held = store.acquire(p);
+    ASSERT_NE(held, nullptr);
+    EXPECT_EQ(store.find(p).get(), held.get());
+
+    // The holder keeps its arena; the store holds nothing, and the
+    // drop is not an eviction.
+    store.release(p);
+    TraceArenaStore::Stats stats = store.stats();
+    EXPECT_EQ(stats.entries, 0u);
+    EXPECT_EQ(stats.residentBytes, 0u);
+    EXPECT_EQ(stats.evictions, 0u);
+    EXPECT_EQ(held->numOps, 5000u);
+    EXPECT_EQ(store.find(p), nullptr);
+
+    // Releasing what the store does not hold is a no-op, and the next
+    // acquire recaptures.
+    store.release(p);
+    store.release(params(5000, 43));
+    const auto again = store.acquire(p);
+    stats = store.stats();
+    EXPECT_EQ(stats.captures, 2u);
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.residentBytes, again->byteSize());
+}
+
+TEST(ArenaStore, ReleasedArenasReloadFromTheirSpill)
+{
+    const std::string spill_dir =
+        std::string(::testing::TempDir()) + "/arena_store_release_spill";
+    const auto p = params(5000, 96);
+    TraceArenaStore store(64 * kMiB, spill_dir);
+    store.acquire(p);
+    store.release(p);
+
+    // The spill outlives the release: the next lookup reloads it
+    // instead of recapturing.
+    const auto arena = store.find(p);
+    ASSERT_NE(arena, nullptr);
+    EXPECT_EQ(arena->numOps, 5000u);
+    const TraceArenaStore::Stats stats = store.stats();
+    EXPECT_EQ(stats.captures, 1u);
+    EXPECT_EQ(stats.spillLoads, 1u);
+    EXPECT_EQ(stats.entries, 1u);
+    std::remove(
+        store.spillPathFor(trace::describeTraceParams(p)).c_str());
 }
 
 TEST(ArenaStore, DistinctConfigsGetDistinctArenas)

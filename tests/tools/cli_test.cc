@@ -814,6 +814,8 @@ TEST(CliRun, MalformedArgvIsAContainedUsageError)
         {"characterize", "--resume=false"},
         {"stat", "505.mcf_r", "--telemetry-format=xml"},
         {"stat", "505.mcf_r", "--input=0"},
+        {"stat", "505.mcf_r", "--predictor=tage",
+         "--tage-tables=4000000000", "--sample=20000", "--warmup=5000"},
         {"stat", "505.mcf_r", "--jobs=2"},
         {"validate", "--jobs=2"},
         {"explore", "--axis=predictor", "--telemetry-out=series"},

@@ -1181,9 +1181,15 @@ relationError(const CommandLine &command)
                "--trace-arena-mb=0 (trace capture/replay disabled, "
                "nothing to spill)";
     const sim::SystemConfig system = runnerOptionsOf(command).system;
-    if (system.tage.historyTables == 0)
+    const sim::TageConfig &tage = system.tage;
+    if (tage.historyTables == 0)
         return "--tage-tables=0 is contradictory (TAGE needs at least "
                "one tagged history table)";
+    if (tage.historyTables > tage.maxHistoryTables())
+        return "--tage-tables=" + std::to_string(tage.historyTables)
+            + " exceeds the " + std::to_string(tage.maxHistoryTables())
+            + " distinct TAGE history lengths (a further table would "
+              "only repeat one)";
     const sim::HierarchyConfig &h = system.hierarchy;
     if (h.streamDegree > h.streamDistance)
         return "--stream-degree=" + std::to_string(h.streamDegree)

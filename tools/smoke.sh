@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Runs every end-to-end smoke check against one built tree: the bench
 # identity/speedup gates, the sweep and co-run shard round-trips plus
-# fsck, a store-on vs store-off sweep over threaded pairs, the co-run
-# and explorer jobs-1-vs-2 and kill-plus---resume byte comparisons, and
-# a telemetry sweep. Every output lands in OUT_DIR
-# (the CI artifact); any failed check exits nonzero.
+# fsck, store-on vs store-off comparisons of a sweep over threaded
+# pairs and of explore's cross and descent plans, the co-run and
+# explorer jobs-1-vs-2 and kill-plus---resume byte comparisons, and a
+# telemetry sweep. Every output lands in OUT_DIR (the CI artifact); any
+# failed check exits nonzero.
 #
 # Usage: tools/smoke.sh BUILD_DIR OUT_DIR
 set -euo pipefail
@@ -80,7 +81,7 @@ cmp ref.corun.test.csv corun-merged.csv
 python3 "$root/tools/check_bench.py" BENCH_corun.ci.json \
   "$root/BENCH_corun.json"
 
-echo "== explore: jobs 1 vs 2 and mid-sweep kill + --resume are identical"
+echo "== explore: jobs 1 vs 2, store on vs off, kill + --resume are identical"
 for jobs in 1 2; do
   "$spec17" explore --axis=way-predictor --suite=cpu2006 --size=test \
     "${small[@]}" --no-cache --jobs=$jobs --explore-out=explore-j$jobs.csv \
@@ -92,6 +93,16 @@ cmp explore-j1.csv explore-j2.csv
 "$spec17" explore "${explore[@]}" --no-cache --jobs=2 \
   --explore-out=replay-par.csv
 cmp replay-ref.csv replay-par.csv
+# Each row releases its arenas when it ends, and every descent stage
+# recaptures them. Neither plan may differ from live generation.
+"$spec17" explore "${explore[@]}" --no-cache --jobs=1 --trace-arena-mb=0 \
+  --explore-out=replay-off.csv
+cmp replay-ref.csv replay-off.csv
+for mb in 512 0; do
+  "$spec17" explore "${explore[@]}" --multi-axis-mode=descent --no-cache \
+    --jobs=2 --trace-arena-mb=$mb --explore-out=descent-mb$mb.csv
+done
+cmp descent-mb512.csv descent-mb0.csv
 SPEC17_CACHE=replay "$spec17" explore "${explore[@]}" --jobs=2 \
   --explore-out=replay-full.csv
 cmp replay-ref.csv replay-full.csv
