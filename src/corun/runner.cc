@@ -94,15 +94,19 @@ memberParams(const CorunOptions &options, const WorkloadProfile &profile,
 }
 
 /**
- * The arena a member trace replays from @p store (nullptr without
- * one: live generation). Always acquired: a member's solo baseline
- * and every group it joins at the same context read the same trace.
+ * The arena @p profile's member trace replays from (nullptr without a
+ * store: live generation). One arena per app, captured at context 0:
+ * the context changes only data addresses, so openTrace shifts this
+ * capture to any other context's address space at replay. Always
+ * acquired: the app's solo baseline and every group it joins, at
+ * every context, read it.
  */
 std::shared_ptr<const trace::TraceArena>
-memberArena(suite::TraceArenaStore *store,
-            const trace::SyntheticTraceParams &params)
+memberArena(const CorunOptions &options, const WorkloadProfile &profile)
 {
-    return store != nullptr ? store->acquire(params) : nullptr;
+    return options.arenaStore != nullptr
+        ? options.arenaStore->acquire(memberParams(options, profile, 0))
+        : nullptr;
 }
 
 } // namespace
@@ -121,10 +125,9 @@ CorunRunner::soloCycles(const WorkloadProfile &profile) const
             options_.system, 1,
             deriveSeed(deriveSeed(options_.seed, "corun-solo"),
                        profile.name));
-        const trace::SyntheticTraceParams params =
-            memberParams(options_, profile, 0);
-        const suite::PairTrace trace = suite::openTrace(
-            params, memberArena(options_.arenaStore, params));
+        const suite::PairTrace trace =
+            suite::openTrace(memberParams(options_, profile, 0),
+                             memberArena(options_, profile));
         suite::prefillSteadyState(machine.mutableCore(0),
                                   *trace.generator);
         const std::vector<sim::SimResult> parts = machine.runEach(
@@ -158,10 +161,11 @@ CorunRunner::runGroup(const CorunGroup &group) const
     std::vector<std::shared_ptr<trace::TraceSource>> sources;
     sources.reserve(n);
     for (unsigned c = 0; c < n; ++c) {
-        const trace::SyntheticTraceParams params =
-            memberParams(options_, *group.members[c], c);
-        const suite::PairTrace trace = suite::openTrace(
-            params, memberArena(options_.arenaStore, params));
+        // The context's own params, so the prefill below reads this
+        // context's region bases from trace.generator.
+        const suite::PairTrace trace =
+            suite::openTrace(memberParams(options_, *group.members[c], c),
+                             memberArena(options_, *group.members[c]));
         suite::prefillSteadyState(machine.mutableCore(c),
                                   *trace.generator);
         sources.push_back(trace.source);

@@ -9,7 +9,10 @@
  * fixed chunks so their L3 traffic contends. The engine also runs
  * each distinct application solo on an otherwise-idle machine with
  * the *same* trace, which turns per-context cycles into per-app
- * slowdowns: slowdown = co-run cycles / solo cycles.
+ * slowdowns: slowdown = co-run cycles / solo cycles. A context moves
+ * only the trace's data addresses, so with an arena store each
+ * application is captured once, at context 0, and every context
+ * replays that one arena shifted to its own address space.
  *
  * Determinism contract (the suite runner's, extended): every seed
  * derives from (root seed, identity), a member's trace is identical
@@ -66,10 +69,12 @@ struct CorunOptions
 
     /**
      * Optional trace arena store (borrowed; may be shared with other
-     * engines). When set, each member's trace is captured once and
-     * replayed from the arena everywhere it runs -- solo baseline and
-     * every group -- instead of being regenerated per run. Replay is
-     * draw-for-draw identical to live generation, so results are
+     * engines). When set, each application's trace is captured once,
+     * at context 0, and replayed from that one arena everywhere it
+     * runs -- solo baseline and every group, at every context, each
+     * shifted to its context's address space -- instead of being
+     * regenerated per run. Replay is draw-for-draw identical to live
+     * generation at the replayed offset, so results are
      * byte-identical with or without a store: NOT part of the config
      * key.
      */

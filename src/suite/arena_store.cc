@@ -72,6 +72,9 @@ TraceArenaStore::lookup(const trace::SyntheticTraceParams &params,
         // a foreign file under this name) recaptures like a bad one.
         auto loaded = trace::loadArena(spillPathFor(key));
         if (loaded != nullptr && loaded->numOps == params.numOps) {
+            // S17A does not store the capture offset, but the key
+            // does: left at 0, a shifted replay would shift twice.
+            loaded->addressOffset = params.addressOffset;
             arena = std::move(loaded);
             spillLoads_.fetch_add(1);
         }

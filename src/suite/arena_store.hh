@@ -9,7 +9,9 @@
  *  - acquire() is find-or-capture, for callers that know a second read
  *    of the same trace follows: a sweep row with two or more cells
  *    (design points of a multi-point sweep), and the co-run engine,
- *    whose solo baseline and every group read each member trace;
+ *    which acquires each app's context-0 trace once and replays it in
+ *    the app's solo baseline and in every group, at every context,
+ *    shifted to the context's address offset (trace/arena.hh);
  *  - find() returns what the store already holds and never captures,
  *    for a single read: a runner attempt (stat, runPair, retries --
  *    which perturb their seed, so they never share a trace anyway)
@@ -25,7 +27,8 @@
  * eviction; an optional spill directory persists every captured arena
  * in the versioned S17A format (atomic temp+rename), so evicted or
  * cross-run arenas reload -- through either lookup -- instead of
- * recapturing.
+ * recapturing. A reload takes the arena's capture offset from the
+ * params it was looked up by (the key holds it; S17A does not).
  *
  * Replay is observation-equivalent to live generation (pinned by the
  * arena golden tests), so whether a store is attached -- and its

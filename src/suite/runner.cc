@@ -67,8 +67,8 @@ openTrace(const trace::SyntheticTraceParams &params,
         std::make_shared<trace::SyntheticTraceGenerator>(params);
     std::function<std::uint64_t()> emitted;
     if (arena != nullptr) {
-        auto replay =
-            std::make_shared<trace::ReplaySource>(std::move(arena));
+        auto replay = std::make_shared<trace::ReplaySource>(
+            std::move(arena), params.addressOffset);
         replay->setCancelFlag(cancel);
         emitted = [r = replay.get()] { return r->deliveredOps(); };
         opened.source = std::move(replay);

@@ -65,16 +65,18 @@ struct PairTrace
 
 /**
  * The one trace factory of the suite and co-run engines: opens the
- * trace for @p params, replaying @p arena when one is given and
- * generating live otherwise. The caller's store lookup picks the arena
- * (suite/arena_store.hh): a runner attempt passes find()'s result, so
- * it replays only what the store already holds and never captures;
- * the co-run engine passes acquire()'s, because its solo baseline and
- * every group read each member trace. @p cancel (may be null) is the
- * watchdog's cooperative cancel flag, installed on the consumed
- * source, so it acts on replay and live generation alike. With a
- * @p registry, the source's emission counter is registered there as
- * "<prefix>trace.emitted".
+ * trace for @p params, replaying @p arena at params.addressOffset when
+ * one is given and generating live otherwise. The caller's store
+ * lookup picks the arena (suite/arena_store.hh): a runner attempt
+ * passes find()'s result for the exact params, so it replays only
+ * what the store already holds, unshifted, and never captures; the
+ * co-run engine passes acquire()'s for the member's context-0 trace,
+ * which its solo baseline and every group at every context read, each
+ * context shifted to its own address space. @p cancel (may be null)
+ * is the watchdog's cooperative cancel flag, installed on the
+ * consumed source, so it acts on replay and live generation alike.
+ * With a @p registry, the source's emission counter is registered
+ * there as "<prefix>trace.emitted".
  */
 PairTrace openTrace(const trace::SyntheticTraceParams &params,
                     std::shared_ptr<const trace::TraceArena> arena,

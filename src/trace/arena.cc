@@ -65,8 +65,10 @@ TraceArena
 captureArena(const SyntheticTraceParams &params)
 {
     SyntheticTraceGenerator generator(params);
-    return captureArena(generator,
-                        static_cast<std::size_t>(params.numOps));
+    TraceArena arena = captureArena(
+        generator, static_cast<std::size_t>(params.numOps));
+    arena.addressOffset = params.addressOffset;
+    return arena;
 }
 
 std::string
@@ -203,12 +205,21 @@ ReplaySource::ReplaySource(std::shared_ptr<const TraceArena> arena)
     SPEC17_ASSERT(arena_ != nullptr, "ReplaySource needs an arena");
 }
 
+ReplaySource::ReplaySource(std::shared_ptr<const TraceArena> arena,
+                           std::uint64_t address_offset)
+    : ReplaySource(std::move(arena))
+{
+    shift_ = address_offset - arena_->addressOffset;
+}
+
 bool
 ReplaySource::next(isa::MicroOp &op)
 {
     if (cursor_ >= arena_->numOps || cancelled())
         return false;
     op = arena_->lanes.get(cursor_++);
+    if (op.isMemory())
+        op.effAddr += shift_;
     return true;
 }
 
@@ -238,6 +249,13 @@ ReplaySource::nextBatchSoA(MicroOpBatch &out, std::size_t at,
                 lanes.depOnLoad.data() + cursor_, m);
     std::memcpy(out.depOnPrev.data() + at,
                 lanes.depOnPrev.data() + cursor_, m);
+    if (shift_ != 0) {
+        for (std::size_t i = at; i < at + m; ++i) {
+            if (out.cls[i] == isa::UopClass::Load
+                || out.cls[i] == isa::UopClass::Store)
+                out.addr[i] += shift_;
+        }
+    }
     cursor_ += m;
     return m;
 }
@@ -246,6 +264,8 @@ const MicroOpBatch *
 ReplaySource::nextLanes(std::size_t n, std::size_t &at,
                         std::size_t &got)
 {
+    if (shift_ != 0)
+        return nullptr; // the arena's lanes hold the captured offset
     if (cancelled()) {
         at = cursor_;
         got = 0;

@@ -14,6 +14,11 @@
  * execution-strategy detail, never semantics (and is therefore
  * excluded from result-cache config keys; see docs/determinism.md).
  *
+ * SyntheticTraceParams::addressOffset changes nothing in a generated
+ * stream but the data address of each Load/Store op, so one arena
+ * serves its trace at every offset: ReplaySource shifts those
+ * addresses as it delivers them.
+ *
  * Arenas optionally spill to a versioned on-disk format ("S17A") via
  * the same atomic temp+rename seam the result journal uses, so a
  * budget-evicted arena can be reloaded instead of recaptured.
@@ -42,6 +47,11 @@ struct TraceArena
     std::size_t numOps = 0;
     /** TraceSource::virtualReserveBytes() of the captured source. */
     std::uint64_t virtualReserveBytes = 0;
+    /** SyntheticTraceParams::addressOffset the lanes were captured
+     *  at: the origin a shifted replay measures from. Not in the S17A
+     *  image -- a spill reload takes it from the params it was looked
+     *  up by, whose key already holds the offset. */
+    std::uint64_t addressOffset = 0;
 
     /** Resident lane bytes (the byte-budget accounting unit). */
     std::uint64_t byteSize() const;
@@ -55,7 +65,8 @@ struct TraceArena
  */
 TraceArena captureArena(TraceSource &source, std::size_t expected_ops);
 
-/** Captures the stream of a generator built from @p params. */
+/** Captures the stream of a generator built from @p params, and
+ *  records params.addressOffset as the arena's. */
 TraceArena captureArena(const SyntheticTraceParams &params);
 
 /**
@@ -89,13 +100,25 @@ std::unique_ptr<TraceArena> loadArena(const std::string &path);
  * cancellation surface as SyntheticTraceGenerator so the suite
  * runner can swap one for the other without observable difference.
  *
- * Many ReplaySources may share one arena (each holds its own cursor);
- * the shared_ptr keeps the arena alive across store evictions.
+ * A source replaying at an address offset other than the arena's
+ * shifts the addr of every Load/Store op it delivers by the
+ * difference (wrapping, so exact in either direction). Shifted lanes
+ * are no longer the arena's own, so nextLanes() then returns nullptr
+ * and the caller stages through nextBatchSoA().
+ *
+ * Many ReplaySources may share one arena (each holds its own cursor
+ * and offset); the shared_ptr keeps the arena alive across store
+ * evictions.
  */
 class ReplaySource : public TraceSource
 {
   public:
+    /** Replays @p arena at the offset it was captured at. */
     explicit ReplaySource(std::shared_ptr<const TraceArena> arena);
+
+    /** Replays @p arena as if captured at @p address_offset. */
+    ReplaySource(std::shared_ptr<const TraceArena> arena,
+                 std::uint64_t address_offset);
 
     bool next(isa::MicroOp &op) override;
     std::size_t nextBatchSoA(MicroOpBatch &out, std::size_t at,
@@ -128,6 +151,8 @@ class ReplaySource : public TraceSource
 
   private:
     std::shared_ptr<const TraceArena> arena_;
+    /** Added to each Load/Store addr (requested - captured offset). */
+    std::uint64_t shift_ = 0;
     std::size_t cursor_ = 0;
     const bool *cancel_ = nullptr;
 };

@@ -110,8 +110,9 @@ TEST(PaperShape, McfBranchiestLbmLeastBranchy)
             continue;
         }
         EXPECT_LT(m.branchPct, mcf) << m.name;
-        if (m.name != "519.lbm_r")
+        if (m.name != "519.lbm_r") {
             EXPECT_GT(m.branchPct, lbm - 0.01) << m.name;
+        }
     }
     EXPECT_NEAR(mcf, 31.277, 2.0);
     EXPECT_NEAR(lbm, 1.198, 0.3);

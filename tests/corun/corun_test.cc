@@ -1,8 +1,9 @@
 /**
  * @file
  * Co-run interference engine: planner enumeration and mask legality,
- * runner determinism (byte-identical journals at any --jobs count),
- * journal resume and damage recovery, row serialization, and the
+ * runner determinism (byte-identical journals at any --jobs count, and
+ * rows byte-identical with or without a trace arena store), journal
+ * resume and damage recovery, row serialization, and the
  * analysis artifacts (slowdown matrix, sensitivity/aggressiveness
  * scores, Pareto table).
  */
@@ -17,6 +18,9 @@
 #include <fstream>
 #include <sstream>
 #include <vector>
+
+#include "suite/arena_store.hh"
+#include "util/units.hh"
 
 namespace spec17 {
 namespace corun {
@@ -216,6 +220,43 @@ TEST(CorunRunner, SweepIsByteIdenticalAcrossJobCounts)
     EXPECT_EQ(fileBytes(par_store.journalFile(parallel)), seq_bytes);
     seq_store.invalidate();
     par_store.invalidate();
+}
+
+TEST(CorunRunner, ArenaStoreLeavesRowsByteIdentical)
+{
+    // bench/e2e's corun_quartets apps: 15 quartets, 6 distinct apps.
+    PlanOptions plan;
+    plan.apps = {"505.mcf_r",       "519.lbm_r",  "541.leela_r",
+                 "548.exchange2_r", "525.x264_r", "520.omnetpp_r"};
+    plan.groupSize = 4;
+    const auto groups = planGroups(workloads::cpu2017Suite(), plan);
+    ASSERT_EQ(groups.size(), 15u);
+
+    const auto rows = [&](suite::TraceArenaStore *store,
+                          unsigned jobs) {
+        CorunOptions options = fastOptions(jobs);
+        options.arenaStore = store;
+        std::vector<std::string> serialized;
+        for (const CorunResult &result :
+             CorunStore("").runOrLoad(CorunRunner(options), groups))
+            serialized.push_back(serializeCorunRow(result));
+        return serialized;
+    };
+    const std::vector<std::string> live = rows(nullptr, 1);
+
+    // Each app is captured once, at context 0; every other context
+    // replays that arena shifted to its own address space.
+    suite::TraceArenaStore store(512 * kMiB);
+    EXPECT_EQ(rows(&store, 1), live);
+    EXPECT_EQ(store.stats().captures, 6u);
+    EXPECT_EQ(store.stats().entries, 6u);
+
+    suite::TraceArenaStore pooled(512 * kMiB);
+    EXPECT_EQ(rows(&pooled, 2), live);
+
+    // A 1-byte budget retains nothing, so every read recaptures.
+    suite::TraceArenaStore uncached(1);
+    EXPECT_EQ(rows(&uncached, 1), live);
 }
 
 TEST(CorunRunner, MembersNeverBeatTheirSoloBaseline)

@@ -190,8 +190,9 @@ TEST(Pareto, MarksDominatedPointsAndTheKnee)
     int knees = 0;
     for (const auto &point : points) {
         knees += point.knee;
-        if (point.knee)
+        if (point.knee) {
             EXPECT_FALSE(point.dominated) << point.point.label;
+        }
     }
     EXPECT_EQ(knees, 1);
 }

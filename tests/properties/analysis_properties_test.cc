@@ -55,8 +55,9 @@ TEST_P(PcaProperties, VarianceIsPreservedAndSorted)
     double total = 0.0;
     for (std::size_t i = 0; i < pca.eigenvalues.size(); ++i) {
         total += pca.eigenvalues[i];
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LE(pca.eigenvalues[i], pca.eigenvalues[i - 1] + 1e-9);
+        }
         EXPECT_GE(pca.eigenvalues[i], -1e-9);
     }
     // Standardized data: total variance == number of non-constant

@@ -254,8 +254,9 @@ TEST(ArenaReplayProperty, JournalBytesMatchLiveGeneration)
         }
         // The full-budget store serves both sweeps from residency:
         // replay-of-a-replayed-capture is still identical.
-        if (budget > kMiB)
+        if (budget > kMiB) {
             EXPECT_GT(store.stats().hits, 0u);
+        }
     }
     ref_cache.invalidate();
 }

@@ -5,7 +5,8 @@
  * capturing, release() dropping only the store's copy,
  * least-recently-used eviction under the byte budget, uncached
  * service of arenas larger than the whole budget, and S17A spill
- * reload across store instances.
+ * reload across store instances, keeping the offset the arena was
+ * captured at.
  */
 
 #include "suite/arena_store.hh"
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <string>
 
+#include "suite/runner.hh"
 #include "trace/synthetic.hh"
 #include "util/units.hh"
 
@@ -202,6 +204,42 @@ TEST(ArenaStore, SpilledArenasReloadAcrossStores)
     EXPECT_EQ(stats.captures, 0u);
     EXPECT_EQ(stats.spillLoads, 1u);
     std::remove(spill_path.c_str());
+}
+
+TEST(ArenaStore, SpillReloadKeepsTheCaptureOffset)
+{
+    // Threaded pairs place thread t's trace at t GiB. S17A does not
+    // store the offset, so a reload that left it at 0 would make
+    // openTrace shift those traces a second time.
+    const std::string spill_dir =
+        std::string(::testing::TempDir()) + "/arena_store_offset_spill";
+    trace::SyntheticTraceParams p = params(5000, 95);
+    p.addressOffset = 3 * kGiB;
+    TraceArenaStore writer(64 * kMiB, spill_dir);
+    EXPECT_EQ(writer.acquire(p)->addressOffset, p.addressOffset);
+
+    TraceArenaStore reader(64 * kMiB, spill_dir);
+    const auto arena = reader.find(p);
+    ASSERT_NE(arena, nullptr);
+    EXPECT_EQ(reader.stats().spillLoads, 1u);
+    EXPECT_EQ(arena->addressOffset, p.addressOffset);
+
+    trace::SyntheticTraceGenerator live(p);
+    const PairTrace replayed = openTrace(p, arena);
+    isa::MicroOp want;
+    isa::MicroOp got;
+    std::size_t ops = 0;
+    while (live.next(want)) {
+        ASSERT_TRUE(replayed.source->next(got)) << "op " << ops;
+        EXPECT_EQ(got.cls, want.cls) << "op " << ops;
+        EXPECT_EQ(got.pc, want.pc) << "op " << ops;
+        ASSERT_EQ(got.effAddr, want.effAddr) << "op " << ops;
+        ++ops;
+    }
+    EXPECT_FALSE(replayed.source->next(got));
+    EXPECT_EQ(ops, 5000u);
+    std::remove(
+        writer.spillPathFor(trace::describeTraceParams(p)).c_str());
 }
 
 TEST(ArenaStore, FindReloadsSpillsButNeverCaptures)

@@ -269,9 +269,11 @@ TEST(HotPathGolden, RetriesRecoverIdenticallyAcrossLanes)
     const auto golden = sweep(referenceOptions());
     const auto batched = sweep(fastOptions(1, 64));
     expectResultsIdentical(golden, batched);
-    for (const auto &result : golden)
-        if (result.name == flaky)
+    for (const auto &result : golden) {
+        if (result.name == flaky) {
             EXPECT_TRUE(result.recovered());
+        }
+    }
 }
 
 } // namespace

@@ -210,9 +210,10 @@ TEST(CliRun, UsageIsGeneratedFromTheFlagTable)
             << spec.name;
         EXPECT_NE(text.find(spec.group), std::string::npos)
             << spec.group;
-        if (spec.placeholder[0] != '\0')
+        if (spec.placeholder[0] != '\0') {
             EXPECT_NE(text.find(spec.placeholder), std::string::npos)
                 << spec.placeholder;
+        }
     }
     for (const char *flag :
          {"--sample-interval-ops", "--telemetry-out",

@@ -3,7 +3,8 @@
  * Trace-arena golden tests: a captured arena replayed through
  * ReplaySource must be draw-for-draw identical to live generation on
  * every delivery surface (next(), nextBatchSoA(), the zero-copy
- * nextLanes()), mixed freely and across reset(); the S17A spill format
+ * nextLanes()), mixed freely and across reset(), also when it replays
+ * the arena shifted to another address offset; the S17A spill format
  * must round-trip an arena exactly and reject torn, foreign or forged
  * files by returning nullptr (never aborting a run).
  */
@@ -28,11 +29,13 @@ namespace trace {
 namespace {
 
 SyntheticTraceParams
-params(std::uint64_t num_ops = 20000, std::uint64_t seed = 99)
+params(std::uint64_t num_ops = 20000, std::uint64_t seed = 99,
+       std::uint64_t address_offset = 0)
 {
     SyntheticTraceParams p;
     p.numOps = num_ops;
     p.seed = seed;
+    p.addressOffset = address_offset;
     p.loadFrac = 0.25;
     p.storeFrac = 0.10;
     p.branchFrac = 0.15;
@@ -94,6 +97,10 @@ capture(const SyntheticTraceParams &p)
     return std::make_shared<const TraceArena>(captureArena(p));
 }
 
+/** Offsets the golden cases replay an offset-0 capture at: unshifted,
+ *  and shifted to two other co-run contexts' address spaces. */
+constexpr std::uint64_t kReplayOffsets[] = {0, 8 * kGiB, 24 * kGiB};
+
 TEST(Arena, CaptureDrainsTheWholeStreamOnce)
 {
     const SyntheticTraceParams p = params();
@@ -108,54 +115,81 @@ TEST(Arena, CaptureDrainsTheWholeStreamOnce)
 
 TEST(Arena, ReplayMatchesLivePerOp)
 {
-    const SyntheticTraceParams p = params();
-    SyntheticTraceGenerator live(p);
-    ReplaySource replay(capture(p));
-    expectSameStream(drainPerOp(live), drainPerOp(replay));
-    EXPECT_EQ(replay.virtualReserveBytes(), live.virtualReserveBytes());
+    // A capture replays as live generation at the replayed offset,
+    // whichever offset it was captured at: shifts run both ways, and
+    // a downward one wraps exactly.
+    for (const std::uint64_t captured : {std::uint64_t(0), 24 * kGiB}) {
+        const auto arena = capture(params(20000, 99, captured));
+        EXPECT_EQ(arena->addressOffset, captured);
+        for (const std::uint64_t offset : kReplayOffsets) {
+            SyntheticTraceGenerator live(params(20000, 99, offset));
+            ReplaySource replay(arena, offset);
+            expectSameStream(drainPerOp(live), drainPerOp(replay));
+            EXPECT_EQ(replay.virtualReserveBytes(),
+                      live.virtualReserveBytes());
+        }
+    }
 }
 
 TEST(Arena, ReplayMatchesLiveAtAnyBatchSize)
 {
-    const SyntheticTraceParams p = params();
-    SyntheticTraceGenerator live(p);
-    const std::vector<isa::MicroOp> reference = drainPerOp(live);
-    for (const std::size_t batch :
-         {std::size_t(1), std::size_t(7), std::size_t(1000),
-          std::size_t(4096), std::size_t(100000)}) {
-        ReplaySource replay(capture(p));
-        expectSameStream(reference, drainSoA(replay, batch));
+    const auto arena = capture(params());
+    for (const std::uint64_t offset : kReplayOffsets) {
+        SyntheticTraceGenerator live(params(20000, 99, offset));
+        const std::vector<isa::MicroOp> reference = drainPerOp(live);
+        for (const std::size_t batch :
+             {std::size_t(1), std::size_t(7), std::size_t(256),
+              std::size_t(1000), std::size_t(1024), std::size_t(4096),
+              std::size_t(100000)}) {
+            ReplaySource replay(arena, offset);
+            expectSameStream(reference, drainSoA(replay, batch));
+        }
     }
 }
 
 TEST(Arena, SurfacesMixFreelyAndResetRewindsExactly)
 {
-    const SyntheticTraceParams p = params();
-    SyntheticTraceGenerator live(p);
-    const std::vector<isa::MicroOp> reference = drainPerOp(live);
+    const auto arena = capture(params());
+    for (const std::uint64_t offset : kReplayOffsets) {
+        SyntheticTraceGenerator live(params(20000, 99, offset));
+        const std::vector<isa::MicroOp> reference = drainPerOp(live);
 
-    ReplaySource replay(capture(p));
-    std::vector<isa::MicroOp> mixed;
-    isa::MicroOp op;
-    for (int i = 0; i < 13 && replay.next(op); ++i)
-        mixed.push_back(op);
-    MicroOpBatch lanes;
-    std::size_t got = replay.nextBatchSoA(lanes, 0, 500);
-    for (std::size_t i = 0; i < got; ++i)
-        mixed.push_back(lanes.get(i));
-    std::size_t at = 0;
-    const MicroOpBatch *zero = replay.nextLanes(1000, at, got);
-    ASSERT_NE(zero, nullptr);
-    for (std::size_t i = 0; i < got; ++i)
-        mixed.push_back(zero->get(at + i));
-    while (replay.next(op))
-        mixed.push_back(op);
-    expectSameStream(reference, mixed);
+        ReplaySource replay(arena, offset);
+        const auto drain_mixed = [&] {
+            std::vector<isa::MicroOp> mixed;
+            isa::MicroOp op;
+            for (int i = 0; i < 13 && replay.next(op); ++i)
+                mixed.push_back(op);
+            MicroOpBatch lanes;
+            std::size_t got = replay.nextBatchSoA(lanes, 0, 500);
+            for (std::size_t i = 0; i < got; ++i)
+                mixed.push_back(lanes.get(i));
+            // The zero-copy view is the arena's own lanes, so only an
+            // unshifted source offers it; a shifted one declines and
+            // the pull stages through nextBatchSoA, as the
+            // simulator's does.
+            std::size_t at = 0;
+            const MicroOpBatch *view = replay.nextLanes(1000, at, got);
+            EXPECT_EQ(view, offset == 0 ? &arena->lanes : nullptr);
+            if (view == nullptr) {
+                got = replay.nextBatchSoA(lanes, 0, 1000);
+                at = 0;
+                view = &lanes;
+            }
+            for (std::size_t i = 0; i < got; ++i)
+                mixed.push_back(view->get(at + i));
+            while (replay.next(op))
+                mixed.push_back(op);
+            return mixed;
+        };
+        expectSameStream(reference, drain_mixed());
 
-    // reset() after a fully consumed stream replays it from the top.
-    replay.reset();
-    EXPECT_EQ(replay.deliveredOps(), 0u);
-    expectSameStream(reference, drainPerOp(replay));
+        // reset() after a fully consumed stream replays it from the
+        // top, through every surface again.
+        replay.reset();
+        EXPECT_EQ(replay.deliveredOps(), 0u);
+        expectSameStream(reference, drain_mixed());
+    }
 }
 
 TEST(Arena, NextLanesIsZeroCopyIntoTheArena)
@@ -186,6 +220,14 @@ TEST(Arena, NextLanesIsZeroCopyIntoTheArena)
             break;
     }
     EXPECT_EQ(drained, arena->numOps);
+
+    // A zero shift, not a zero offset, keeps the view: an arena
+    // replayed at the nonzero offset it was captured at is still
+    // served in place.
+    const auto offset = capture(params(5000, 99, 8 * kGiB));
+    ReplaySource unshifted(offset, 8 * kGiB);
+    EXPECT_EQ(unshifted.nextLanes(1024, at, got), &offset->lanes);
+    EXPECT_EQ(got, 1024u);
 }
 
 TEST(Arena, SpillRoundTripsExactly)

@@ -41,8 +41,9 @@ TEST(StreamKernel, SequentialAddressesWrap)
     for (const auto &op : ops) {
         if (!op.isLoad())
             continue;
-        if (loads > 0 && loads % 8 != 0)
+        if (loads > 0 && loads % 8 != 0) {
             EXPECT_EQ(op.effAddr, last + 8);
+        }
         last = op.effAddr;
         ++loads;
     }

@@ -2,10 +2,11 @@
 # Runs every end-to-end smoke check against one built tree: the bench
 # identity/speedup gates, the sweep and co-run shard round-trips plus
 # fsck, store-on vs store-off comparisons of a sweep over threaded
-# pairs and of explore's cross and descent plans, the co-run and
-# explorer jobs-1-vs-2 and kill-plus---resume byte comparisons, and a
-# telemetry sweep. Every output lands in OUT_DIR (the CI artifact); any
-# failed check exits nonzero.
+# pairs, of a co-run campaign with self-pairs and of explore's cross
+# and descent plans, the co-run and explorer jobs-1-vs-2 and
+# kill-plus---resume byte comparisons, and a telemetry sweep. Every
+# output lands in OUT_DIR (the CI artifact); any failed check exits
+# nonzero.
 #
 # Usage: tools/smoke.sh BUILD_DIR OUT_DIR
 set -euo pipefail
@@ -59,11 +60,17 @@ SPEC17_CACHE=store-off "$spec17" characterize "${sweep17[@]}" \
   --trace-arena-mb=0
 cmp store-on.cpu2017.test.csv store-off.cpu2017.test.csv
 
-echo "== co-run: jobs 1 vs 2, torn + --resume and 3 merged shards are identical"
+echo "== co-run: jobs 1 vs 2, store on vs off, torn + --resume and 3 merged shards are identical"
 SPEC17_CACHE=ref "$spec17" corun --size=test "${small[@]}" --jobs=1 \
   --progress
 SPEC17_CACHE=par "$spec17" corun --size=test "${small[@]}" --jobs=2
 cmp ref.corun.test.csv par.corun.test.csv
+# Every context replays its app's one arena, captured at context 0 and
+# shifted to the context's address space; a self-pair feeds one arena
+# to both contexts of a machine. The rows must match live generation.
+SPEC17_CACHE=par-off "$spec17" corun --size=test "${small[@]}" --jobs=2 \
+  --trace-arena-mb=0
+cmp ref.corun.test.csv par-off.corun.test.csv
 head -n 5 ref.corun.test.csv > torn.corun.test.csv
 SPEC17_CACHE=torn "$spec17" corun --size=test "${small[@]}" --jobs=2 \
   --resume
