@@ -1,11 +1,14 @@
 /**
  * @file
  * Google-benchmark micro-benchmarks of the framework's hot paths:
- * cache access, branch prediction, full-simulator throughput, PCA,
- * and agglomerative clustering at the study's problem sizes. These
- * guard the "fast enough to sweep 194 pairs" property the result
- * cache and benches rely on.
+ * cache access, branch prediction, full-simulator throughput, the
+ * core model's retire pass, PCA, and agglomerative clustering at the
+ * study's problem sizes. These guard the "fast enough to sweep 194
+ * pairs" property the result cache and benches rely on.
  */
+
+#include <cstdint>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -98,6 +101,48 @@ BM_SimulatorThroughput(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_SimulatorThroughput);
+
+void
+BM_RetireBatch(benchmark::State &state)
+{
+    // The retire pass alone: 4096 ops of real generator lanes (class
+    // and dependence bits) with fixed memory-side and mispredict
+    // lanes. Loads hit L1 in 4 cycles; every 8th misses to L2, every
+    // 64th goes to DRAM; every 16th op's branch mispredicts.
+    constexpr std::size_t kOps = 4096;
+    trace::SyntheticTraceParams params;
+    params.numOps = kOps;
+    params.regions = {
+        {trace::AccessPattern::Random, 1 << 20, 64, 1.0, 1.0},
+    };
+    trace::SyntheticTraceGenerator gen(params);
+    trace::MicroOpBatch lanes;
+    gen.nextBatchSoA(lanes, 0, kOps);
+    std::vector<unsigned> mem_latency(kOps, 0);
+    std::vector<unsigned> fetch_stall(kOps, 0);
+    std::vector<std::uint8_t> l1_miss(kOps, 0);
+    std::vector<std::uint8_t> mispredicted(kOps, 0);
+    std::vector<std::uint8_t> dram(kOps, 0);
+    for (std::size_t i = 0; i < kOps; ++i) {
+        if (lanes.cls[i] == isa::UopClass::Load) {
+            mem_latency[i] = i % 64 == 0 ? 200 : i % 8 == 0 ? 12 : 4;
+            l1_miss[i] = i % 8 == 0;
+            dram[i] = i % 64 == 0;
+        } else if (lanes.cls[i] == isa::UopClass::Branch) {
+            mispredicted[i] = i % 16 == 0;
+        }
+    }
+    sim::CoreModel core{sim::CoreParams{}};
+    for (auto _ : state) {
+        core.retireBatch(lanes.cls.data(), lanes.depOnLoad.data(),
+                         lanes.depOnPrev.data(), mem_latency.data(),
+                         l1_miss.data(), fetch_stall.data(),
+                         mispredicted.data(), dram.data(), kOps);
+        benchmark::DoNotOptimize(core.cycles());
+    }
+    state.SetItemsProcessed(state.iterations() * kOps);
+}
+BENCHMARK(BM_RetireBatch);
 
 void
 BM_PcaStudySized(benchmark::State &state)

@@ -22,13 +22,11 @@
 #ifndef SPEC17_SIM_CORE_MODEL_HH_
 #define SPEC17_SIM_CORE_MODEL_HH_
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "isa/uop.hh"
-#include "util/logging.hh"
 
 namespace spec17 {
 namespace sim {
@@ -105,8 +103,8 @@ struct CpiStack
 
 /**
  * Per-uop cycle accounting. Feed every retired micro-op through
- * retire() with its resolved memory latency / misprediction flags;
- * read cycles() at the end.
+ * retireBatch() (or retire(), one op at a time) with its resolved
+ * memory latency / misprediction flags; read cycles() at the end.
  */
 class CoreModel
 {
@@ -121,7 +119,9 @@ class CoreModel
                        std::shared_ptr<MemoryBus> bus = nullptr);
 
     /**
-     * Accounts one micro-op.
+     * Accounts one micro-op: retireBatch() over a batch of one, so
+     * the per-op reference lane and the unit tests run the same body
+     * as the batched fast lane.
      *
      * @param op the retired micro-op.
      * @param mem_latency for loads: load-to-use latency the hierarchy
@@ -132,90 +132,33 @@ class CoreModel
      *        instruction fetch missed the L1I.
      * @param mispredicted for branches: whether the branch unit
      *        mispredicted it.
-     * @param dram_access true when the access (load or store) went
-     *        all the way to memory and therefore occupies the DRAM
-     *        channel.
-     * @param dram_lines line transfers the access implies (a store
-     *        miss costs an RFO read plus an eventual writeback).
+     * @param dram DRAM-channel code of a load or store that went all
+     *        the way to memory: the line transfers it occupies the
+     *        channel for. 0 no DRAM access, 1 one line (a load fill),
+     *        2 two lines (a store miss's RFO read plus its eventual
+     *        writeback).
      */
     void retire(const isa::MicroOp &op, unsigned mem_latency,
                 bool l1_miss, unsigned fetch_stall, bool mispredicted,
-                bool dram_access = false, double dram_lines = 1.0);
+                std::uint8_t dram = 0);
 
     /**
-     * Inline twin of retire(): identical accounting -- retire()
-     * delegates to this, so there is exactly one body -- exposed in
-     * the header for the simulator's batched fast lane, whose inner
-     * loop inlines the per-op accounting instead of paying a call
-     * per micro-op. The per-op reference lane keeps calling retire()
-     * out of line; the golden identity tests pin both lanes to the
-     * same results.
+     * Accounts @p n micro-ops from SoA lanes; the one retire body.
+     * Lane slot i holds op i's class and dependence bits and what the
+     * memory side and the branch unit resolved for it, with retire()'s
+     * meanings; byte lanes other than @p dram are flags (nonzero is
+     * true). The serial core state stays in registers for the whole
+     * batch (see RetireRegs), and results are bit-identical to n
+     * retire() calls in op order, at any batch size.
      */
-    void
-    retireInline(const isa::MicroOp &op, unsigned mem_latency,
-                 bool l1_miss, unsigned fetch_stall, bool mispredicted,
-                 bool dram_access = false, double dram_lines = 1.0)
-    {
-        retireLanes(op.cls, op.depOnLoad, op.depOnPrev, mem_latency,
-                    l1_miss, fetch_stall, mispredicted, dram_access,
-                    dram_lines);
-    }
-
-    /**
-     * Lane form of retireInline(): the same accounting taking the
-     * three MicroOp fields retirement actually reads (class and the
-     * two dependence bits) as scalars, so the batched fast lane's
-     * retire pass can feed it straight from SoA lanes without
-     * materializing a MicroOp. This is the single real body; both
-     * retire() and retireInline() delegate here.
-     */
-    void
-    retireLanes(isa::UopClass cls, bool dep_on_load, bool dep_on_prev,
-                unsigned mem_latency, bool l1_miss, unsigned fetch_stall,
-                bool mispredicted, bool dram_access = false,
-                double dram_lines = 1.0)
-    {
-        RetireRegs regs = loadRetireRegs();
-        const RetireConsts consts = retireConsts();
-        retireStep(consts, regs, robCompletion_.data(), robTag_.data(),
-                   mshrFree_.data(), cls, dep_on_load, dep_on_prev,
-                   mem_latency, l1_miss, fetch_stall, mispredicted,
-                   dram_access, dram_lines);
-        storeRetireRegs(regs, 1);
-    }
-
-    /**
-     * Batched retire over SoA scratch lanes: loads the serial core
-     * state into registers once, runs the shared retireStep() body
-     * for each of the @p n ops, and writes the state back once --
-     * instead of a member-field load/store round trip per op. dram
-     * codes per op: 0 no DRAM access, 1 one line, 2 RFO plus
-     * writeback (two lines). Identical accounting to n retireLanes()
-     * calls: both entry points run the same single step body.
-     */
-    void
-    retireBatch(const isa::UopClass *__restrict cls,
-                const std::uint8_t *__restrict dep_on_load,
-                const std::uint8_t *__restrict dep_on_prev,
-                const unsigned *__restrict mem_latency,
-                const std::uint8_t *__restrict l1_miss,
-                const unsigned *__restrict fetch_stall,
-                const std::uint8_t *__restrict mispredicted,
-                const std::uint8_t *__restrict dram, std::size_t n)
-    {
-        RetireRegs regs = loadRetireRegs();
-        const RetireConsts consts = retireConsts();
-        double *__restrict const rob = robCompletion_.data();
-        std::uint8_t *__restrict const tags = robTag_.data();
-        double *__restrict const mshr = mshrFree_.data();
-        for (std::size_t i = 0; i < n; ++i)
-            retireStep(consts, regs, rob, tags, mshr, cls[i],
-                       dep_on_load[i] != 0, dep_on_prev[i] != 0,
-                       mem_latency[i], l1_miss[i] != 0, fetch_stall[i],
-                       mispredicted[i] != 0, dram[i] != 0,
-                       dram[i] == 2 ? 2.0 : 1.0);
-        storeRetireRegs(regs, n);
-    }
+    void retireBatch(const isa::UopClass *__restrict cls,
+                     const std::uint8_t *__restrict dep_on_load,
+                     const std::uint8_t *__restrict dep_on_prev,
+                     const unsigned *__restrict mem_latency,
+                     const std::uint8_t *__restrict l1_miss,
+                     const unsigned *__restrict fetch_stall,
+                     const std::uint8_t *__restrict mispredicted,
+                     const std::uint8_t *__restrict dram, std::size_t n);
 
     /** Total cycles consumed so far (never less than dispatch time). */
     double cycles() const;
@@ -228,7 +171,7 @@ class CoreModel
      * cycle count (execution tail beyond the last dispatch is
      * attributed to its cause as well).
      */
-    const CpiStack &cpiStack() const { return stack_; }
+    const CpiStack &cpiStack() const { return state_.stack; }
 
     /** Seconds at the configured clock for @p cycles. */
     double secondsFor(double cycle_count) const;
@@ -241,243 +184,43 @@ class CoreModel
     static constexpr std::uint8_t kTagMemory = 1;
 
     /**
-     * The serial cross-op retire state, hoisted out of the member
-     * fields so retireStep() keeps all of it in registers across a
-     * batch. Loaded once per retireLanes()/retireBatch() call and
-     * stored back once at the end; the ROB ring, its tags and the
-     * MSHR array stay in memory (they are bulk state, passed as
-     * restrict pointers).
+     * The serial cross-op retire state. retireBatch() copies it into
+     * a local once per call, works on the copy -- whose address is
+     * never taken, so the compiler keeps every field in a register
+     * across the batch -- and stores it back once at the end. The
+     * ROB ring, its tags and the MSHR array are bulk state and stay
+     * in memory.
      */
     struct RetireRegs
     {
-        std::size_t robSlot;
-        double dispatchCycle;
-        double maxCompletion;
-        double chainReady;
-        double lastLoadCompletion;
-        double computeChainTail;
-        double base;     //!< CpiStack components
-        double frontend;
-        double branch;
-        double memory;
-        double compute;
+        /** Ring index into robCompletion_ (retired_ mod robSize). */
+        std::size_t robSlot = 0;
+        double dispatchCycle = 0.0;
+        double maxCompletion = 0.0;
+        /** Completion of the load chain dependent ops wait on. */
+        double chainReady = 0.0;
+        /** Completion time of the most recent load of any kind. */
+        double lastLoadCompletion = 0.0;
+        /**
+         * Tail of the serial compute-dependency chain (loop-carried
+         * accumulator): every depOnPrev compute op extends it, so a
+         * workload with dependency density f sustains f * latency
+         * extra cycles per op -- its inherent ILP limit.
+         */
+        double computeChainTail = 0.0;
+        CpiStack stack;
     };
-
-    /** Loop-invariant retire inputs (parameters as doubles exactly as
-     *  the unsigned-to-double conversions in the accounting produce
-     *  them, so hoisting cannot change any sum). */
-    struct RetireConsts
-    {
-        std::size_t robSize;
-        std::size_t numMshrs;
-        double dispatchStep;
-        double resolveLatency;
-        double mispredictPenalty;
-        double computeLat[isa::kNumUopClasses];
-        MemoryBus *bus;
-    };
-
-    RetireRegs
-    loadRetireRegs() const
-    {
-        return {robSlot_,       dispatchCycle_,
-                maxCompletion_, chainReady_,
-                lastLoadCompletion_, computeChainTail_,
-                stack_.base,    stack_.frontend,
-                stack_.branch,  stack_.memory,
-                stack_.compute};
-    }
-
-    void
-    storeRetireRegs(const RetireRegs &r, std::uint64_t retired_delta)
-    {
-        robSlot_ = r.robSlot;
-        dispatchCycle_ = r.dispatchCycle;
-        maxCompletion_ = r.maxCompletion;
-        chainReady_ = r.chainReady;
-        lastLoadCompletion_ = r.lastLoadCompletion;
-        computeChainTail_ = r.computeChainTail;
-        stack_.base = r.base;
-        stack_.frontend = r.frontend;
-        stack_.branch = r.branch;
-        stack_.memory = r.memory;
-        stack_.compute = r.compute;
-        retired_ += retired_delta;
-    }
-
-    RetireConsts
-    retireConsts() const
-    {
-        RetireConsts k;
-        k.robSize = params_.robSize;
-        k.numMshrs = mshrFree_.size();
-        k.dispatchStep = dispatchStep_;
-        k.resolveLatency = params_.branchResolveLatency;
-        k.mispredictPenalty = params_.mispredictPenalty;
-        for (double &lat : k.computeLat)
-            lat = 0.0;
-        using C = isa::UopClass;
-        for (C cls : {C::IntAlu, C::IntMul, C::IntDiv, C::FpAdd,
-                      C::FpMul, C::FpDiv})
-            k.computeLat[static_cast<std::size_t>(cls)] =
-                latencyOfCompute(cls);
-        k.bus = bus_.get();
-        return k;
-    }
-
-    /**
-     * The single retire-accounting body (every public retire surface
-     * funnels here). Static: no `this` in scope, so byte-lane stores
-     * cannot force member reloads; all serial state lives in @p r.
-     */
-    static void
-    retireStep(const RetireConsts &k, RetireRegs &r,
-               double *__restrict rob, std::uint8_t *__restrict tags,
-               double *__restrict mshr, isa::UopClass cls,
-               bool dep_on_load, bool dep_on_prev, unsigned mem_latency,
-               bool l1_miss, unsigned fetch_stall, bool mispredicted,
-               bool dram_access, double dram_lines)
-    {
-        // (2) ROB window: the slot we are about to occupy still holds
-        // the completion time of uop (i - robSize); dispatch must wait
-        // for it.
-        const std::size_t slot = r.robSlot;
-        if (++r.robSlot == k.robSize)
-            r.robSlot = 0;
-        if (rob[slot] > r.dispatchCycle) {
-            const double wait = rob[slot] - r.dispatchCycle;
-            (tags[slot] == kTagMemory ? r.memory : r.compute) += wait;
-            r.dispatchCycle = rob[slot];
-        }
-
-        // Front-end: I-cache miss stalls fetch/dispatch.
-        if (fetch_stall > 0) {
-            r.dispatchCycle += fetch_stall;
-            r.frontend += fetch_stall;
-        }
-
-        // (1) dispatch bandwidth.
-        r.dispatchCycle += k.dispatchStep;
-        r.base += k.dispatchStep;
-
-        double completion;
-        switch (cls) {
-          case isa::UopClass::Load: {
-            double start = r.dispatchCycle;
-            if (dep_on_load)
-                start = std::max(start, r.chainReady);
-            if (dep_on_prev)
-                start = std::max(start, r.computeChainTail);
-            if (l1_miss) {
-                // (3) allocate an MSHR: take the earliest-free slot;
-                // if every slot is still busy past `start`, stall
-                // until one frees up.
-                double *slot_it =
-                    std::min_element(mshr, mshr + k.numMshrs);
-                start = std::max(start, *slot_it);
-                if (dram_access)
-                    start = k.bus->acquire(start, dram_lines);
-                completion = start + mem_latency;
-                *slot_it = completion;
-            } else {
-                completion = start + mem_latency;
-            }
-            if (dep_on_load)
-                r.chainReady = completion;
-            // Most recent load in program order: the producer proxy
-            // for later depOnLoad branches.
-            r.lastLoadCompletion = completion;
-            break;
-          }
-          case isa::UopClass::Store:
-            // Stores drain through the store buffer off the critical
-            // path; they retire one cycle after dispatch, but a store
-            // that misses to DRAM still consumes channel bandwidth
-            // (RFO plus eventual writeback), delaying later demand
-            // fills.
-            if (dram_access)
-                k.bus->acquire(r.dispatchCycle, dram_lines);
-            completion = r.dispatchCycle + 1.0;
-            break;
-          case isa::UopClass::Branch: {
-            double resolve = r.dispatchCycle + k.resolveLatency;
-            if (dep_on_load) {
-                // A branch fed by a load resolves no earlier than the
-                // load's data returns (mcf-style late mispredicts).
-                resolve = std::max(resolve, r.lastLoadCompletion + 1.0);
-            }
-            if (mispredicted) {
-                const double squash =
-                    resolve + k.mispredictPenalty - r.dispatchCycle;
-                if (squash > 0.0) {
-                    r.branch += squash;
-                    r.dispatchCycle += squash;
-                }
-            }
-            completion = resolve;
-            break;
-          }
-          default: {
-            double start = r.dispatchCycle;
-            if (dep_on_load)
-                start = std::max(start, r.chainReady);
-            if (dep_on_prev)
-                start = std::max(start, r.computeChainTail);
-            completion =
-                start + k.computeLat[static_cast<std::size_t>(cls)];
-            if (dep_on_prev)
-                r.computeChainTail = completion;
-            break;
-          }
-        }
-
-        rob[slot] = completion;
-        tags[slot] = cls == isa::UopClass::Load && l1_miss
-            ? kTagMemory
-            : kTagCompute;
-        r.maxCompletion = std::max(r.maxCompletion, completion);
-    }
-
-    unsigned
-    latencyOfCompute(isa::UopClass cls) const
-    {
-        switch (cls) {
-          case isa::UopClass::IntAlu: return params_.intAluLatency;
-          case isa::UopClass::IntMul: return params_.intMulLatency;
-          case isa::UopClass::IntDiv: return params_.intDivLatency;
-          case isa::UopClass::FpAdd: return params_.fpAddLatency;
-          case isa::UopClass::FpMul: return params_.fpMulLatency;
-          case isa::UopClass::FpDiv: return params_.fpDivLatency;
-          default:
-            SPEC17_PANIC("latencyOfCompute on non-compute class");
-        }
-    }
 
     CoreParams params_;
-    /** 1 / dispatchWidth, hoisted out of retire(). */
+    /** 1 / dispatchWidth, hoisted out of the retire body. */
     double dispatchStep_ = 0.25;
-    /** Ring index into robCompletion_ (retired_ mod robSize). */
-    std::size_t robSlot_ = 0;
-    double dispatchCycle_ = 0.0;
-    double maxCompletion_ = 0.0;
-    /** Completion of the load chain dependent ops wait on. */
-    double chainReady_ = 0.0;
-    /** Completion time of the most recent load of any kind. */
-    double lastLoadCompletion_ = 0.0;
-    /**
-     * Tail of the serial compute-dependency chain (loop-carried
-     * accumulator): every depOnPrev compute op extends it, so a
-     * workload with dependency density f sustains f * latency extra
-     * cycles per op -- its inherent ILP limit.
-     */
-    double computeChainTail_ = 0.0;
+    RetireRegs state_;
     std::uint64_t retired_ = 0;
     std::vector<double> robCompletion_; //!< ring buffer, robSize slots
     /** Attribution class of each ROB slot's completion time. */
     std::vector<std::uint8_t> robTag_;
     std::vector<double> mshrFree_;      //!< per-MSHR free timestamps
     std::shared_ptr<MemoryBus> bus_;    //!< DRAM channel (maybe shared)
-    CpiStack stack_;
 };
 
 } // namespace sim

@@ -32,15 +32,15 @@ class FootprintTracker
 
     FootprintTracker() : slots_(kInitialSlots, kEmpty) {}
 
-    /** Records a touched byte address. */
-    void
+    /** Records a touched byte address; true when its page is new. */
+    bool
     touch(std::uint64_t addr)
     {
         const std::uint64_t page = addr / kPageBytes;
         if (page == lastPage_)
-            return; // fast path: consecutive touches to one page
+            return false; // fast path: consecutive touches to one page
         lastPage_ = page;
-        insert(page);
+        return insert(page);
     }
 
     /** Distinct pages touched so far. */
@@ -70,7 +70,8 @@ class FootprintTracker
         return x ^ (x >> 32);
     }
 
-    void
+    /** Adds @p page; false when it was already in the set. */
+    bool
     insert(std::uint64_t page)
     {
         const std::uint64_t mask = slots_.size() - 1;
@@ -78,7 +79,7 @@ class FootprintTracker
         for (;;) {
             const std::uint64_t slot = slots_[i];
             if (slot == page)
-                return;
+                return false;
             if (slot == kEmpty)
                 break;
             i = (i + 1) & mask;
@@ -88,6 +89,7 @@ class FootprintTracker
         // Grow at 70% load to keep probe chains short.
         if (count_ * 10 >= slots_.size() * 7)
             grow();
+        return true;
     }
 
     void

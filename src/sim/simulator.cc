@@ -127,8 +127,7 @@ CpuSimulator::consume(const isa::MicroOp &op)
     unsigned mem_latency = 0;
     bool l1_miss = false;
     bool mispredicted = false;
-    bool dram_access = false;
-    double dram_lines = 1.0;
+    std::uint8_t dram = 0;
 
     if (op.isLoad()) {
         counters_.add(PerfEvent::MemUopsRetiredAllLoads);
@@ -140,7 +139,8 @@ CpuSimulator::consume(const isa::MicroOp &op)
         mem_latency =
             hierarchy_.latencyOf(level) + hierarchy_.lastDataWayPenalty();
         l1_miss = level != HitLevel::L1;
-        dram_access = level == HitLevel::Memory;
+        if (level == HitLevel::Memory)
+            dram = 1;
         if (config_.enableTlb) {
             const TlbOutcome dtlb_outcome = dtlb_.access(op.effAddr);
             mem_latency += dtlb_outcome.extraLatency;
@@ -174,11 +174,9 @@ CpuSimulator::consume(const isa::MicroOp &op)
         const HitLevel level =
             hierarchy_.accessData(op.effAddr, true, op.pc);
         footprint_.touch(op.effAddr);
-        if (level == HitLevel::Memory) {
-            // Write-allocate RFO read now, dirty writeback later.
-            dram_access = true;
-            dram_lines = 2.0;
-        }
+        // Write-allocate RFO read now, dirty writeback later.
+        if (level == HitLevel::Memory)
+            dram = 2;
     } else if (op.isBranch()) {
         counters_.add(PerfEvent::BrInstExecAllBranches);
         switch (op.branch) {
@@ -207,7 +205,7 @@ CpuSimulator::consume(const isa::MicroOp &op)
     }
 
     core_.retire(op, mem_latency, l1_miss, fetch_stall, mispredicted,
-                 dram_access, dram_lines);
+                 dram);
 }
 
 void
@@ -427,42 +425,6 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
         }
     }
 
-    // Lane recording: the scratch lanes are now final (only the
-    // branch pass still writes, and only to mispred), so a clone-
-    // group sibling replaying the identical stream can import them
-    // plus the counter deltas instead of re-running the cache and
-    // TLB passes. One bulk append per lane.
-    if (record != nullptr) {
-        MemoryLaneLog::Batch b;
-        b.n = static_cast<std::uint32_t>(n);
-        b.laneOffset =
-            static_cast<std::uint32_t>(record->fetchStall.size());
-        b.memOffset = static_cast<std::uint32_t>(record->memIdx.size());
-        b.memCount = static_cast<std::uint32_t>(mem_count);
-        b.branchOffset =
-            static_cast<std::uint32_t>(record->branchIdx.size());
-        b.branchCount = static_cast<std::uint32_t>(branch_count);
-        b.numLoads = num_loads;
-        b.numStores = num_stores;
-        for (unsigned v = 0; v < 4; ++v)
-            b.loadsAt[v] = loads_at[v];
-        b.itlbWalks = itlb_walks;
-        b.dtlbWalks = dtlb_walks;
-        record->fetchStall.insert(record->fetchStall.end(), fetch_stall,
-                                  fetch_stall + n);
-        record->memLatency.insert(record->memLatency.end(), mem_lat,
-                                  mem_lat + n);
-        record->l1Miss.insert(record->l1Miss.end(), l1_missed,
-                              l1_missed + n);
-        record->dram.insert(record->dram.end(), dram_code,
-                            dram_code + n);
-        record->memIdx.insert(record->memIdx.end(), mem_idx,
-                              mem_idx + mem_count);
-        record->branchIdx.insert(record->branchIdx.end(), branch_idx,
-                                 branch_idx + branch_count);
-        record->batches.push_back(b);
-    }
-
     // Branch pass: walks the branch index list in op order, so the
     // predictor/BTB see the exact consume() sequence.
     std::fill(mispred, mispred + n, std::uint8_t{0});
@@ -485,7 +447,11 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
     // Footprint pass: pc sub-pass, then data sub-pass, each with a
     // local last-page filter backed by a direct-mapped seen-page
     // filter (see pcPageSeen_) so already-counted pages skip the
-    // footprint hash probe entirely (inserts are idempotent).
+    // footprint hash probe entirely (inserts are idempotent). When
+    // recording, every address whose page was new to the set is
+    // logged: a sibling touching just those rebuilds this page set.
+    const std::size_t page_offset =
+        record != nullptr ? record->pageAddrs.size() : 0;
     {
         std::uint64_t *__restrict const pc_seen = pcPageSeen_.data();
         std::uint64_t *__restrict const data_seen = dataPageSeen_.data();
@@ -499,7 +465,8 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
             std::uint64_t &slot = pc_seen[page % kPcPageSeenSlots];
             if (slot != page) {
                 slot = page;
-                footprint_.touch(pcs[i]);
+                if (footprint_.touch(pcs[i]) && record != nullptr)
+                    record->pageAddrs.push_back(pcs[i]);
             }
         }
         std::uint64_t last_data_page = ~std::uint64_t(0);
@@ -513,9 +480,46 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
             std::uint64_t &slot = data_seen[page % kDataPageSeenSlots];
             if (slot != page) {
                 slot = page;
-                footprint_.touch(addrs[i]);
+                if (footprint_.touch(addrs[i]) && record != nullptr)
+                    record->pageAddrs.push_back(addrs[i]);
             }
         }
+    }
+
+    // Lane recording: the memory-side lanes have been final since the
+    // TLB passes (the branch pass writes only mispred), so a clone-
+    // group sibling replaying the identical stream can import them,
+    // the footprint's new pages and the counter deltas instead of
+    // re-running the cache, TLB and footprint passes. One bulk append
+    // per lane.
+    if (record != nullptr) {
+        MemoryLaneLog::Batch b;
+        b.n = static_cast<std::uint32_t>(n);
+        b.laneOffset =
+            static_cast<std::uint32_t>(record->fetchStall.size());
+        b.branchOffset =
+            static_cast<std::uint32_t>(record->branchIdx.size());
+        b.branchCount = static_cast<std::uint32_t>(branch_count);
+        b.pageOffset = static_cast<std::uint32_t>(page_offset);
+        b.pageCount = static_cast<std::uint32_t>(
+            record->pageAddrs.size() - page_offset);
+        b.numLoads = num_loads;
+        b.numStores = num_stores;
+        for (unsigned v = 0; v < 4; ++v)
+            b.loadsAt[v] = loads_at[v];
+        b.itlbWalks = itlb_walks;
+        b.dtlbWalks = dtlb_walks;
+        record->fetchStall.insert(record->fetchStall.end(), fetch_stall,
+                                  fetch_stall + n);
+        record->memLatency.insert(record->memLatency.end(), mem_lat,
+                                  mem_lat + n);
+        record->l1Miss.insert(record->l1Miss.end(), l1_missed,
+                              l1_missed + n);
+        record->dram.insert(record->dram.end(), dram_code,
+                            dram_code + n);
+        record->branchIdx.insert(record->branchIdx.end(), branch_idx,
+                                 branch_idx + branch_count);
+        record->batches.push_back(b);
     }
 
     // Retire pass: serial core timing fed by the staged scratch
@@ -578,14 +582,14 @@ CpuSimulator::consumeBatchImported(const trace::MicroOpBatch &lanes,
                                    const MemoryLaneLog &log,
                                    std::size_t &cursor)
 {
-    // The imported half of consumeBatch: the cache and TLB passes --
-    // deterministic functions of the op stream and the (identical)
-    // hierarchy/TLB configuration -- are replaced by the leader's
-    // recorded lanes and counter deltas, consumed in place. The
-    // branch, footprint and retire passes below are copied verbatim
-    // from consumeBatch, fed by the imported lanes, so this
-    // simulator's predictor state, footprint and core timing are
-    // exact. The hierarchy and TLBs are never touched.
+    // The imported half of consumeBatch: the cache, TLB and footprint
+    // passes -- deterministic functions of the op stream and the
+    // (identical) hierarchy/TLB configuration -- are replaced by the
+    // leader's recorded lanes, new pages and counter deltas, consumed
+    // in place. The branch pass below is copied verbatim from
+    // consumeBatch and the retire pass is fed by the imported lanes,
+    // so this simulator's predictor state and core timing are exact.
+    // The hierarchy and TLBs are never touched.
     SPEC17_ASSERT(cursor < log.batches.size(),
                   "memory-lane log exhausted: the sibling's batch "
                   "schedule diverged from its leader's");
@@ -595,8 +599,6 @@ CpuSimulator::consumeBatchImported(const trace::MicroOpBatch &lanes,
                   n, ", recorded ", b.n, ")");
 
     const std::uint64_t *__restrict const pcs = lanes.pc.data() + base;
-    const std::uint64_t *__restrict const addrs =
-        lanes.addr.data() + base;
     const std::uint64_t *__restrict const targets =
         lanes.target.data() + base;
     const isa::UopClass *__restrict const classes =
@@ -618,8 +620,6 @@ CpuSimulator::consumeBatchImported(const trace::MicroOpBatch &lanes,
         log.l1Miss.data() + b.laneOffset;
     const std::uint8_t *__restrict const dram_code =
         log.dram.data() + b.laneOffset;
-    const std::uint32_t *__restrict const mem_idx =
-        log.memIdx.data() + b.memOffset;
     const std::uint32_t *__restrict const branch_idx =
         log.branchIdx.data() + b.branchOffset;
 
@@ -645,38 +645,13 @@ CpuSimulator::consumeBatchImported(const trace::MicroOpBatch &lanes,
         }
     }
 
-    // Footprint pass (verbatim from consumeBatch).
-    {
-        std::uint64_t *__restrict const pc_seen = pcPageSeen_.data();
-        std::uint64_t *__restrict const data_seen = dataPageSeen_.data();
-        std::uint64_t last_pc_page = ~std::uint64_t(0);
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint64_t page =
-                pcs[i] / FootprintTracker::kPageBytes;
-            if (page == last_pc_page)
-                continue;
-            last_pc_page = page;
-            std::uint64_t &slot = pc_seen[page % kPcPageSeenSlots];
-            if (slot != page) {
-                slot = page;
-                footprint_.touch(pcs[i]);
-            }
-        }
-        std::uint64_t last_data_page = ~std::uint64_t(0);
-        for (std::size_t j = 0; j < b.memCount; ++j) {
-            const std::size_t i = mem_idx[j];
-            const std::uint64_t page =
-                addrs[i] / FootprintTracker::kPageBytes;
-            if (page == last_data_page)
-                continue;
-            last_data_page = page;
-            std::uint64_t &slot = data_seen[page % kDataPageSeenSlots];
-            if (slot != page) {
-                slot = page;
-                footprint_.touch(addrs[i]);
-            }
-        }
-    }
+    // Footprint: the leader's page set equalled this one before the
+    // batch, so touching exactly the addresses whose pages were new to
+    // the leader leaves the two equal again.
+    const std::uint64_t *const page_addrs =
+        log.pageAddrs.data() + b.pageOffset;
+    for (std::uint32_t k = 0; k < b.pageCount; ++k)
+        footprint_.touch(page_addrs[k]);
 
     // Retire pass on the imported lanes.
     core_.retireBatch(classes, dep_load, dep_prev, mem_lat, l1_missed,

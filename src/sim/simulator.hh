@@ -38,14 +38,15 @@ struct SimResult
 /**
  * Recorded memory-side outcomes of a stepped chunk, batch by batch:
  * the post-TLB scratch lanes (fetch stall, memory latency, L1-miss
- * and DRAM flags), the op-index lists, and the counter deltas the
- * cache and TLB passes produced. A simulator with the identical
- * hierarchy, TLB and core configuration consuming the identical
- * micro-op stream computes exactly these values -- so a clone-group
- * sibling in multi-point fan-out can import the leader's log
- * (stepImporting) instead of running its own cache and TLB passes,
- * and needs no prefilled cache state at all. Only the branch unit
- * (and the timing it feeds) runs per sibling.
+ * flag and DRAM code), the branch op-index list, an address in each
+ * page the footprint pass added, and the counter deltas the cache
+ * and TLB passes produced. A simulator with the identical hierarchy,
+ * TLB and core configuration consuming the identical micro-op stream
+ * computes exactly these values -- so a clone-group sibling in
+ * multi-point fan-out can import the leader's log (stepImporting)
+ * instead of running its own cache, TLB and footprint passes, and
+ * needs no prefilled cache state at all. Only the branch unit (and
+ * the timing it feeds) runs per sibling.
  *
  * One log records one stepped chunk; clear() and reuse it per chunk
  * so the lane buffers stay allocated.
@@ -57,10 +58,10 @@ struct MemoryLaneLog
     {
         std::uint32_t n = 0; //!< ops in the batch (alignment check)
         std::uint32_t laneOffset = 0;   //!< into the per-op lanes
-        std::uint32_t memOffset = 0;    //!< into memIdx
-        std::uint32_t memCount = 0;
         std::uint32_t branchOffset = 0; //!< into branchIdx
         std::uint32_t branchCount = 0;
+        std::uint32_t pageOffset = 0;   //!< into pageAddrs
+        std::uint32_t pageCount = 0;
         std::uint64_t numLoads = 0;
         std::uint64_t numStores = 0;
         std::uint64_t loadsAt[4] = {0, 0, 0, 0};
@@ -74,9 +75,11 @@ struct MemoryLaneLog
     std::vector<unsigned> memLatency;
     std::vector<std::uint8_t> l1Miss;
     std::vector<std::uint8_t> dram;
-    /** Op-index lists (indices are within their batch). */
-    std::vector<std::uint32_t> memIdx;
+    /** Branch op indices (within their batch). */
     std::vector<std::uint32_t> branchIdx;
+    /** Per batch, in touch order, an address in each page that was
+     *  new to the leader's footprint. */
+    std::vector<std::uint64_t> pageAddrs;
 
     void
     clear()
@@ -86,8 +89,8 @@ struct MemoryLaneLog
         memLatency.clear();
         l1Miss.clear();
         dram.clear();
-        memIdx.clear();
         branchIdx.clear();
+        pageAddrs.clear();
     }
 };
 
@@ -189,18 +192,22 @@ class CpuSimulator
                                 MemoryLaneLog &log);
 
     /**
-     * step() for a clone-group sibling: skips the cache and TLB
-     * passes entirely and consumes @p log -- recorded by a leader
-     * with the identical hierarchy, TLB and core configuration over
-     * the identical micro-op stream and the identical batch schedule
-     * -- for the memory-side lanes and counters. The branch,
-     * footprint and retire passes still run on this simulator, so
-     * per-point branch behavior and timing are exact. This
-     * simulator's cache hierarchy and TLBs are never touched (they
-     * may hold dirty-recycled garbage; see the constructor's
-     * recycle_dirty). @p cursor indexes log.batches and advances per
-     * consumed batch; reset it to 0 with each fresh log. Panics if
-     * the batch schedule diverges from the log.
+     * step() for a clone-group sibling: skips the cache, TLB and
+     * footprint passes entirely and consumes @p log -- recorded by a
+     * leader with the identical hierarchy, TLB and core configuration
+     * over the identical micro-op stream and the identical batch
+     * schedule -- for the memory-side lanes, the footprint's new
+     * pages and the counters. The branch and retire passes still run
+     * on this simulator, so per-point branch behavior and timing are
+     * exact. The footprint stays equal to the leader's provided the
+     * two were equal when importing began (both fresh in fan-out:
+     * prefill touches no pages) and this simulator imports every
+     * batch the leader records. This simulator's cache hierarchy and
+     * TLBs are never touched (they may hold dirty-recycled garbage;
+     * see the constructor's recycle_dirty). @p cursor indexes
+     * log.batches and advances per consumed batch; reset it to 0 with
+     * each fresh log. Panics if the batch schedule diverges from the
+     * log.
      */
     std::uint64_t stepImporting(trace::TraceSource &source,
                                 std::uint64_t max_ops,
@@ -260,13 +267,14 @@ class CpuSimulator
      *  argument). @p lanes is either the simulator's own batch_ (the
      *  copying pull path) or a source-owned buffer served zero-copy
      *  through TraceSource::nextLanes(). When @p record is set, the
-     *  post-TLB lanes and counter deltas are appended to it. */
+     *  post-TLB lanes, the footprint's new pages and the counter
+     *  deltas are appended to it. */
     void consumeBatch(const trace::MicroOpBatch &lanes,
                       std::size_t base, std::size_t n,
                       MemoryLaneLog *record = nullptr);
     /** Lane-importing equivalent of consumeBatch for clone-group
-     *  siblings: branch + footprint + retire passes only, memory-side
-     *  lanes and counters read from log.batches[cursor++]. */
+     *  siblings: branch + retire passes only; memory-side lanes, new
+     *  footprint pages and counters read from log.batches[cursor++]. */
     void consumeBatchImported(const trace::MicroOpBatch &lanes,
                               std::size_t base, std::size_t n,
                               const MemoryLaneLog &log,

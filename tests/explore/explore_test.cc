@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "suite/arena_store.hh"
@@ -293,31 +294,43 @@ TEST(ExploreGolden, TableIsIdenticalAcrossMidSweepResume)
 
 TEST(ExploreGolden, CrossTableIdenticalAcrossFanoutAndJobs)
 {
-    // Reference: per-point sessions (no arena store), jobs 1.
-    ExploreOptions per_point = tinyOptions();
-    const std::vector<std::string> axes = {"way-predictor",
-                                           "l2-prefetcher"};
-    const auto baseline = ExploreRunner(per_point).runCross(axes);
-    ASSERT_EQ(baseline.size(), 12u);
-
-    // The shared-arena fan-out engine must score the bit-identical
-    // table, at any job count: one capture per pair feeding all 12
-    // points is an execution strategy, never semantics.
+    // Two plans: in way-predictor x l2-prefetcher every point has its
+    // own hierarchy; in predictor x way-predictor, 12 of the 15 points
+    // differ from a way-predictor leader only in the branch predictor,
+    // so the fan-out engine runs them as lane-importing siblings.
+    const std::vector<std::pair<std::vector<std::string>, std::size_t>>
+        plans = {
+            {{"way-predictor", "l2-prefetcher"}, 12u},
+            {{"predictor", "way-predictor"}, 15u},
+        };
     const std::size_t pairs = workloads::enumeratePairs(
                                   workloads::cpu2006Suite(), InputSize::Test)
                                   .size();
-    for (const unsigned jobs : {1u, 8u}) {
-        SCOPED_TRACE(::testing::Message() << "jobs=" << jobs);
-        suite::TraceArenaStore store(512 * kMiB);
-        ExploreOptions fanout = tinyOptions();
-        fanout.runner.jobs = jobs;
-        fanout.runner.arenaStore = &store;
-        expectSameTable(baseline, ExploreRunner(fanout).runCross(axes));
-        // The engine captured each pair's trace once; the points
-        // replayed it rather than re-acquiring through the store, and
-        // the pair's row released it once they had run.
-        EXPECT_EQ(store.stats().captures, pairs);
-        EXPECT_EQ(store.stats().entries, 0u);
+    for (const auto &[axes, points] : plans) {
+        SCOPED_TRACE(::testing::Message()
+                     << axes.front() << "," << axes.back());
+        // Reference: per-point sessions (no arena store), jobs 1.
+        ExploreOptions per_point = tinyOptions();
+        const auto baseline = ExploreRunner(per_point).runCross(axes);
+        ASSERT_EQ(baseline.size(), points);
+
+        // The shared-arena fan-out engine must score the bit-identical
+        // table, at any job count: one capture per pair feeding every
+        // point is an execution strategy, never semantics.
+        for (const unsigned jobs : {1u, 8u}) {
+            SCOPED_TRACE(::testing::Message() << "jobs=" << jobs);
+            suite::TraceArenaStore store(512 * kMiB);
+            ExploreOptions fanout = tinyOptions();
+            fanout.runner.jobs = jobs;
+            fanout.runner.arenaStore = &store;
+            expectSameTable(baseline,
+                            ExploreRunner(fanout).runCross(axes));
+            // The engine captured each pair's trace once; the points
+            // replayed it rather than re-acquiring through the store,
+            // and the pair's row released it once they had run.
+            EXPECT_EQ(store.stats().captures, pairs);
+            EXPECT_EQ(store.stats().entries, 0u);
+        }
     }
 }
 

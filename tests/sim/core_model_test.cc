@@ -166,6 +166,45 @@ TEST(CoreModel, StoresDoNotStall)
     EXPECT_NEAR(ipc, defaults().dispatchWidth, 0.1);
 }
 
+TEST(CoreModel, DramTransfersOccupyTheBus)
+{
+    // An 8-cycle latency leaves the private DRAM channel (4 cycles a
+    // line) as the only limit, so every bound below is exact.
+    const CoreParams params = defaults();
+    const double first_dispatch = 1.0 / params.dispatchWidth;
+    const double per_line = MemoryBus{}.cyclesPerLine;
+    const unsigned latency = 8;
+    const int n = 1000;
+
+    // Code 1, one line per load: each fill starts when the previous
+    // one's transfer ends. The same misses served on chip overlap
+    // across the MSHRs instead.
+    CoreModel dram(params);
+    CoreModel on_chip(params);
+    for (int i = 0; i < n; ++i) {
+        const isa::MicroOp op =
+            makeLoad(0x1000, 0x100000 + i * 64, 8, false);
+        dram.retire(op, latency, true, 0, false, 1);
+        on_chip.retire(op, latency, true, 0, false, 0);
+    }
+    EXPECT_DOUBLE_EQ(dram.cycles(),
+                     first_dispatch + (n - 1) * per_line + latency);
+    EXPECT_LT(on_chip.cycles(), n * per_line / 2);
+
+    // Code 2, a store miss's RFO read plus its writeback: each store
+    // holds the channel for two lines. Stores never stall, so a load
+    // behind n of them waits for all 2n transfers.
+    CoreModel stores(params);
+    for (int i = 0; i < n; ++i)
+        stores.retire(makeStore(0x1000, 0x100000 + i * 64), 0, false, 0,
+                      false, 2);
+    EXPECT_LT(stores.cycles(), n * per_line / 2);
+    stores.retire(makeLoad(0x2000, 0x200000, 8, false), latency, true, 0,
+                  false, 1);
+    EXPECT_DOUBLE_EQ(stores.cycles(),
+                     first_dispatch + 2 * n * per_line + latency);
+}
+
 TEST(CoreModel, FetchStallsAddFrontendCycles)
 {
     CoreModel stalled(defaults());

@@ -162,6 +162,64 @@ TEST(Simulator, DeterministicAcrossRuns)
     }
 }
 
+TEST(Simulator, ImportingSiblingMatchesItsOwnRun)
+{
+    // A clone-group sibling differs from its leader only in the branch
+    // predictor, so it imports the leader's memory-side lanes and new
+    // footprint pages instead of running those passes. After every
+    // chunk it must read exactly what the same configuration reads
+    // when it simulates the stream itself -- the RSS gauge included,
+    // which random accesses over 64 MiB keep growing.
+    trace::SyntheticTraceParams params;
+    params.numOps = 40000;
+    params.regions = {
+        {trace::AccessPattern::Random, 64 * 1024 * 1024, 64, 1.0, 1.0},
+    };
+    SystemConfig sibling_config = machine();
+    sibling_config.branchPredictor = "tage";
+    ASSERT_NE(machine().branchPredictor, sibling_config.branchPredictor);
+    constexpr std::uint64_t kChunk = 5000;
+    for (const std::size_t batch : {1u, 7u, 256u}) {
+        SCOPED_TRACE(::testing::Message() << "batch=" << batch);
+        trace::SyntheticTraceGenerator leader_gen(params);
+        trace::SyntheticTraceGenerator sibling_gen(params);
+        trace::SyntheticTraceGenerator own_gen(params);
+        CpuSimulator leader(machine());
+        CpuSimulator sibling(sibling_config);
+        CpuSimulator own(sibling_config);
+        for (CpuSimulator *sim : {&leader, &sibling, &own})
+            sim->setBatchOps(batch);
+
+        MemoryLaneLog log;
+        for (std::uint64_t done = 0; done < params.numOps;
+             done += kChunk) {
+            SCOPED_TRACE(::testing::Message() << "ops=" << done + kChunk);
+            log.clear();
+            ASSERT_EQ(leader.stepRecording(leader_gen, kChunk, log),
+                      kChunk);
+            std::size_t cursor = 0;
+            ASSERT_EQ(sibling.stepImporting(sibling_gen, kChunk, log,
+                                            cursor),
+                      kChunk);
+            EXPECT_EQ(cursor, log.batches.size());
+            ASSERT_EQ(own.step(own_gen, kChunk), kChunk);
+
+            const counters::CounterSet imported = sibling.snapshot();
+            const counters::CounterSet simulated = own.snapshot();
+            for (std::size_t i = 0; i < counters::kNumPerfEvents; ++i) {
+                const auto event = static_cast<PerfEvent>(i);
+                EXPECT_EQ(imported.get(event), simulated.get(event))
+                    << counters::perfEventName(event);
+            }
+            EXPECT_EQ(sibling.core().cycles(), own.core().cycles());
+        }
+        EXPECT_GT(own.snapshot().get(PerfEvent::RssBytes), 0u);
+        // The sibling ran its own predictor, not the leader's.
+        EXPECT_NE(sibling.snapshot().get(PerfEvent::BrMispExecAllBranches),
+                  leader.snapshot().get(PerfEvent::BrMispExecAllBranches));
+    }
+}
+
 TEST(Simulator, IpcHelperMatchesCounters)
 {
     trace::StreamKernel kernel(16 * 1024, 10000);

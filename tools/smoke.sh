@@ -4,9 +4,10 @@
 # fsck, store-on vs store-off comparisons of a sweep over threaded
 # pairs, of a co-run campaign with self-pairs and of explore's cross
 # and descent plans, the co-run and explorer jobs-1-vs-2 and
-# kill-plus---resume byte comparisons, and a telemetry sweep. Every
-# output lands in OUT_DIR (the CI artifact); any failed check exits
-# nonzero.
+# kill-plus---resume byte comparisons, a predictor x way-predictor
+# cross whose lane-importing points must match live per-point runs at
+# jobs 1 and 2, and a telemetry sweep. Every output lands in OUT_DIR
+# (the CI artifact); any failed check exits nonzero.
 #
 # Usage: tools/smoke.sh BUILD_DIR OUT_DIR
 set -euo pipefail
@@ -26,6 +27,8 @@ sweep17=(--suite=cpu2017 --size=test --sample=20000 --warmup=5000 --jobs=2)
 small=(--sample=30000 --warmup=10000)
 explore=(--multi-axis=way-predictor,l2-prefetcher --suite=cpu2006
          --size=test "${small[@]}")
+lanes=(--multi-axis=predictor,way-predictor --suite=cpu2006 --size=test
+       "${small[@]}")
 
 echo "== hot-path bench: batched vs per-op identity, gated speedup"
 "$bench/bench_hot_path" --pairs=3 --repeats=2 --out=BENCH_hot_path.ci.json
@@ -105,6 +108,18 @@ cmp replay-ref.csv replay-par.csv
 "$spec17" explore "${explore[@]}" --no-cache --jobs=1 --trace-arena-mb=0 \
   --explore-out=replay-off.csv
 cmp replay-ref.csv replay-off.csv
+# In predictor x way-predictor, 12 of the 15 points differ from a
+# way-predictor leader only in the branch predictor: with the store on
+# they import the leader's memory-side lanes and footprint pages. The
+# store-off table simulates every point itself.
+for jobs in 1 2; do
+  "$spec17" explore "${lanes[@]}" --no-cache --jobs=$jobs \
+    --explore-out=lanes-j$jobs.csv
+done
+"$spec17" explore "${lanes[@]}" --no-cache --jobs=2 --trace-arena-mb=0 \
+  --explore-out=lanes-off.csv
+cmp lanes-j1.csv lanes-j2.csv
+cmp lanes-j1.csv lanes-off.csv
 for mb in 512 0; do
   "$spec17" explore "${explore[@]}" --multi-axis-mode=descent --no-cache \
     --jobs=2 --trace-arena-mb=$mb --explore-out=descent-mb$mb.csv
