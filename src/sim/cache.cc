@@ -75,7 +75,7 @@ CacheContextStats::missRate() const
 }
 
 SetAssocCache::SetAssocCache(CacheConfig config, std::uint64_t seed,
-                             SetAssocCache *recycle, bool recycle_dirty)
+                             SetAssocCache *recycle)
     : config_(std::move(config)), numSets_(config_.numSets()),
       lineShift_(static_cast<unsigned>(
           std::countr_zero(config_.lineBytes))),
@@ -109,23 +109,6 @@ SetAssocCache::SetAssocCache(CacheConfig config, std::uint64_t seed,
 
     const std::size_t lanes =
         static_cast<std::size_t>(numSets_) * config_.assoc;
-    if (recycle_dirty) {
-        // The caller promised an immediate full-state copy-assign, so
-        // only lane *sizes* matter: resize touches nothing when the
-        // donor's geometry matches and writes only the grown tail
-        // otherwise. The fresh-construction reset below would memset
-        // the same megabytes operator= is about to overwrite.
-        tags_.resize(lanes);
-        dirty_.resize(lanes);
-        stamps_.resize(lanes);
-        prefetchOwner_.clear();
-        plruBits_.resize(config_.policy == ReplacementPolicy::TreePlru
-                             ? numSets_ * (config_.assoc - 1)
-                             : 0);
-        mruWay_.resize(wayPred_ == WayPredictor::Mru ? numSets_ : 0);
-        utags_.resize(wayPred_ == WayPredictor::Utag ? lanes : 0);
-        return;
-    }
     tags_.assign(lanes, kNoTag);
     dirty_.assign(lanes, 0);
     stamps_.assign(lanes, 0);

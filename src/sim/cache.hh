@@ -138,19 +138,10 @@ class SetAssocCache
      *        large page-faulting allocations that dominate cache
      *        construction cost. The donor is left empty and must not
      *        be used again. Multi-point simulation fan-out recycles
-     *        each finished point's caches this way.
-     * @param recycle_dirty skip the line/recency lane resets: the
-     *        lanes keep whatever bytes they adopted (or value-
-     *        initialized) and the caller PROMISES to copy-assign the
-     *        complete cache state from a same-config cache before the
-     *        first access. Fan-out clone-group siblings use this --
-     *        their construction image is immediately overwritten by
-     *        the group leader's prefilled state, so resetting ~8 MB
-     *        of L3 lanes first is pure memory traffic.
+     *        each finished clone-group leader's caches this way.
      */
     explicit SetAssocCache(CacheConfig config, std::uint64_t seed = 0,
-                           SetAssocCache *recycle = nullptr,
-                           bool recycle_dirty = false);
+                           SetAssocCache *recycle = nullptr);
 
     /**
      * Performs a demand access.

@@ -20,18 +20,17 @@ hitLevelName(HitLevel level)
 CacheHierarchy::CacheHierarchy(const HierarchyConfig &config,
                                std::shared_ptr<SetAssocCache> shared_l3,
                                std::uint64_t seed,
-                               CacheHierarchy *recycle,
-                               bool recycle_dirty)
+                               CacheHierarchy *recycle)
     : config_(config),
       l1i_(std::make_unique<SetAssocCache>(
           config.l1i, deriveSeed(seed, "l1i"),
-          recycle ? recycle->l1i_.get() : nullptr, recycle_dirty)),
+          recycle ? recycle->l1i_.get() : nullptr)),
       l1d_(std::make_unique<SetAssocCache>(
           config.l1d, deriveSeed(seed, "l1d"),
-          recycle ? recycle->l1d_.get() : nullptr, recycle_dirty)),
+          recycle ? recycle->l1d_.get() : nullptr)),
       l2_(std::make_unique<SetAssocCache>(
           config.l2, deriveSeed(seed, "l2"),
-          recycle ? recycle->l2_.get() : nullptr, recycle_dirty)),
+          recycle ? recycle->l2_.get() : nullptr)),
       // The donor's L3 buffers are only safe to strip when the donor
       // holds the last reference (a shared L3 may outlive it).
       l3_(shared_l3 ? std::move(shared_l3)
@@ -40,12 +39,8 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig &config,
                                            && recycle->l3_.use_count()
                                                == 1
                                        ? recycle->l3_.get()
-                                       : nullptr,
-                                   recycle_dirty))
+                                       : nullptr))
 {
-    SPEC17_ASSERT(!recycle_dirty || l3_.use_count() == 1,
-                  "dirty recycling requires a private L3 (the pending "
-                  "copyStateFrom does too)");
     StreamConfig stream;
     stream.degree = config.streamDegree;
     stream.distance = config.streamDistance;
@@ -65,23 +60,11 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig &config,
 std::shared_ptr<SetAssocCache>
 CacheHierarchy::makeSharedL3(const HierarchyConfig &config,
                              std::uint64_t seed,
-                             SetAssocCache *recycle, bool recycle_dirty)
+                             SetAssocCache *recycle)
 {
     return std::make_shared<SetAssocCache>(config.l3,
                                            deriveSeed(seed, "l3"),
-                                           recycle, recycle_dirty);
-}
-
-void
-CacheHierarchy::copyStateFrom(const CacheHierarchy &other)
-{
-    SPEC17_ASSERT(l3_.use_count() == 1
-                      && other.l3_.use_count() == 1,
-                  "hierarchy state cloning requires private L3s");
-    *l1i_ = *other.l1i_;
-    *l1d_ = *other.l1d_;
-    *l2_ = *other.l2_;
-    *l3_ = *other.l3_;
+                                           recycle);
 }
 
 HitLevel

@@ -68,33 +68,17 @@ class CacheHierarchy
      *        new one adopts (see SetAssocCache's recycle parameter;
      *        state is never inherited). The donor's L3 buffers are
      *        only adopted when both hierarchies own a private L3.
-     * @param recycle_dirty construct the caches with unreset lanes
-     *        (SetAssocCache's recycle_dirty); the caller PROMISES an
-     *        immediate copyStateFrom() before any access. Requires a
-     *        private L3 (copyStateFrom does too).
      */
     explicit CacheHierarchy(const HierarchyConfig &config,
                             std::shared_ptr<SetAssocCache> shared_l3
                             = nullptr,
                             std::uint64_t seed = 0,
-                            CacheHierarchy *recycle = nullptr,
-                            bool recycle_dirty = false);
+                            CacheHierarchy *recycle = nullptr);
 
     /** Builds an L3 suitable for sharing across hierarchies. */
     static std::shared_ptr<SetAssocCache> makeSharedL3(
         const HierarchyConfig &config, std::uint64_t seed = 0,
-        SetAssocCache *recycle = nullptr, bool recycle_dirty = false);
-
-    /**
-     * Copy-assigns the four caches' complete state (lines, recency,
-     * stats, RNG) from @p other, which must have the identical
-     * HierarchyConfig and a private L3. The prefetchers are NOT
-     * copied -- both hierarchies must still be pristine (pre-demand
-     * traffic), which is exactly the multi-point fan-out use: one
-     * group leader pays the steady-state prefill, siblings with the
-     * same hierarchy geometry clone it instead of re-filling.
-     */
-    void copyStateFrom(const CacheHierarchy &other);
+        SetAssocCache *recycle = nullptr);
 
     /**
      * Demand data access.

@@ -25,26 +25,12 @@ SimResult::ipc() const
 CpuSimulator::CpuSimulator(const SystemConfig &config, std::uint64_t seed,
                            std::shared_ptr<SetAssocCache> shared_l3,
                            std::shared_ptr<MemoryBus> shared_bus,
-                           CpuSimulator *recycle, bool recycle_dirty)
+                           CpuSimulator *recycle)
     : config_(config),
-      hierarchy_(config.hierarchy, std::move(shared_l3), seed,
-                 recycle ? &recycle->hierarchy_ : nullptr,
-                 recycle_dirty),
       branches_(makeDirectionPredictor(config.branchPredictor,
                                        config.tage)),
       core_(config.core, std::move(shared_bus)), dtlb_(config.dtlb),
-      itlb_(config.itlb),
-      // The same-line data memo is illegal under an L1D prefetcher
-      // (skipped repeats would starve its training stream) and under
-      // utag way prediction (an aliasing earlier way mispredicts every
-      // repeat, so skipped repeats would dodge real penalty cycles).
-      // MRU way prediction keeps it legal -- the memo'd line is by
-      // construction the set's MRU way -- and an L2-only prefetcher
-      // keeps it legal too, since skipped repeats are L1 hits it never
-      // observes.
-      dataMemoLegal_(hierarchy_.prefetcher() == nullptr
-                     && config.hierarchy.l1d.wayPredictor
-                            != WayPredictor::Utag)
+      itlb_(config.itlb)
 {
     // Way prediction is modeled on the L1D load path only (timing and
     // stats); other levels would collect stats the batched lane's
@@ -55,6 +41,21 @@ CpuSimulator::CpuSimulator(const SystemConfig &config, std::uint64_t seed,
                       && config.hierarchy.l3.wayPredictor
                              == WayPredictor::None,
                   "way prediction is supported on the L1D only");
+    SPEC17_ASSERT(recycle == nullptr || recycle->hierarchy_,
+                  "a lane importer cannot donate buffers: it has no "
+                  "memory side");
+    hierarchy_.emplace(config.hierarchy, std::move(shared_l3), seed,
+                       recycle ? &*recycle->hierarchy_ : nullptr);
+    // The same-line data memo is illegal under an L1D prefetcher
+    // (skipped repeats would starve its training stream) and under
+    // utag way prediction (an aliasing earlier way mispredicts every
+    // repeat, so skipped repeats would dodge real penalty cycles).
+    // MRU way prediction keeps it legal -- the memo'd line is by
+    // construction the set's MRU way -- and an L2-only prefetcher
+    // keeps it legal too, since skipped repeats are L1 hits it never
+    // observes.
+    dataMemoLegal_ = hierarchy_->prefetcher() == nullptr
+        && config.hierarchy.l1d.wayPredictor != WayPredictor::Utag;
     if (recycle != nullptr) {
         // Adopt the donor's batch, scratch and memo buffers; every
         // one is re-assigned or lazily resized below, so only warm
@@ -78,6 +79,28 @@ CpuSimulator::CpuSimulator(const SystemConfig &config, std::uint64_t seed,
     dataMemoDirty_.assign(config.hierarchy.l1d.numSets(), 0);
     pcPageSeen_.assign(kPcPageSeenSlots, kNoLine);
     dataPageSeen_.assign(kDataPageSeenSlots, kNoLine);
+}
+
+CpuSimulator::CpuSimulator(LaneImporter, const SystemConfig &config)
+    : config_(config),
+      branches_(makeDirectionPredictor(config.branchPredictor,
+                                       config.tage)),
+      core_(config.core), dtlb_(config.dtlb), itlb_(config.itlb)
+{
+}
+
+void
+CpuSimulator::requireMemorySide(const char *what) const
+{
+    SPEC17_ASSERT(hierarchy_, what,
+                  " on a lane importer, which has no memory side");
+}
+
+const CacheHierarchy &
+CpuSimulator::hierarchy() const
+{
+    requireMemorySide("hierarchy()");
+    return *hierarchy_;
 }
 
 void
@@ -104,16 +127,17 @@ CpuSimulator::invalidateLineMemos()
 void
 CpuSimulator::consume(const isa::MicroOp &op)
 {
+    CacheHierarchy &hier = *hierarchy_;
     counters_.add(PerfEvent::InstRetiredAny);
     counters_.add(PerfEvent::UopsRetiredAll);
 
     // Instruction fetch: one L1I access per retired op; only count a
     // fetch stall for new lines to avoid charging every sequential op.
-    const HitLevel fetch_level = hierarchy_.accessInst(op.pc);
+    const HitLevel fetch_level = hier.accessInst(op.pc);
     footprint_.touch(op.pc);
     unsigned fetch_stall = 0;
     if (fetch_level != HitLevel::L1) {
-        const unsigned latency = hierarchy_.latencyOf(fetch_level);
+        const unsigned latency = hier.latencyOf(fetch_level);
         const unsigned hidden = config_.core.frontendBufferCycles;
         fetch_stall = latency > hidden ? latency - hidden : 0;
     }
@@ -131,13 +155,11 @@ CpuSimulator::consume(const isa::MicroOp &op)
 
     if (op.isLoad()) {
         counters_.add(PerfEvent::MemUopsRetiredAllLoads);
-        const HitLevel level =
-            hierarchy_.accessData(op.effAddr, false, op.pc);
+        const HitLevel level = hier.accessData(op.effAddr, false, op.pc);
         footprint_.touch(op.effAddr);
         // lastDataWayPenalty() is zero unless the L1D way predictor
         // just mispredicted this access's hit way.
-        mem_latency =
-            hierarchy_.latencyOf(level) + hierarchy_.lastDataWayPenalty();
+        mem_latency = hier.latencyOf(level) + hier.lastDataWayPenalty();
         l1_miss = level != HitLevel::L1;
         if (level == HitLevel::Memory)
             dram = 1;
@@ -171,8 +193,7 @@ CpuSimulator::consume(const isa::MicroOp &op)
         }
     } else if (op.isStore()) {
         counters_.add(PerfEvent::MemUopsRetiredAllStores);
-        const HitLevel level =
-            hierarchy_.accessData(op.effAddr, true, op.pc);
+        const HitLevel level = hier.accessData(op.effAddr, true, op.pc);
         footprint_.touch(op.effAddr);
         // Write-allocate RFO read now, dirty writeback later.
         if (level == HitLevel::Memory)
@@ -246,6 +267,7 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
     //  - Counter increments accumulate in locals and flush once per
     //    batch (adds are commutative, observed only at step
     //    boundaries, and batches never straddle a step boundary).
+    CacheHierarchy &hier = *hierarchy_;
     const unsigned inst_shift = static_cast<unsigned>(
         std::countr_zero(config_.hierarchy.l1i.lineBytes));
     const unsigned data_shift = static_cast<unsigned>(
@@ -259,7 +281,7 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
     unsigned lat[4];
     unsigned stall_of[4];
     for (unsigned v = 0; v < 4; ++v) {
-        lat[v] = hierarchy_.latencyOf(static_cast<HitLevel>(v));
+        lat[v] = hier.latencyOf(static_cast<HitLevel>(v));
         stall_of[v] = lat[v] > hidden ? lat[v] - hidden : 0;
     }
     stall_of[static_cast<std::size_t>(HitLevel::L1)] = 0;
@@ -305,10 +327,10 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
     std::uint64_t *__restrict const data_memo = dataMemo_.data();
     std::uint8_t *__restrict const data_memo_dirty =
         dataMemoDirty_.data();
-    const SetAssocCache &l1i = hierarchy_.l1i();
-    const SetAssocCache &l1d = hierarchy_.l1d();
+    const SetAssocCache &l1i = hier.l1i();
+    const SetAssocCache &l1d = hier.l1d();
     const bool data_memo_legal = dataMemoLegal_;
-    const bool way_pred = hierarchy_.hasWayPrediction();
+    const bool way_pred = hier.hasWayPrediction();
 
     std::uint64_t inst_repeat_hits = 0;
     std::uint64_t data_repeat_hits = 0;
@@ -341,7 +363,7 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
         if (inst_memo[iset] == fetch_line) {
             ++inst_repeat_hits;
         } else {
-            const HitLevel fetch_level = hierarchy_.accessInstFast(pc);
+            const HitLevel fetch_level = hier.accessInstFast(pc);
             inst_memo[iset] = fetch_line;
             const unsigned stall =
                 stall_of[static_cast<std::size_t>(fetch_level)];
@@ -365,7 +387,7 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
                 ++data_repeat_hits;
                 ++data_repeat_load_hits;
             } else {
-                level = hierarchy_.accessDataFast(addr, false, pc);
+                level = hier.accessDataFast(addr, false, pc);
                 if (way_pred)
                     way_penalty = l1d.lastWayPenalty();
                 data_memo[dset] = line;
@@ -389,7 +411,7 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
                 ++data_repeat_hits;
             } else {
                 const HitLevel level =
-                    hierarchy_.accessDataFast(addr, true, pc);
+                    hier.accessDataFast(addr, true, pc);
                 data_memo[dset] = line;
                 data_memo_dirty[dset] = 1;
                 // Write-allocate RFO read now, dirty writeback later.
@@ -529,11 +551,11 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
                       fetch_stall, mispred, dram_code, n);
 
     if (inst_repeat_hits != 0)
-        hierarchy_.creditInstHits(inst_repeat_hits);
+        hier.creditInstHits(inst_repeat_hits);
     if (data_repeat_hits != 0)
-        hierarchy_.creditDataHits(data_repeat_hits);
+        hier.creditDataHits(data_repeat_hits);
     if (way_pred && data_repeat_load_hits != 0)
-        hierarchy_.creditDataWayPredictions(data_repeat_load_hits);
+        hier.creditDataWayPredictions(data_repeat_load_hits);
     if (tlb) {
         counters_.add(PerfEvent::ItlbMissesWalk, itlb_walks);
         counters_.add(PerfEvent::DtlbLoadMissesWalk, dtlb_walks);
@@ -589,7 +611,7 @@ CpuSimulator::consumeBatchImported(const trace::MicroOpBatch &lanes,
     // in place. The branch pass below is copied verbatim from
     // consumeBatch and the retire pass is fed by the imported lanes,
     // so this simulator's predictor state and core timing are exact.
-    // The hierarchy and TLBs are never touched.
+    // The hierarchy, if any, and the TLBs are never touched.
     SPEC17_ASSERT(cursor < log.batches.size(),
                   "memory-lane log exhausted: the sibling's batch "
                   "schedule diverged from its leader's");
@@ -659,8 +681,8 @@ CpuSimulator::consumeBatchImported(const trace::MicroOpBatch &lanes,
 
     // Counter flush: cache/TLB deltas from the log, branch counts
     // from this simulator's own branch pass. The hierarchy stat
-    // credits consumeBatch performs are intentionally absent -- this
-    // simulator's hierarchy holds no observable state.
+    // credits consumeBatch performs are intentionally absent -- a
+    // lane importer has no hierarchy to credit.
     if (config_.enableTlb) {
         counters_.add(PerfEvent::ItlbMissesWalk, b.itlbWalks);
         counters_.add(PerfEvent::DtlbLoadMissesWalk, b.dtlbWalks);
@@ -705,33 +727,22 @@ void
 CpuSimulator::prefillData(std::uint64_t base, std::uint64_t bytes,
                           HitLevel level)
 {
+    requireMemorySide("prefillData()");
     SPEC17_ASSERT(level != HitLevel::Memory,
                   "prefill to memory is a no-op");
-    hierarchy_.setL3Context(l3Context_);
+    hierarchy_->setL3Context(l3Context_);
     const unsigned line = config_.hierarchy.l1d.lineBytes;
     const std::uint64_t first = base / line * line;
     for (std::uint64_t addr = first; addr < base + bytes; addr += line)
-        hierarchy_.fillTo(addr, level);
+        hierarchy_->fillTo(addr, level);
     // fillTo can evict the memo'd data line.
-    invalidateLineMemos();
-}
-
-void
-CpuSimulator::copyPrefillFrom(const CpuSimulator &other)
-{
-    // Prefill fills caches only: cloning before any demand traffic
-    // (cycles still zero on both sides) transplants exactly the state
-    // a matching prefillData sequence would have built here.
-    SPEC17_ASSERT(core_.cycles() == 0.0 && other.core_.cycles() == 0.0,
-                  "prefill cloning requires pristine simulators");
-    hierarchy_.copyStateFrom(other.hierarchy_);
-    // fillTo can evict the memo'd lines (same reset as prefillData).
     invalidateLineMemos();
 }
 
 std::uint64_t
 CpuSimulator::step(trace::TraceSource &source, std::uint64_t max_ops)
 {
+    requireMemorySide("step()");
     if (unbatched_)
         return stepUnbatched(source, max_ops);
     return stepBatched(source, max_ops, nullptr, nullptr, nullptr);
@@ -741,6 +752,7 @@ std::uint64_t
 CpuSimulator::stepRecording(trace::TraceSource &source,
                             std::uint64_t max_ops, MemoryLaneLog &log)
 {
+    requireMemorySide("stepRecording()");
     SPEC17_ASSERT(!unbatched_,
                   "lane recording requires the batched lane");
     return stepBatched(source, max_ops, &log, nullptr, nullptr);
@@ -764,8 +776,9 @@ CpuSimulator::stepBatched(trace::TraceSource &source,
 {
     // Re-assert this core's shared-L3 context: a sibling core's chunk
     // may have moved the shared cache's active context since our last
-    // chunk. No-op for a private L3.
-    hierarchy_.setL3Context(l3Context_);
+    // chunk. No-op for a private L3; a lane importer has no L3.
+    if (hierarchy_)
+        hierarchy_->setL3Context(l3Context_);
     std::uint64_t consumed = 0;
     while (consumed < max_ops) {
         // Clamping each batch to the remaining budget keeps step()'s
@@ -809,10 +822,11 @@ std::uint64_t
 CpuSimulator::stepUnbatched(trace::TraceSource &source,
                             std::uint64_t max_ops)
 {
+    requireMemorySide("stepUnbatched()");
     // The per-op lane bypasses the memos' bookkeeping, so they must
     // not survive into a later batched step.
     invalidateLineMemos();
-    hierarchy_.setL3Context(l3Context_);
+    hierarchy_->setL3Context(l3Context_);
     isa::MicroOp op;
     std::uint64_t consumed = 0;
     while (consumed < max_ops && source.next(op)) {

@@ -10,6 +10,7 @@
 #define SPEC17_SIM_SIMULATOR_HH_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "counters/perf_event.hh"
@@ -45,8 +46,9 @@ struct SimResult
  * computes exactly these values -- so a clone-group sibling in
  * multi-point fan-out can import the leader's log (stepImporting)
  * instead of running its own cache, TLB and footprint passes, and
- * needs no prefilled cache state at all. Only the branch unit (and
- * the timing it feeds) runs per sibling.
+ * needs no cache hierarchy at all: the sweep engine builds it in the
+ * lane-importer form. Only the branch unit (and the timing it feeds)
+ * runs per sibling.
  *
  * One log records one stepped chunk; clear() and reuse it per chunk
  * so the lane buffers stay allocated.
@@ -97,10 +99,18 @@ struct MemoryLaneLog
 /**
  * One core with private L1I/L1D/L2 and an (optionally shared) L3.
  * Construct per run; state is not reusable across runs.
+ *
+ * A simulator built in the lane-importer form (see LaneImporter) has
+ * no memory side: it can only stepImporting() a leader's log.
  */
 class CpuSimulator
 {
   public:
+    /** Selects the lane-importer constructor. */
+    struct LaneImporter
+    {
+    };
+
     /**
      * @param config machine description.
      * @param seed randomness seed for stochastic components.
@@ -113,15 +123,8 @@ class CpuSimulator
      *        bit-identical to a fresh construction -- recycling only
      *        skips page-faulting allocations, which dominate
      *        construction cost in multi-point fan-out loops. The
-     *        donor must not be used afterwards.
-     * @param recycle_dirty skip resetting the cache-hierarchy lanes
-     *        at construction; ONLY legal when the caller immediately
-     *        calls copyPrefillFrom() (which copy-assigns the complete
-     *        cache state) before the simulator consumes any traffic.
-     *        Fan-out clone-group siblings pass true: resetting
-     *        megabytes of lanes that the leader's state overwrites a
-     *        moment later is pure memory traffic. Requires a private
-     *        L3 (copyPrefillFrom does too).
+     *        donor must have a memory side (a lane importer has
+     *        nothing to lend) and must not be used afterwards.
      */
     explicit CpuSimulator(const SystemConfig &config,
                           std::uint64_t seed = 0,
@@ -129,19 +132,18 @@ class CpuSimulator
                           = nullptr,
                           std::shared_ptr<MemoryBus> shared_bus
                           = nullptr,
-                          CpuSimulator *recycle = nullptr,
-                          bool recycle_dirty = false);
+                          CpuSimulator *recycle = nullptr);
 
     /**
-     * Clones the cache-hierarchy state from @p other, a simulator
-     * with the identical SystemConfig that has been prefilled (see
-     * prefillData / suite::prefillSteadyState) but has consumed no
-     * demand traffic yet. After the call this simulator observes the
-     * exact state a matching prefill sequence would have built --
-     * multi-point fan-out prefills one group leader per hierarchy
-     * configuration and clones the rest.
+     * Lane-importer form: builds only what stepImporting() reads --
+     * the branch unit, the core model with its private bus, the
+     * footprint tracker, the counters and the mispredict lane. It has
+     * no cache hierarchy, line memos, page-seen filters, staging lanes
+     * or batch buffer, so step(), stepRecording(), stepUnbatched(),
+     * prefillData() and hierarchy() panic on it. Multi-point fan-out
+     * builds every clone-group sibling this way.
      */
-    void copyPrefillFrom(const CpuSimulator &other);
+    CpuSimulator(LaneImporter, const SystemConfig &config);
 
     /** Runs @p source to exhaustion and returns the counters. */
     SimResult run(trace::TraceSource &source);
@@ -202,9 +204,9 @@ class CpuSimulator
      * exact. The footprint stays equal to the leader's provided the
      * two were equal when importing began (both fresh in fan-out:
      * prefill touches no pages) and this simulator imports every
-     * batch the leader records. This simulator's cache hierarchy and
-     * TLBs are never touched (they may hold dirty-recycled garbage;
-     * see the constructor's recycle_dirty). @p cursor indexes
+     * batch the leader records. This simulator's TLBs and cache
+     * hierarchy are never touched; the lane-importer form, which
+     * fan-out builds, has no hierarchy at all. @p cursor indexes
      * log.batches and advances per consumed batch; reset it to 0 with
      * each fresh log. Panics if the batch schedule diverges from the
      * log.
@@ -253,7 +255,8 @@ class CpuSimulator
     SimResult finish(const trace::TraceSource &source);
 
     const CoreModel &core() const { return core_; }
-    const CacheHierarchy &hierarchy() const { return hierarchy_; }
+    /** The memory side; panics on a lane importer, which has none. */
+    const CacheHierarchy &hierarchy() const;
     const BranchUnit &branchUnit() const { return branches_; }
     const FootprintTracker &footprint() const { return footprint_; }
     const Tlb &dtlb() const { return dtlb_; }
@@ -291,9 +294,12 @@ class CpuSimulator
      *  mutation (reference lane, prefill); a cleared memo only costs
      *  one real access per set to re-establish. */
     void invalidateLineMemos();
+    /** Panics, naming @p what, on a lane importer. */
+    void requireMemorySide(const char *what) const;
 
     SystemConfig config_;
-    CacheHierarchy hierarchy_;
+    /** Empty exactly on a lane importer. */
+    std::optional<CacheHierarchy> hierarchy_;
     BranchUnit branches_;
     CoreModel core_;
     FootprintTracker footprint_;

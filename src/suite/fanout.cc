@@ -6,6 +6,7 @@
 #include <mutex>
 #include <optional>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "sim/simulator.hh"
@@ -47,42 +48,30 @@ appendTlbConfig(std::ostringstream &os, const sim::TlbConfig &tlb)
 }
 
 /**
- * Clone-group key of @p hierarchy: serializes every field that
- * shapes post-prefill cache state (all four cache geometries
- * including way predictor, both prefetcher slots, stream geometry).
- * Two points with equal keys may share one prefill via
- * CpuSimulator::copyPrefillFrom.
+ * Lane-import clone key: two points with equal keys (and equal
+ * batchOps, appended by the caller) produce bit-identical memory/TLB
+ * lane streams over the same arena, because nothing on the branch
+ * side feeds back into cache or TLB state. Everything that shapes the
+ * recorded lanes is included -- the full hierarchy (all four cache
+ * geometries including way predictor, both prefetcher slots, stream
+ * geometry), the core parameters (frontendBufferCycles and the op
+ * latencies bake into the recorded stall/latency lanes), and both
+ * TLBs. The branch predictor and TAGE geometry are deliberately
+ * absent: they only influence the per-sim branch pass, which
+ * importing siblings still run themselves.
  */
 std::string
-hierarchyCloneKey(const sim::HierarchyConfig &hierarchy)
+importCloneKey(const sim::SystemConfig &system)
 {
     std::ostringstream os;
+    const sim::HierarchyConfig &hierarchy = system.hierarchy;
     appendCacheConfig(os, hierarchy.l1i);
     appendCacheConfig(os, hierarchy.l1d);
     appendCacheConfig(os, hierarchy.l2);
     appendCacheConfig(os, hierarchy.l3);
     os << hierarchy.memLatency << ";" << hierarchy.prefetcher << ";"
        << hierarchy.l2Prefetcher << ";" << hierarchy.streamDegree << ","
-       << hierarchy.streamDistance;
-    return os.str();
-}
-
-/**
- * Lane-import clone key: two points with equal keys (and equal
- * batchOps, appended by the caller) produce bit-identical memory/TLB
- * lane streams over the same arena, because nothing on the branch
- * side feeds back into cache or TLB state. Everything that shapes the
- * recorded lanes is included -- the full hierarchy, the core
- * parameters (frontendBufferCycles and the op latencies bake into the
- * recorded stall/latency lanes), and both TLBs. The branch predictor
- * and TAGE geometry are deliberately absent: they only influence the
- * per-sim branch pass, which importing siblings still run themselves.
- */
-std::string
-importCloneKey(const sim::SystemConfig &system)
-{
-    std::ostringstream os;
-    os << hierarchyCloneKey(system.hierarchy) << "|";
+       << hierarchy.streamDistance << "|";
     const sim::CoreParams &core = system.core;
     os << core.dispatchWidth << "," << core.robSize << ","
        << core.numMshrs << "," << core.mispredictPenalty << ","
@@ -119,43 +108,67 @@ lockstepEligible(const RunnerOptions &options)
 }
 
 /**
- * Bounded freelist of dead simulators whose heap buffers the next
- * pair's constructions adopt. Recycling is an allocation shortcut
- * only (results are bit-identical to fresh construction), so the
- * freelist can drop donors freely when full.
+ * Bounded freelists of dead clone-group leaders whose heap buffers
+ * (cache lanes, memos, batch and staging lanes) the next pair's
+ * leaders adopt. They hold only simulators with a memory side: a lane
+ * importer has nothing to lend. Recycling is an allocation shortcut
+ * only (results are bit-identical to fresh construction), so a
+ * freelist can drop donors freely when full, and a row that builds
+ * no simulator releases every donor rather than keep them idle.
+ *
+ * Each worker thread recycles only the donors it gave. A buffer
+ * returns to the malloc arena of the thread that allocated it when it
+ * is freed, and glibc gives each thread its own arena: a donor that
+ * wandered to another worker and was freed there would leave its
+ * megabytes resident in an arena the freeing worker never allocates
+ * from, so the peak would depend on thread timing.
  */
 class DonorPool
 {
+    using Donors = std::vector<std::unique_ptr<sim::CpuSimulator>>;
+
   public:
     explicit DonorPool(std::size_t cap) : cap_(cap) {}
 
-    std::vector<std::unique_ptr<sim::CpuSimulator>>
+    /** Takes up to @p n of the calling thread's donors. */
+    Donors
     take(std::size_t n)
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        std::vector<std::unique_ptr<sim::CpuSimulator>> out;
-        while (n-- > 0 && !donors_.empty()) {
-            out.push_back(std::move(donors_.back()));
-            donors_.pop_back();
+        Donors &donors = donors_[std::this_thread::get_id()];
+        Donors out;
+        while (n-- > 0 && !donors.empty()) {
+            out.push_back(std::move(donors.back()));
+            donors.pop_back();
         }
         return out;
     }
 
+    /** Keeps @p sims, up to the cap, for the calling thread. */
     void
-    give(std::vector<std::unique_ptr<sim::CpuSimulator>> sims)
+    give(Donors sims)
     {
         std::lock_guard<std::mutex> lock(mutex_);
+        Donors &donors = donors_[std::this_thread::get_id()];
         for (auto &sim : sims) {
-            if (donors_.size() >= cap_)
+            if (donors.size() >= cap_)
                 return; // drop the rest: recycling is best-effort
-            donors_.push_back(std::move(sim));
+            donors.push_back(std::move(sim));
         }
+    }
+
+    /** Frees every thread's donors. */
+    void
+    release()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        donors_.clear();
     }
 
   private:
     std::size_t cap_;
     std::mutex mutex_;
-    std::vector<std::unique_ptr<sim::CpuSimulator>> donors_;
+    std::map<std::thread::id, Donors> donors_;
 };
 
 /** Releases the traces a row acquired from @p store when the row
@@ -218,15 +231,24 @@ runFanoutPair(const AppInputPair &pair,
     // The multicore interleaver's chunk schedule shapes shared-L3
     // contention, so it runs per session; a malformed profile is a
     // contained per-session failure. Both take the runner's path, as
-    // do sessions the lockstep path cannot serve.
+    // do sessions the lockstep path cannot serve. A row without a
+    // lockstep cell lends the donor pool nothing and borrows nothing
+    // from it, so it frees the pool before its first runPair cell
+    // allocates rather than keep donors idle beside a threaded pair's
+    // MulticoreSimulator.
     const bool replayable = profile.numThreads == 1 && well_formed;
     std::vector<std::size_t> lockstep;
+    std::vector<std::size_t> by_runner;
     for (std::size_t p : active) {
         if (replayable && lockstepEligible(sessions[p].runner.options()))
             lockstep.push_back(p);
         else
-            fallback(p);
+            by_runner.push_back(p);
     }
+    if (lockstep.empty())
+        donors.release();
+    for (std::size_t p : by_runner)
+        fallback(p);
     if (lockstep.empty())
         return;
 
@@ -252,56 +274,41 @@ runFanoutPair(const AppInputPair &pair,
             sources[j] = &replays.emplace_back(arena);
     }
 
-    std::vector<std::unique_ptr<sim::CpuSimulator>> recycled =
-        donors.take(n);
-    std::vector<std::unique_ptr<sim::CpuSimulator>> sims(n);
-    std::map<std::string, std::size_t> import_leaders;
-    std::map<std::string, std::size_t> hier_leaders;
+    // Clone groups: a point matching an earlier point in everything
+    // but the branch side (importCloneKey) is a lane-importing sibling
+    // of that leader. It consumes the leader's recorded memory lanes
+    // during lockstep, so it is built in the lane-importer form, with
+    // no cache hierarchy to prefill, and takes no donor. Each leader
+    // prefills its own hierarchy, adopting a dead leader's buffers
+    // from the pool when one is there.
+    std::map<std::string, std::size_t> leaders;
     std::vector<std::size_t> leader_of(n);
-    std::vector<char> failed(n, 0);
-
     for (std::size_t j = 0; j < n; ++j) {
         const RunnerOptions &point =
             sessions[lockstep[j]].runner.options();
-        std::unique_ptr<sim::CpuSimulator> donor;
-        if (!recycled.empty()) {
-            donor = std::move(recycled.back());
-            recycled.pop_back();
-        }
-        // Clone groups, two tiers. A point matching an earlier point
-        // in everything but the branch side (importCloneKey) becomes
-        // a lane-importing sibling: it consumes the leader's recorded
-        // memory lanes during lockstep, so its own hierarchy is never
-        // accessed -- no prefill, no state copy, and a dirty-recycled
-        // construction whose lanes legitimately stay garbage. A point
-        // matching only the hierarchy (hierarchyCloneKey) still
-        // clones the leader's prefilled cache state instead of
-        // re-filling 30 MiB of lines, then simulates independently.
-        const std::string import_key =
-            importCloneKey(point.system) + "|batch="
+        const std::string key = importCloneKey(point.system) + "|batch="
             + std::to_string(point.batchOps);
-        const auto import_leader = import_leaders.find(import_key);
-        if (import_leader != import_leaders.end()) {
-            leader_of[j] = import_leader->second;
+        leader_of[j] = leaders.emplace(key, j).first->second;
+    }
+    std::vector<std::unique_ptr<sim::CpuSimulator>> recycled =
+        donors.take(leaders.size());
+    std::vector<std::unique_ptr<sim::CpuSimulator>> sims(n);
+    std::vector<char> failed(n, 0);
+    for (std::size_t j = 0; j < n; ++j) {
+        const RunnerOptions &point =
+            sessions[lockstep[j]].runner.options();
+        if (leader_of[j] != j) {
             sims[j] = std::make_unique<sim::CpuSimulator>(
-                point.system, pair_seed, nullptr, nullptr, donor.get(),
-                true);
+                sim::CpuSimulator::LaneImporter{}, point.system);
         } else {
-            leader_of[j] = j;
-            const std::string hier_key =
-                hierarchyCloneKey(point.system.hierarchy);
-            const auto hier_leader = hier_leaders.find(hier_key);
-            const bool clone = hier_leader != hier_leaders.end();
-            sims[j] = std::make_unique<sim::CpuSimulator>(
-                point.system, pair_seed, nullptr, nullptr, donor.get(),
-                clone);
-            if (clone) {
-                sims[j]->copyPrefillFrom(*sims[hier_leader->second]);
-            } else {
-                prefillSteadyState(*sims[j], generator);
-                hier_leaders.emplace(hier_key, j);
+            std::unique_ptr<sim::CpuSimulator> donor;
+            if (!recycled.empty()) {
+                donor = std::move(recycled.back());
+                recycled.pop_back();
             }
-            import_leaders.emplace(import_key, j);
+            sims[j] = std::make_unique<sim::CpuSimulator>(
+                point.system, pair_seed, nullptr, nullptr, donor.get());
+            prefillSteadyState(*sims[j], generator);
         }
         if (point.batchOps != 0)
             sims[j]->setBatchOps(point.batchOps);
@@ -421,7 +428,12 @@ runFanoutPair(const AppInputPair &pair,
             fallback(lockstep[j]);
     }
 
-    donors.give(std::move(sims));
+    std::vector<std::unique_ptr<sim::CpuSimulator>> spent;
+    for (std::size_t j = 0; j < n; ++j) {
+        if (leader_of[j] == j)
+            spent.push_back(std::move(sims[j]));
+    }
+    donors.give(std::move(spent));
 }
 
 } // namespace

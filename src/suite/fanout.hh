@@ -29,12 +29,16 @@
  *     - capture-once/replay-many arenas: the row's trace is generated
  *       once, every cell replays it zero-copy, and each lockstep
  *       chunk is read once for all cells;
- *     - prefill-state cloning: cells sharing a hierarchy form a clone
- *       group -- one leader pays the steady-state prefill, siblings
- *       copy its cache state (CpuSimulator::copyPrefillFrom);
- *     - simulator buffer recycling: dead simulators from the previous
+ *     - lane import: cells that differ only on the branch side form a
+ *       clone group. One leader prefills its hierarchy and records
+ *       the lanes its cache, TLB and footprint passes produce;
+ *       siblings, built in CpuSimulator's lane-importer form with no
+ *       cache hierarchy, import them and run only the branch and
+ *       retire passes (CpuSimulator::stepImporting);
+ *     - simulator buffer recycling: dead leaders from the previous
  *       pair donate their page-faulted heap buffers to the next
- *       pair's constructions.
+ *       pair's leaders. A row with no lockstep cell frees the
+ *       donors before its runPair cells allocate.
  *  - SuiteRunner::runPair, for every other cell: multi-threaded pairs,
  *    malformed profiles, sessions the lockstep path cannot serve, and
  *    any lockstep cell that faults. It carries the full retry and

@@ -370,9 +370,9 @@ TEST(ArenaCapturePolicy, TwoSessionSweepCapturesEachTraceOnce)
     // of a threaded pair -- is captured exactly once, up front, and
     // released when its row ends. The threaded pairs' runPair cells
     // of both sessions find their thread traces instead of generating
-    // them. The sessions differ in batch size only, so their lockstep
-    // cells form a prefill clone group, and both must match the
-    // store-less sweep.
+    // them. The sessions differ in batch size only, so each lockstep
+    // cell leads its own clone group and prefills itself, and both
+    // must match the store-less sweep.
     const auto &suite = workloads::cpu2017Suite();
     RunnerOptions live = laneOptions(1, 0, nullptr);
     live.sampleIntervalOps = 0;

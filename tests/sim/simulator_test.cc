@@ -166,10 +166,12 @@ TEST(Simulator, ImportingSiblingMatchesItsOwnRun)
 {
     // A clone-group sibling differs from its leader only in the branch
     // predictor, so it imports the leader's memory-side lanes and new
-    // footprint pages instead of running those passes. After every
-    // chunk it must read exactly what the same configuration reads
-    // when it simulates the stream itself -- the RSS gauge included,
-    // which random accesses over 64 MiB keep growing.
+    // footprint pages instead of running those passes, and is built
+    // -- as the sweep engine builds it -- in the lane-importer form,
+    // with no cache hierarchy. After every chunk it must read exactly
+    // what the same configuration reads when it simulates the stream
+    // itself -- the RSS gauge included, which random accesses over
+    // 64 MiB keep growing.
     trace::SyntheticTraceParams params;
     params.numOps = 40000;
     params.regions = {
@@ -185,7 +187,8 @@ TEST(Simulator, ImportingSiblingMatchesItsOwnRun)
         trace::SyntheticTraceGenerator sibling_gen(params);
         trace::SyntheticTraceGenerator own_gen(params);
         CpuSimulator leader(machine());
-        CpuSimulator sibling(sibling_config);
+        CpuSimulator sibling(CpuSimulator::LaneImporter{},
+                             sibling_config);
         CpuSimulator own(sibling_config);
         for (CpuSimulator *sim : {&leader, &sibling, &own})
             sim->setBatchOps(batch);
@@ -218,6 +221,20 @@ TEST(Simulator, ImportingSiblingMatchesItsOwnRun)
         EXPECT_NE(sibling.snapshot().get(PerfEvent::BrMispExecAllBranches),
                   leader.snapshot().get(PerfEvent::BrMispExecAllBranches));
     }
+}
+
+TEST(Simulator, LaneImporterOnlyImports)
+{
+    // The lane-importer form builds no cache hierarchy, so every entry
+    // point that needs one refuses it by name instead of touching it.
+    CpuSimulator importer(CpuSimulator::LaneImporter{}, machine());
+    trace::StreamKernel kernel(64 * 1024, 1000);
+    EXPECT_DEATH(importer.step(kernel, 100),
+                 "step\\(\\) on a lane importer");
+    EXPECT_DEATH(importer.prefillData(0, 4096, HitLevel::L2),
+                 "prefillData\\(\\) on a lane importer");
+    EXPECT_DEATH(importer.hierarchy(),
+                 "hierarchy\\(\\) on a lane importer");
 }
 
 TEST(Simulator, IpcHelperMatchesCounters)

@@ -6,8 +6,12 @@
 # and descent plans, the co-run and explorer jobs-1-vs-2 and
 # kill-plus---resume byte comparisons, a predictor x way-predictor
 # cross whose lane-importing points must match live per-point runs at
-# jobs 1 and 2, and a telemetry sweep. Every output lands in OUT_DIR
-# (the CI artifact); any failed check exits nonzero.
+# jobs 1 and 2, and a telemetry sweep. Two runs also hold a peak-RSS
+# ceiling (the child's ru_maxrss, read through python3's resource
+# module): the jobs-1 predictor x way-predictor cross stays under
+# 64 MiB and the store-on threaded cpu2017 sweep under 27 MiB. Every
+# output lands in OUT_DIR (the CI artifact); any failed check exits
+# nonzero.
 #
 # Usage: tools/smoke.sh BUILD_DIR OUT_DIR
 set -euo pipefail
@@ -29,6 +33,22 @@ explore=(--multi-axis=way-predictor,l2-prefetcher --suite=cpu2006
          --size=test "${small[@]}")
 lanes=(--multi-axis=predictor,way-predictor --suite=cpu2006 --size=test
        "${small[@]}")
+
+# Usage: peak_rss LIMIT_MIB LABEL COMMAND...
+# Runs COMMAND, prints its peak RSS and fails when it exceeds LIMIT_MIB.
+peak_rss() {
+  python3 -c '
+import resource, subprocess, sys
+limit, label, command = float(sys.argv[1]), sys.argv[2], sys.argv[3:]
+status = subprocess.call(command)
+if status != 0:
+    sys.exit(status)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"peak RSS of {label}: {peak:.1f} MiB (ceiling {limit:g} MiB)")
+if peak > limit:
+    sys.exit(f"peak RSS of {label} exceeds {limit:g} MiB")
+' "$@"
+}
 
 echo "== hot-path bench: batched vs per-op identity, gated speedup"
 "$bench/bench_hot_path" --pairs=3 --repeats=2 --out=BENCH_hot_path.ci.json
@@ -58,7 +78,10 @@ fi
 "$spec17" fsck torn.csv
 
 echo "== arena store on vs off: a sweep with threaded pairs is identical"
-SPEC17_CACHE=store-on "$spec17" characterize "${sweep17[@]}"
+# The threaded rows free the idle donor simulator before they build
+# their own MulticoreSimulator.
+peak_rss 27 "the store-on cpu2017 sweep" \
+  env SPEC17_CACHE=store-on "$spec17" characterize "${sweep17[@]}"
 SPEC17_CACHE=store-off "$spec17" characterize "${sweep17[@]}" \
   --trace-arena-mb=0
 cmp store-on.cpu2017.test.csv store-off.cpu2017.test.csv
@@ -111,11 +134,14 @@ cmp replay-ref.csv replay-off.csv
 # In predictor x way-predictor, 12 of the 15 points differ from a
 # way-predictor leader only in the branch predictor: with the store on
 # they import the leader's memory-side lanes and footprint pages. The
-# store-off table simulates every point itself.
-for jobs in 1 2; do
-  "$spec17" explore "${lanes[@]}" --no-cache --jobs=$jobs \
-    --explore-out=lanes-j$jobs.csv
-done
+# store-off table simulates every point itself. The importers own no
+# cache hierarchy: each one that built a 30 MB L3 again would add
+# about 8 MiB to the jobs-1 peak.
+peak_rss 64 "the jobs-1 lanes cross" \
+  "$spec17" explore "${lanes[@]}" --no-cache --jobs=1 \
+  --explore-out=lanes-j1.csv
+"$spec17" explore "${lanes[@]}" --no-cache --jobs=2 \
+  --explore-out=lanes-j2.csv
 "$spec17" explore "${lanes[@]}" --no-cache --jobs=2 --trace-arena-mb=0 \
   --explore-out=lanes-off.csv
 cmp lanes-j1.csv lanes-j2.csv
