@@ -263,7 +263,7 @@ void
 SetAssocCache::plruTouch(std::uint64_t set, unsigned way)
 {
     // Walk root-to-leaf, pointing each node away from this way.
-    std::uint8_t *bits = &plruBits_[set * (config_.assoc - 1)];
+    std::uint8_t *bits = plruBits_.data() + set * (config_.assoc - 1);
     unsigned node = 0;
     unsigned lo = 0, hi = config_.assoc;
     while (hi - lo > 1) {
@@ -299,7 +299,8 @@ SetAssocCache::victimWay(std::uint64_t set)
         return victim;
       }
       case ReplacementPolicy::TreePlru: {
-        const std::uint8_t *bits = &plruBits_[set * (config_.assoc - 1)];
+        const std::uint8_t *bits =
+            plruBits_.data() + set * (config_.assoc - 1);
         unsigned node = 0;
         unsigned lo = 0, hi = config_.assoc;
         while (hi - lo > 1) {

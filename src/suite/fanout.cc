@@ -1,6 +1,7 @@
 #include "suite/fanout.hh"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -11,6 +12,7 @@
 
 #include "sim/simulator.hh"
 #include "suite/arena_store.hh"
+#include "telemetry/registry.hh"
 #include "trace/arena.hh"
 #include "util/logging.hh"
 
@@ -21,13 +23,6 @@ using workloads::AppInputPair;
 using workloads::WorkloadProfile;
 
 namespace {
-
-/** Micro-ops per lockstep chunk: small enough that one chunk's arena
- *  slice stays cache-resident while every point consumes it, large
- *  enough to amortize the per-step dispatch. Purely an execution-
- *  strategy constant -- batch-size invariance (the golden identity
- *  tests) makes chunk splits result-neutral. */
-constexpr std::uint64_t kLockstepOps = 16384;
 
 void
 appendCacheConfig(std::ostringstream &os, const sim::CacheConfig &cache)
@@ -91,23 +86,6 @@ importCloneKey(const sim::SystemConfig &system)
 using Row = std::vector<std::optional<PairResult>>;
 
 /**
- * True when @p options let a session's single-threaded cells run as
- * lockstep cells: an arena store is attached, and nothing must
- * observe or interrupt an attempt from inside -- no interval sampling,
- * fault injection or watchdog deadline -- and the batched lane is on
- * (the unbatched reference lane stays the runner's own).
- */
-bool
-lockstepEligible(const RunnerOptions &options)
-{
-    return options.arenaStore != nullptr
-        && options.sampleIntervalOps == 0
-        && options.faultInjector == nullptr
-        && options.pairDeadlineOps == 0 && options.pairDeadlineMs == 0
-        && !options.unbatchedStepping;
-}
-
-/**
  * Bounded freelists of dead clone-group leaders whose heap buffers
  * (cache lanes, memos, batch and staging lanes) the next pair's
  * leaders adopt. They hold only simulators with a memory side: a lane
@@ -130,18 +108,17 @@ class DonorPool
   public:
     explicit DonorPool(std::size_t cap) : cap_(cap) {}
 
-    /** Takes up to @p n of the calling thread's donors. */
-    Donors
-    take(std::size_t n)
+    /** One of the calling thread's donors, or null. */
+    std::unique_ptr<sim::CpuSimulator>
+    take()
     {
         std::lock_guard<std::mutex> lock(mutex_);
         Donors &donors = donors_[std::this_thread::get_id()];
-        Donors out;
-        while (n-- > 0 && !donors.empty()) {
-            out.push_back(std::move(donors.back()));
-            donors.pop_back();
-        }
-        return out;
+        if (donors.empty())
+            return nullptr;
+        std::unique_ptr<sim::CpuSimulator> donor = std::move(donors.back());
+        donors.pop_back();
+        return donor;
     }
 
     /** Keeps @p sims, up to the cap, for the calling thread. */
@@ -228,19 +205,21 @@ runFanoutPair(const AppInputPair &pair,
         }
     }
 
-    // The multicore interleaver's chunk schedule shapes shared-L3
-    // contention, so it runs per session; a malformed profile is a
-    // contained per-session failure. Both take the runner's path, as
-    // do sessions the lockstep path cannot serve. A row without a
-    // lockstep cell lends the donor pool nothing and borrows nothing
-    // from it, so it frees the pool before its first runPair cell
-    // allocates rather than keep donors idle beside a threaded pair's
-    // MulticoreSimulator.
-    const bool replayable = profile.numThreads == 1 && well_formed;
+    // With a store, every single-threaded, well-formed cell runs in
+    // lockstep unless its session injects faults: the injector's
+    // once-per-attempt consult and its retries belong to runPair. A
+    // threaded pair runs per session (the multicore interleaver's
+    // chunk schedule shapes shared-L3 contention), and so does every
+    // cell of a store-less sweep, the per-point reference. A row with
+    // no lockstep cell frees the donor pool before its first runPair
+    // cell allocates, rather than keep donors idle beside it.
+    const bool replayable = base.arenaStore != nullptr
+        && profile.numThreads == 1 && well_formed;
     std::vector<std::size_t> lockstep;
     std::vector<std::size_t> by_runner;
     for (std::size_t p : active) {
-        if (replayable && lockstepEligible(sessions[p].runner.options()))
+        if (replayable
+            && sessions[p].runner.options().faultInjector == nullptr)
             lockstep.push_back(p);
         else
             by_runner.push_back(p);
@@ -267,170 +246,87 @@ runFanoutPair(const AppInputPair &pair,
     SPEC17_ASSERT(arena != nullptr || n == 1,
                   "lockstep cells without an arena to share");
     std::vector<trace::ReplaySource> replays;
-    std::vector<trace::TraceSource *> sources(n, &generator);
-    if (arena != nullptr) {
-        replays.reserve(n);
-        for (std::size_t j = 0; j < n; ++j)
-            sources[j] = &replays.emplace_back(arena);
-    }
+    replays.reserve(n);
 
     // Clone groups: a point matching an earlier point in everything
     // but the branch side (importCloneKey) is a lane-importing sibling
-    // of that leader. It consumes the leader's recorded memory lanes
-    // during lockstep, so it is built in the lane-importer form, with
-    // no cache hierarchy to prefill, and takes no donor. Each leader
+    // of that leader. It consumes the leader's recorded memory lanes,
+    // so it is built in the lane-importer form, with no cache
+    // hierarchy to prefill, and takes no donor. A sampled or unbatched
+    // cell leads its own group: its registry reads the hierarchy an
+    // importer lacks, and only the batched lane records. Each leader
     // prefills its own hierarchy, adopting a dead leader's buffers
     // from the pool when one is there.
     std::map<std::string, std::size_t> leaders;
-    std::vector<std::size_t> leader_of(n);
-    for (std::size_t j = 0; j < n; ++j) {
-        const RunnerOptions &point =
-            sessions[lockstep[j]].runner.options();
-        const std::string key = importCloneKey(point.system) + "|batch="
-            + std::to_string(point.batchOps);
-        leader_of[j] = leaders.emplace(key, j).first->second;
-    }
-    std::vector<std::unique_ptr<sim::CpuSimulator>> recycled =
-        donors.take(leaders.size());
+    std::vector<LockstepCell> cells(n);
     std::vector<std::unique_ptr<sim::CpuSimulator>> sims(n);
-    std::vector<char> failed(n, 0);
+    std::vector<std::unique_ptr<telemetry::MetricsRegistry>> registries(n);
     for (std::size_t j = 0; j < n; ++j) {
         const RunnerOptions &point =
             sessions[lockstep[j]].runner.options();
-        if (leader_of[j] != j) {
+        cells[j].leader = j;
+        if (point.sampleIntervalOps == 0 && !point.unbatchedStepping) {
+            const std::string key = importCloneKey(point.system)
+                + "|batch=" + std::to_string(point.batchOps);
+            cells[j].leader = leaders.emplace(key, j).first->second;
+        }
+        if (cells[j].leader != j) {
             sims[j] = std::make_unique<sim::CpuSimulator>(
                 sim::CpuSimulator::LaneImporter{}, point.system);
         } else {
-            std::unique_ptr<sim::CpuSimulator> donor;
-            if (!recycled.empty()) {
-                donor = std::move(recycled.back());
-                recycled.pop_back();
-            }
+            const std::unique_ptr<sim::CpuSimulator> donor = donors.take();
             sims[j] = std::make_unique<sim::CpuSimulator>(
                 point.system, pair_seed, nullptr, nullptr, donor.get());
             prefillSteadyState(*sims[j], generator);
         }
         if (point.batchOps != 0)
             sims[j]->setBatchOps(point.batchOps);
+        sims[j]->setUnbatchedStepping(point.unbatchedStepping);
+        cells[j].simulator = sims[j].get();
+        cells[j].source = &generator;
+        if (arena != nullptr)
+            cells[j].source = &replays.emplace_back(arena);
+        // The runner's column order: the simulator's metrics, then
+        // the consumed source's emission counter.
+        if (point.sampleIntervalOps > 0) {
+            registries[j] = std::make_unique<telemetry::MetricsRegistry>();
+            telemetry::registerSimulatorMetrics(*registries[j], *sims[j]);
+            std::function<std::uint64_t()> emitted = [&generator] {
+                return generator.emittedOps();
+            };
+            if (arena != nullptr)
+                emitted = [r = &replays.back()] { return r->deliveredOps(); };
+            telemetry::registerTraceMetrics(*registries[j],
+                                            std::move(emitted));
+            cells[j].registry = registries[j].get();
+        }
     }
 
-    // Per-leader lane logs, recorded fresh each lockstep chunk.
-    // Leaders without siblings skip recording entirely. A sibling is
-    // marked failed as soon as its leader fails, BEFORE it would
-    // consume the (then partial) log; the fallback below reruns it on
-    // the ordinary per-point path.
-    std::vector<std::size_t> group_size(n, 0);
-    for (std::size_t j = 0; j < n; ++j)
-        ++group_size[leader_of[j]];
-    std::vector<sim::MemoryLaneLog> logs(n);
-    std::vector<std::size_t> cursors(n, 0);
-    const auto step_lockstep = [&](std::size_t j,
-                                   std::uint64_t chunk) {
-        const std::size_t lead = leader_of[j];
-        if (lead == j) {
-            if (group_size[j] > 1) {
-                logs[j].clear();
-                return sims[j]->stepRecording(*sources[j], chunk,
-                                              logs[j]);
-            }
-            return sims[j]->step(*sources[j], chunk);
-        }
-        cursors[j] = 0;
-        return sims[j]->stepImporting(*sources[j], chunk, logs[lead],
-                                      cursors[j]);
-    };
-
-    // Lockstep warmup: all points consume the same arena slice chunk
-    // by chunk, splitting exactly at the warmup boundary. Batch-size
-    // invariance makes the chunking result-neutral.
-    std::vector<counters::CounterSet> warm(n);
-    std::vector<double> warm_cycles(n, 0.0);
-    std::uint64_t warmed = 0;
-    while (warmed < base.warmupOps) {
-        const std::uint64_t chunk =
-            std::min(kLockstepOps, base.warmupOps - warmed);
-        for (std::size_t j = 0; j < n; ++j) {
-            if (failed[j])
-                continue;
-            if (leader_of[j] != j && failed[leader_of[j]]) {
-                failed[j] = 1;
-                continue;
-            }
-            try {
-                step_lockstep(j, chunk);
-            } catch (...) {
-                failed[j] = 1;
-            }
-        }
-        warmed += chunk;
-    }
+    const std::vector<LockstepOutcome> outcomes = runLockstep(cells, base);
     for (std::size_t j = 0; j < n; ++j) {
-        if (failed[j])
-            continue;
-        warm[j] = sims[j]->snapshot();
-        warm_cycles[j] = sims[j]->core().cycles();
-    }
-
-    // Lockstep measurement until every replay cursor drains. All
-    // cursors walk the same arena, so the points stay within one
-    // chunk of each other and each slice is read while still hot.
-    // Siblings drain exactly when their leader does (identical
-    // sources), so a live sibling never outruns its leader's log.
-    bool all_drained = false;
-    std::vector<char> drained(n, 0);
-    while (!all_drained) {
-        all_drained = true;
-        for (std::size_t j = 0; j < n; ++j) {
-            if (failed[j] || drained[j])
-                continue;
-            if (leader_of[j] != j && failed[leader_of[j]]) {
-                failed[j] = 1;
-                continue;
-            }
-            try {
-                const std::uint64_t got =
-                    step_lockstep(j, kLockstepOps);
-                if (got < kLockstepOps)
-                    drained[j] = 1;
-                else
-                    all_drained = false;
-            } catch (...) {
-                failed[j] = 1;
-            }
-        }
-    }
-
-    for (std::size_t j = 0; j < n; ++j) {
-        if (failed[j])
-            continue;
         const std::size_t p = lockstep[j];
+        const RunnerOptions &options = sessions[p].runner.options();
+        PairResult result = makePairResult(pair);
         try {
-            // The exact measurement tail of the runner's single-core
-            // attempt.
-            PairResult result = makePairResult(pair);
-            finalizePairResult(
-                sessions[p].runner.options(),
-                finishMeasuredWindow(*sims[j], *sources[j], warm[j],
-                                     warm_cycles[j]),
-                result);
-            row[p] = std::move(result);
+            if (outcomes[j].error)
+                std::rethrow_exception(outcomes[j].error);
+            finalizePairResult(options, outcomes[j].window, result);
         } catch (...) {
-            failed[j] = 1;
+            // A faulted cell reruns on the ordinary per-point path,
+            // which reproduces the failure containment (retries,
+            // failure records, errored results) byte-identically.
+            fallback(p);
+            continue;
         }
-    }
-
-    // Faulted cells rerun on the ordinary per-point path, which
-    // reproduces the failure containment (retries, failure records,
-    // errored results) byte-identically -- the fault is
-    // deterministic, so the rerun diagnoses what the cell hit.
-    for (std::size_t j = 0; j < n; ++j) {
-        if (failed[j])
-            fallback(lockstep[j]);
+        result.series = outcomes[j].series;
+        if (options.telemetrySink != nullptr && result.series != nullptr)
+            options.telemetrySink->write(result.name, *result.series);
+        row[p] = std::move(result);
     }
 
     std::vector<std::unique_ptr<sim::CpuSimulator>> spent;
     for (std::size_t j = 0; j < n; ++j) {
-        if (leader_of[j] == j)
+        if (cells[j].leader == j)
             spent.push_back(std::move(sims[j]));
     }
     donors.give(std::move(spent));
@@ -449,10 +345,16 @@ runFanoutSweep(const std::vector<FanoutSession> &sessions,
     const ShardSpec shard = sessions.front().cache.shard();
     for (const FanoutSession &session : sessions) {
         const RunnerOptions &options = session.runner.options();
+        // The chunk schedule and the watchdog are the row's, so the
+        // sessions share sampling and deadlines too.
         SPEC17_ASSERT(options.arenaStore == base.arenaStore
                           && options.sampleOps == base.sampleOps
                           && options.warmupOps == base.warmupOps
-                          && options.seed == base.seed,
+                          && options.seed == base.seed
+                          && options.sampleIntervalOps
+                              == base.sampleIntervalOps
+                          && options.pairDeadlineOps == base.pairDeadlineOps
+                          && options.pairDeadlineMs == base.pairDeadlineMs,
                       "sweep sessions must agree on every non-system "
                       "runner knob");
         SPEC17_ASSERT(session.cache.shard().index == shard.index

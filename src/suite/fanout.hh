@@ -8,48 +8,40 @@
  *
  * Each row (one pair under every session still running it) decides
  * once whether to capture, because a capture copies the whole trace
- * and only pays when a second cell reads it:
- *  - a row with two or more cells acquires each of the pair's traces
- *    from the arena store (suite/arena_store.hh) before any cell runs
- *    -- every thread's, for a threaded pair -- so lockstep cells
- *    replay it and runPair cells find it, and releases them when it
- *    ends: no row reads another's pair, so a sweep holds only its
- *    running rows' arenas;
- *  - a row with one cell -- every row of a one-session sweep
- *    (ResultCache::runOrLoad) and of explore's resume tails --
- *    captures nothing: the cell replays what the store already holds
- *    and otherwise generates live.
+ * and only pays when a second cell reads it. A row with two or more
+ * cells acquires each of the pair's traces -- every thread's, for a
+ * threaded pair -- from the arena store (suite/arena_store.hh) before
+ * any cell runs and releases them when it ends, so a sweep holds only
+ * its running rows' arenas. A row with one cell -- every row of a
+ * one-session sweep and of explore's resume tails -- captures
+ * nothing: it replays what the store already holds, else generates
+ * live.
  *
- * Each cell (one pair under one session) takes one of two paths:
- *  - lockstep, for a single-threaded pair of a session that can run
- *    with nothing observing or interrupting the attempt (an arena
- *    store attached; no interval sampling, fault injection, watchdog
- *    deadline or unbatched reference lane). Three cost levers compose
- *    here (docs/performance.md):
- *     - capture-once/replay-many arenas: the row's trace is generated
- *       once, every cell replays it zero-copy, and each lockstep
- *       chunk is read once for all cells;
- *     - lane import: cells that differ only on the branch side form a
- *       clone group. One leader prefills its hierarchy and records
- *       the lanes its cache, TLB and footprint passes produce;
- *       siblings, built in CpuSimulator's lane-importer form with no
- *       cache hierarchy, import them and run only the branch and
- *       retire passes (CpuSimulator::stepImporting);
- *     - simulator buffer recycling: dead leaders from the previous
- *       pair donate their page-faulted heap buffers to the next
- *       pair's leaders. A row with no lockstep cell frees the
- *       donors before its runPair cells allocate.
- *  - SuiteRunner::runPair, for every other cell: multi-threaded pairs,
- *    malformed profiles, sessions the lockstep path cannot serve, and
- *    any lockstep cell that faults. It carries the full retry and
- *    failure-record semantics.
+ * With a store, a row steps each single-threaded, well-formed cell
+ * (one pair under one session) whose session injects no faults in one
+ * runLockstep() call (suite/runner.hh), the loop every runPair attempt
+ * steps its one cell with. Three cost levers compose there
+ * (docs/performance.md):
+ *  - capture-once/replay-many arenas: every cell replays the row's
+ *    trace zero-copy, and each lockstep chunk is read once for all;
+ *  - lane import: batched, unsampled cells that differ only on the
+ *    branch side form a clone group. Its leader records the lanes its
+ *    cache, TLB and footprint passes produce; its siblings, built in
+ *    CpuSimulator's lane-importer form with no cache hierarchy, import
+ *    them and run only the branch and retire passes;
+ *  - simulator buffer recycling: dead leaders donate their page-faulted
+ *    heap buffers to the next pair's leaders. A row with no lockstep
+ *    cell frees the donors before its runPair cells allocate.
+ * Every other cell -- threaded pairs, malformed profiles, fault-injected
+ * sessions, all of a store-less sweep, and any lockstep cell that
+ * fails -- runs through its session's SuiteRunner::runPair, with the
+ * full retry and failure-record semantics.
  *
- * Identity by construction: lockstep cells reuse the runner's own
- * derivations (attemptBuildOptions, pairSimSeed, prefillSteadyState,
- * finishMeasuredWindow, finalizePairResult) and replay is draw-for-
- * draw identical to live generation, so every session's results and
- * journal bytes are identical to running each of its pairs through
- * its runner's runPair(), at any job count.
+ * Identity by construction: rows reuse the runner's own derivations
+ * and stepping loop, and replay is draw-for-draw identical to live
+ * generation, so every session's results, journal bytes and telemetry
+ * series equal running each of its pairs through its runPair(), at
+ * any job count.
  */
 
 #ifndef SPEC17_SUITE_FANOUT_HH_

@@ -59,8 +59,7 @@ prefillSteadyState(sim::CpuSimulator &core,
 PairTrace
 openTrace(const trace::SyntheticTraceParams &params,
           std::shared_ptr<const trace::TraceArena> arena,
-          const bool *cancel, telemetry::MetricsRegistry *registry,
-          const std::string &prefix)
+          telemetry::MetricsRegistry *registry, const std::string &prefix)
 {
     PairTrace opened;
     opened.generator =
@@ -69,11 +68,9 @@ openTrace(const trace::SyntheticTraceParams &params,
     if (arena != nullptr) {
         auto replay = std::make_shared<trace::ReplaySource>(
             std::move(arena), params.addressOffset);
-        replay->setCancelFlag(cancel);
         emitted = [r = replay.get()] { return r->deliveredOps(); };
         opened.source = std::move(replay);
     } else {
-        opened.generator->setCancelFlag(cancel);
         emitted = [g = opened.generator.get()] {
             return g->emittedOps();
         };
@@ -83,23 +80,6 @@ openTrace(const trace::SyntheticTraceParams &params,
         telemetry::registerTraceMetrics(*registry, std::move(emitted),
                                         prefix);
     return opened;
-}
-
-sim::SimResult
-finishMeasuredWindow(sim::CpuSimulator &simulator,
-                     trace::TraceSource &source, const CounterSet &warm,
-                     double warm_cycles)
-{
-    sim::SimResult sim_result = simulator.finish(source);
-    // VSZ is a level, not a count: keep finish()'s value rather than
-    // its difference from the warm baseline.
-    const std::uint64_t vsz = sim_result.counters.get(PerfEvent::VszBytes);
-    sim_result.counters = sim_result.counters.diff(warm);
-    sim_result.counters.set(PerfEvent::VszBytes, vsz);
-    sim_result.counters.set(PerfEvent::RssBytes,
-                            simulator.footprint().rssBytes());
-    sim_result.cycles -= warm_cycles;
-    return sim_result;
 }
 
 std::string
@@ -211,55 +191,181 @@ SuiteRunner::configKey() const
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+/** Micro-ops per lockstep chunk: small enough that one chunk's arena
+ *  slice stays cache-resident while every cell of a row reads it,
+ *  large enough to amortize the per-step dispatch. */
+constexpr std::uint64_t kLockstepOps = 16384;
+
 /**
- * Per-attempt watchdog: deterministic micro-op budget plus a coarse
- * wall-clock limit. Consulted at chunk boundaries of the simulation
- * loop; on expiry it raises a Deadline failure carrying how far the
- * attempt got.
+ * The per-attempt watchdog, checked after every chunk: throws a
+ * Deadline failure carrying how far the attempt got once
+ * @p executed_ops pass the op budget (deterministic) or @p spent, the
+ * attempt's time so far, passes the coarse wall-clock budget.
  */
-class Watchdog
+void
+checkDeadline(const RunnerOptions &options, std::uint64_t executed_ops,
+              Clock::duration spent)
 {
-  public:
-    Watchdog(std::uint64_t op_budget, std::uint64_t ms_budget)
-        : opBudget_(op_budget), msBudget_(ms_budget),
-          start_(std::chrono::steady_clock::now())
-    {
+    if (options.pairDeadlineOps != 0
+        && executed_ops > options.pairDeadlineOps) {
+        std::ostringstream os;
+        os << "op budget expired: " << executed_ops << " > "
+           << options.pairDeadlineOps << " micro-ops";
+        throw PairExecutionError(FailureCategory::Deadline, os.str(),
+                                 executed_ops);
     }
-
-    void
-    check(std::uint64_t executed_ops, bool &cancel_flag) const
-    {
-        if (opBudget_ != 0 && executed_ops > opBudget_) {
-            cancel_flag = true;
-            std::ostringstream os;
-            os << "op budget expired: " << executed_ops << " > "
-               << opBudget_ << " micro-ops";
-            throw PairExecutionError(FailureCategory::Deadline,
-                                     os.str(), executed_ops);
-        }
-        if (msBudget_ != 0) {
-            const auto elapsed =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    std::chrono::steady_clock::now() - start_)
-                    .count();
-            if (static_cast<std::uint64_t>(elapsed) > msBudget_) {
-                cancel_flag = true;
-                std::ostringstream os;
-                os << "wall-clock budget expired: " << elapsed << " > "
-                   << msBudget_ << " ms";
-                throw PairExecutionError(FailureCategory::Deadline,
-                                         os.str(), executed_ops);
-            }
-        }
+    const auto elapsed =
+        std::chrono::duration_cast<std::chrono::milliseconds>(spent)
+            .count();
+    if (options.pairDeadlineMs != 0
+        && static_cast<std::uint64_t>(elapsed) > options.pairDeadlineMs) {
+        std::ostringstream os;
+        os << "wall-clock budget expired: " << elapsed << " > "
+           << options.pairDeadlineMs << " ms";
+        throw PairExecutionError(FailureCategory::Deadline, os.str(),
+                                 executed_ops);
     }
-
-  private:
-    std::uint64_t opBudget_;
-    std::uint64_t msBudget_;
-    std::chrono::steady_clock::time_point start_;
-};
+}
 
 } // namespace
+
+std::vector<LockstepOutcome>
+runLockstep(const std::vector<LockstepCell> &cells,
+            const RunnerOptions &options)
+{
+    struct State
+    {
+        std::uint64_t executed = 0;
+        Clock::duration spent = Clock::duration::zero();
+        bool drained = false;
+        std::size_t group = 0; //!< cells on this one's memory side
+        sim::MemoryLaneLog log; //!< recorded fresh each chunk
+        CounterSet warm;
+        double warmCycles = 0.0;
+        std::uint64_t warmOps = 0;
+        std::unique_ptr<telemetry::IntervalSampler> sampler;
+    };
+    const std::size_t n = cells.size();
+    const bool timed = options.pairDeadlineMs != 0;
+    const std::uint64_t budget = options.pairDeadlineOps;
+    std::vector<LockstepOutcome> out(n);
+    std::vector<State> states(n);
+    for (const LockstepCell &cell : cells)
+        ++states[cell.leader].group;
+
+    // Every running cell has executed `done` ops. Steps each by one
+    // chunk, cut at the op budget's first op past it, then checks its
+    // watchdog and feeds its sampler. A sibling fails with its leader,
+    // BEFORE it would import the (then partial) log. Returns whether
+    // any cell still runs.
+    std::uint64_t done = 0;
+    const auto step_row = [&](std::uint64_t chunk) {
+        if (budget != 0 && budget - done < chunk)
+            chunk = budget - done + 1;
+        done += chunk;
+        bool running = false;
+        for (std::size_t j = 0; j < n; ++j) {
+            const LockstepCell &cell = cells[j];
+            State &state = states[j];
+            if (!out[j].error)
+                out[j].error = out[cell.leader].error;
+            if (out[j].error || state.drained)
+                continue;
+            try {
+                const Clock::time_point start =
+                    timed ? Clock::now() : Clock::time_point();
+                std::uint64_t got;
+                if (cell.leader != j) {
+                    std::size_t cursor = 0;
+                    got = cell.simulator->stepImporting(
+                        *cell.source, chunk, states[cell.leader].log,
+                        cursor);
+                } else if (state.group > 1) {
+                    state.log.clear();
+                    got = cell.simulator->stepRecording(*cell.source,
+                                                        chunk, state.log);
+                } else {
+                    got = cell.simulator->step(*cell.source, chunk);
+                }
+                if (timed)
+                    state.spent += Clock::now() - start;
+                state.executed += got;
+                checkDeadline(options, state.executed, state.spent);
+                if (state.sampler)
+                    state.sampler->onProgress(state.executed
+                                              - state.warmOps);
+                state.drained = got < chunk;
+                running = running || !state.drained;
+            } catch (...) {
+                out[j].error = std::current_exception();
+            }
+        }
+        return running;
+    };
+
+    const std::uint64_t warmup = options.warmupOps;
+    bool running = n > 0;
+    while (running && done < warmup)
+        running = step_row(std::min(kLockstepOps, warmup - done));
+
+    // The sampler's baseline lands exactly at the end of warmup, so
+    // interval deltas sum to the measured-window aggregates.
+    for (std::size_t j = 0; j < n; ++j) {
+        State &state = states[j];
+        if (out[j].error)
+            continue;
+        state.warm = cells[j].simulator->snapshot();
+        state.warmCycles = cells[j].simulator->core().cycles();
+        state.warmOps = state.executed;
+        if (cells[j].registry != nullptr) {
+            state.sampler = std::make_unique<telemetry::IntervalSampler>(
+                *cells[j].registry, options.sampleIntervalOps,
+                telemetry::defaultDerivedSpecs());
+            state.sampler->begin();
+        }
+    }
+
+    // Chunks end on every sampling boundary, so rows land on exact
+    // micro-op counts without perturbing the simulated stream.
+    const std::uint64_t interval = options.sampleIntervalOps;
+    while (running) {
+        const std::uint64_t to_boundary =
+            interval == 0 ? kLockstepOps
+                          : interval - (done - warmup) % interval;
+        running = step_row(std::min(kLockstepOps, to_boundary));
+    }
+
+    for (std::size_t j = 0; j < n; ++j) {
+        sim::CpuSimulator &simulator = *cells[j].simulator;
+        const State &state = states[j];
+        if (out[j].error)
+            continue;
+        try {
+            if (state.sampler)
+                state.sampler->finish(state.executed - state.warmOps);
+            sim::SimResult window = simulator.finish(*cells[j].source);
+            // VSZ is a level, not a count: keep finish()'s value rather
+            // than its difference from the warm baseline.
+            const std::uint64_t vsz =
+                window.counters.get(PerfEvent::VszBytes);
+            window.counters = window.counters.diff(state.warm);
+            window.counters.set(PerfEvent::VszBytes, vsz);
+            window.counters.set(PerfEvent::RssBytes,
+                                simulator.footprint().rssBytes());
+            window.cycles -= state.warmCycles;
+            out[j].window = std::move(window);
+            if (state.sampler)
+                out[j].series =
+                    std::make_shared<const telemetry::TimeSeries>(
+                        state.sampler->series());
+        } catch (...) {
+            out[j].error = std::current_exception();
+        }
+    }
+    return out;
+}
 
 workloads::BuildOptions
 attemptBuildOptions(const RunnerOptions &options, unsigned attempt)
@@ -381,15 +487,11 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
 
     const std::uint64_t pair_seed = pairSimSeed(pair, build.seed);
 
-    const Watchdog watchdog(options_.pairDeadlineOps,
-                            options_.pairDeadlineMs);
-    bool cancelled = false;
-
     // An attempt is one read of each trace, so it replays only what
     // the store already holds -- a sweep row with a second reader
     // acquired it -- and otherwise generates live. It never captures,
-    // so a fault-injected runaway is generated under the watchdog's
-    // cooperative cancel, never captured to completion.
+    // so a fault-injected runaway is generated under the watchdog,
+    // never captured to completion.
     const auto arena_of = [this](const trace::SyntheticTraceParams &params)
         -> std::shared_ptr<const trace::TraceArena> {
         return options_.arenaStore != nullptr
@@ -401,9 +503,9 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
     if (profile.numThreads > 1) {
         // The multicore interleaver runs to completion in one call, so
         // the op budget is enforced up front against the statically
-        // known total; cooperative cancellation still bounds the
-        // generators if the budget trips after the fact.
-        watchdog.check(build.sampleOps, cancelled);
+        // known total, and the wall clock after the run.
+        const Clock::time_point started = Clock::now();
+        checkDeadline(options_, build.sampleOps, Clock::duration::zero());
         sim::MulticoreSimulator multicore(options_.system,
                                           profile.numThreads, pair_seed);
 
@@ -428,8 +530,8 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
             const trace::SyntheticTraceParams params =
                 workloads::buildTraceParams(pair, build, t);
             const PairTrace trace =
-                openTrace(params, arena_of(params), &cancelled,
-                          registry.get(), "core" + std::to_string(t) + ".");
+                openTrace(params, arena_of(params), registry.get(),
+                          "core" + std::to_string(t) + ".");
             prefillSteadyState(core, *trace.generator);
             sources.push_back(trace.source);
         }
@@ -460,9 +562,9 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
                 std::make_shared<const telemetry::TimeSeries>(
                     sampler->series());
         }
-        watchdog.check(
-            sim_result.counters.get(PerfEvent::InstRetiredAny),
-            cancelled);
+        checkDeadline(options_,
+                      sim_result.counters.get(PerfEvent::InstRetiredAny),
+                      Clock::now() - started);
     } else {
         sim::CpuSimulator simulator(options_.system, pair_seed);
         if (options_.batchOps != 0)
@@ -475,54 +577,17 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
         }
         const trace::SyntheticTraceParams params =
             workloads::buildTraceParams(pair, build, 0);
-        const PairTrace trace = openTrace(params, arena_of(params),
-                                          &cancelled, registry.get());
-        trace::TraceSource &source = *trace.source;
+        const PairTrace trace =
+            openTrace(params, arena_of(params), registry.get());
         prefillSteadyState(simulator, *trace.generator);
-        std::uint64_t executed =
-            simulator.step(source, options_.warmupOps);
-        watchdog.check(executed, cancelled);
-        const CounterSet warm = simulator.snapshot();
-        const double warm_cycles = simulator.core().cycles();
-
-        // Interval telemetry: the baseline lands exactly at the end
-        // of warmup, so interval deltas sum to the measured-window
-        // aggregates. Chunks are capped at the next boundary, which
-        // keeps samples on exact micro-op boundaries (determinism)
-        // without perturbing the simulated stream.
-        std::unique_ptr<telemetry::IntervalSampler> sampler;
-        if (registry) {
-            sampler = std::make_unique<telemetry::IntervalSampler>(
-                *registry, options_.sampleIntervalOps,
-                telemetry::defaultDerivedSpecs());
-            sampler->begin();
-        }
-
-        constexpr std::uint64_t kChunk = 1 << 20;
-        std::uint64_t measured = 0;
-        while (true) {
-            std::uint64_t chunk = kChunk;
-            if (sampler) {
-                chunk = std::min(
-                    chunk, sampler->opsUntilNextSample(measured));
-            }
-            const std::uint64_t done = simulator.step(source, chunk);
-            executed += done;
-            measured += done;
-            watchdog.check(executed, cancelled);
-            if (sampler)
-                sampler->onProgress(measured);
-            if (done < chunk)
-                break;
-        }
-        if (sampler) {
-            sampler->finish(measured);
-            result.series =
-                std::make_shared<const telemetry::TimeSeries>(
-                    sampler->series());
-        }
-        sim_result =
-            finishMeasuredWindow(simulator, source, warm, warm_cycles);
+        LockstepOutcome cell = std::move(
+            runLockstep({{&simulator, trace.source.get(), registry.get()}},
+                        options_)
+                .front());
+        if (cell.error)
+            std::rethrow_exception(cell.error);
+        sim_result = cell.window;
+        result.series = std::move(cell.series);
     }
 
     finalizePairResult(options_, sim_result, result);

@@ -14,6 +14,7 @@
 #define SPEC17_SUITE_RUNNER_HH_
 
 #include <atomic>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -72,15 +73,12 @@ struct PairTrace
  * what the store already holds, unshifted, and never captures; the
  * co-run engine passes acquire()'s for the member's context-0 trace,
  * which its solo baseline and every group at every context read, each
- * context shifted to its own address space. @p cancel (may be null)
- * is the watchdog's cooperative cancel flag, installed on the
- * consumed source, so it acts on replay and live generation alike.
- * With a @p registry, the source's emission counter is registered
- * there as "<prefix>trace.emitted".
+ * context shifted to its own address space. With a @p registry, the
+ * source's emission counter is registered there as
+ * "<prefix>trace.emitted".
  */
 PairTrace openTrace(const trace::SyntheticTraceParams &params,
                     std::shared_ptr<const trace::TraceArena> arena,
-                    const bool *cancel = nullptr,
                     telemetry::MetricsRegistry *registry = nullptr,
                     const std::string &prefix = "");
 
@@ -225,13 +223,16 @@ struct RunnerOptions
     unsigned maxRetries = 0;
     /**
      * Watchdog: micro-op budget per attempt, detecting runaway trace
-     * generation deterministically. 0 disables. Must comfortably
-     * exceed sampleOps + warmupOps or every pair trips it.
+     * generation deterministically; an expiry reports exactly
+     * pairDeadlineOps + 1 ops. 0 disables. Must comfortably exceed
+     * sampleOps + warmupOps or every pair trips it.
      */
     std::uint64_t pairDeadlineOps = 0;
-    /** Watchdog: wall-clock budget per attempt in ms (0 disables).
-     *  Catches genuine stalls; unlike the op budget it is inherently
-     *  non-deterministic, so keep it generous. */
+    /** Watchdog: wall-clock budget per attempt in ms (0 disables);
+     *  a single-threaded attempt counts only its own steps, never a
+     *  sweep row's other cells'. Catches genuine stalls; unlike the
+     *  op budget it is inherently non-deterministic, so keep it
+     *  generous. */
     std::uint64_t pairDeadlineMs = 0;
     /** Base delay before retry attempt k of 2^(k-1) * this (ms),
      *  with the exponent clamped (kMaxBackoffExponent) and the delay
@@ -390,10 +391,13 @@ struct PairResult
 
 /**
  * @name Pair-identity helpers
- * The exact derivations SuiteRunner::runPairAttempt() uses, exposed
- * so the sweep engine's lockstep cells (suite/fanout.hh) reproduce
- * per-pair identity -- build options, seeds, the measured window and
- * paper-unit scaling -- by construction rather than by copy.
+ * The exact derivations SuiteRunner::runPairAttempt() uses, and the
+ * one loop that steps every single-threaded attempt: an attempt is a
+ * one-cell runLockstep() call, and a sweep row (suite/fanout.hh) one
+ * call with a cell per session. Rows thereby reproduce per-pair
+ * identity -- build options, seeds, chunk schedule, the measured
+ * window and paper-unit scaling -- by construction rather than by
+ * copy.
  */
 /// @{
 
@@ -424,16 +428,44 @@ void finalizePairResult(const RunnerOptions &options,
                         const sim::SimResult &sim_result,
                         PairResult &result);
 
+/** One single-threaded simulation of a runLockstep() row. */
+struct LockstepCell
+{
+    sim::CpuSimulator *simulator = nullptr; //!< prefilled
+    trace::TraceSource *source = nullptr;
+    /** Sampled every sampleIntervalOps of the measured window when
+     *  set. */
+    const telemetry::MetricsRegistry *registry = nullptr;
+    /** The earlier cell whose memory-side lanes this one imports
+     *  (CpuSimulator::stepImporting), or its own index. A leader with
+     *  siblings is batched and unsampled. */
+    std::size_t leader = 0;
+};
+
+/** A cell's measured window (counters and cycles since warmup, VSZ as
+ *  finished, RSS as the pages touched) and interval series, or the
+ *  exception that ended it: its own, or its leader's when the leader
+ *  failed first. */
+struct LockstepOutcome
+{
+    sim::SimResult window;
+    std::shared_ptr<const telemetry::TimeSeries> series;
+    std::exception_ptr error;
+};
+
 /**
- * The single-core measured-window tail: finishes @p simulator on
- * @p source and returns the measured window alone -- counters and
- * cycles minus the warm baseline (@p warm, @p warm_cycles, taken at
- * the end of warmup), VSZ as finished, RSS as the pages touched.
+ * The one stepping loop of every single-threaded attempt: steps
+ * @p cells through @p options' warmup and then until every source
+ * drains, in shared chunks of at most 16384 micro-ops. The chunk is
+ * capped row-wide at the next sampling boundary and at the op
+ * budget's first op past pairDeadlineOps, so interval rows land on
+ * exact boundaries and an op-budget expiry reports pairDeadlineOps + 1
+ * ops. Each cell's watchdog is checked after every chunk; its
+ * wall-clock budget counts only the cell's own steps. Batch-size
+ * invariance makes the chunking result-neutral.
  */
-sim::SimResult finishMeasuredWindow(sim::CpuSimulator &simulator,
-                                    trace::TraceSource &source,
-                                    const counters::CounterSet &warm,
-                                    double warm_cycles);
+std::vector<LockstepOutcome> runLockstep(
+    const std::vector<LockstepCell> &cells, const RunnerOptions &options);
 
 /// @}
 

@@ -375,11 +375,11 @@ TEST(ExploreGolden, DescentFoldsEachStagesKneeIntoTheBase)
 
 TEST(ExploreGolden, IneligibleSessionsFallBackToRunPair)
 {
-    // Interval sampling keeps every cell off the lockstep path: each
-    // runs through its point's SuiteRunner::runPair (still replaying
-    // from the store) and must score the bit-identical table. Every
+    // Sampled cells run in their row's lockstep, each leading its own
+    // clone group (its registry reads the cache hierarchy a lane
+    // importer lacks), and must score the bit-identical table. Every
     // row has a cell per point, so each pair's trace is captured
-    // exactly once, for the row, and the runPair cells find it.
+    // exactly once, for the row, and every cell replays it.
     const auto baseline =
         ExploreRunner(tinyOptions()).runAxis("way-predictor");
     const std::size_t pairs = workloads::enumeratePairs(
@@ -395,6 +395,46 @@ TEST(ExploreGolden, IneligibleSessionsFallBackToRunPair)
         expectSameTable(baseline,
                         ExploreRunner(sampled).runAxis("way-predictor"));
         EXPECT_EQ(store.stats().captures, pairs);
+    }
+}
+
+TEST(ExploreGolden, ObservedSessionsShareTheirRow)
+{
+    // Sampled, deadline-armed and reference-lane sessions step their
+    // cells in the row's lockstep and replay the row's arena directly,
+    // never looking it up in the store. Each must score the store-less
+    // per-point table bit-identically, in the cross where unobserved
+    // points import a leader's lanes.
+    const std::vector<std::string> axes = {"predictor", "way-predictor"};
+    const auto baseline = ExploreRunner(tinyOptions()).runCross(axes);
+    ASSERT_EQ(baseline.size(), 15u);
+    const std::size_t pairs = workloads::enumeratePairs(
+                                  workloads::cpu2006Suite(), InputSize::Test)
+                                  .size();
+    using Observe = void (*)(suite::RunnerOptions &);
+    const std::vector<std::pair<const char *, Observe>> observers = {
+        {"sampled",
+         [](suite::RunnerOptions &o) { o.sampleIntervalOps = 1000; }},
+        {"deadline",
+         [](suite::RunnerOptions &o) { o.pairDeadlineOps = 1'000'000; }},
+        {"unbatched",
+         [](suite::RunnerOptions &o) { o.unbatchedStepping = true; }},
+    };
+    for (const auto &[label, observe] : observers) {
+        for (const unsigned jobs : {1u, 8u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << label << " jobs=" << jobs);
+            suite::TraceArenaStore store(512 * kMiB);
+            ExploreOptions observed = tinyOptions();
+            observed.runner.jobs = jobs;
+            observed.runner.arenaStore = &store;
+            observe(observed.runner);
+            expectSameTable(baseline,
+                            ExploreRunner(observed).runCross(axes));
+            EXPECT_EQ(store.stats().captures, pairs);
+            EXPECT_EQ(store.stats().entries, 0u);
+            EXPECT_EQ(store.stats().hits, 0u);
+        }
     }
 }
 

@@ -263,10 +263,10 @@ TEST(ArenaReplayProperty, JournalBytesMatchLiveGeneration)
 
 TEST(ArenaReplayProperty, RunOrLoadCellsMatchLiveGeneration)
 {
-    // runOrLoad is the sweep engine's one-session call: with sampling
-    // off its single-threaded pairs run as lockstep replay cells, with
-    // sampling on every pair runs through runPair. Both must match the
-    // live sweep's results and journal bytes at any job count.
+    // runOrLoad is the sweep engine's one-session call: its
+    // single-threaded pairs run as lone lockstep cells that replay
+    // what the store holds, sampled or not. Both must match the live
+    // sweep's results and journal bytes at any job count.
     const auto &suite = workloads::cpu2006Suite();
     const std::string dir(::testing::TempDir());
     RunnerOptions live = laneOptions(1, 0, nullptr);

@@ -16,6 +16,7 @@
 
 #include "core/metrics.hh"
 #include "suite/arena_store.hh"
+#include "suite/fanout.hh"
 #include "util/units.hh"
 
 namespace spec17 {
@@ -183,24 +184,84 @@ TEST(FaultIsolation, StalledGenerationTripsTheOpBudgetWatchdog)
         enumeratePairs(workloads::cpu2006Suite(), InputSize::Test);
     const std::string victim = pairs.front().displayName();
 
-    ScriptedFaultInjector injector;
-    injector.set(victim, 0, FaultInjector::Action::Stall);
-    RunnerOptions options = fastOptions();
-    options.faultInjector = &injector;
-    options.pairDeadlineOps = 200000; // > sample + warmup
-    SuiteRunner runner(options);
+    // The runaway trace runs to 4x the budget; the attempt's chunks
+    // stop at the budget's first op past it, at any batch size.
+    for (const std::uint64_t batch : {1u, 7u, 256u}) {
+        SCOPED_TRACE(::testing::Message() << "batchOps=" << batch);
+        ScriptedFaultInjector injector;
+        injector.set(victim, 0, FaultInjector::Action::Stall);
+        RunnerOptions options = fastOptions();
+        options.faultInjector = &injector;
+        options.pairDeadlineOps = 200000; // > sample + warmup
+        options.batchOps = batch;
+        SuiteRunner runner(options);
 
-    const auto result = runner.runPair(pairs.front());
-    EXPECT_TRUE(result.errored);
-    ASSERT_NE(result.finalFailure(), nullptr);
-    EXPECT_EQ(result.finalFailure()->category,
-              FailureCategory::Deadline);
-    EXPECT_GT(result.finalFailure()->opsCompleted,
-              options.pairDeadlineOps);
+        const auto result = runner.runPair(pairs.front());
+        EXPECT_TRUE(result.errored);
+        ASSERT_NE(result.finalFailure(), nullptr);
+        EXPECT_EQ(result.finalFailure()->category,
+                  FailureCategory::Deadline);
+        EXPECT_EQ(result.finalFailure()->opsCompleted,
+                  options.pairDeadlineOps + 1);
 
-    // The same budget leaves healthy pairs untouched.
-    const auto healthy = runner.runPair(pairs.back());
-    EXPECT_FALSE(healthy.errored);
+        // The same budget leaves healthy pairs untouched.
+        const auto healthy = runner.runPair(pairs.back());
+        EXPECT_FALSE(healthy.errored);
+    }
+}
+
+TEST(FaultIsolation, GroupedCellsTripTheOpBudgetAtBudgetPlusOne)
+{
+    // Two sessions that differ only in the branch predictor form one
+    // clone group: with a store, the leader and its lane-importing
+    // sibling step each pair in lockstep, and both trip a budget below
+    // sample + warmup mid-window. Every cell must carry the store-less
+    // sweep's one Deadline record, at budget + 1.
+    const auto &suite = workloads::cpu2006Suite();
+    RunnerOptions gshare = fastOptions();
+    gshare.pairDeadlineOps = 50000;
+    gshare.system.branchPredictor = "gshare";
+    RunnerOptions tournament = gshare;
+    tournament.system.branchPredictor = "tournament";
+    const auto sweep = [&](TraceArenaStore *store, unsigned jobs) {
+        RunnerOptions a = gshare, b = tournament;
+        a.arenaStore = b.arenaStore = store;
+        a.jobs = b.jobs = jobs;
+        const SuiteRunner runner_a(a), runner_b(b);
+        ResultCache journal_a(""), journal_b("");
+        return runFanoutSweep(
+            {{runner_a, journal_a, {}}, {runner_b, journal_b, {}}}, suite,
+            InputSize::Test);
+    };
+
+    const auto reference = sweep(nullptr, 1);
+    ASSERT_EQ(reference.size(), 2u);
+    for (const unsigned jobs : {1u, 8u}) {
+        SCOPED_TRACE(::testing::Message() << "jobs=" << jobs);
+        TraceArenaStore store(512 * kMiB);
+        const auto sessions = sweep(&store, jobs);
+        ASSERT_EQ(sessions.size(), 2u);
+        for (std::size_t s = 0; s < 2; ++s) {
+            ASSERT_EQ(sessions[s].size(), reference[s].size());
+            ASSERT_FALSE(sessions[s].empty());
+            for (std::size_t i = 0; i < sessions[s].size(); ++i) {
+                const PairResult &cell = sessions[s][i];
+                const PairResult &alone = reference[s][i];
+                SCOPED_TRACE(cell.name);
+                EXPECT_TRUE(cell.errored);
+                ASSERT_EQ(cell.failures.size(), 1u);
+                ASSERT_EQ(alone.failures.size(), 1u);
+                const FailureRecord &got = cell.failures.front();
+                const FailureRecord &want = alone.failures.front();
+                EXPECT_EQ(got.category, FailureCategory::Deadline);
+                EXPECT_EQ(got.opsCompleted, gshare.pairDeadlineOps + 1);
+                EXPECT_EQ(got.category, want.category);
+                EXPECT_EQ(got.message, want.message);
+                EXPECT_EQ(got.attempt, want.attempt);
+                EXPECT_EQ(got.opsCompleted, want.opsCompleted);
+            }
+        }
+    }
 }
 
 TEST(FaultIsolation, ArmedAttemptsReplayHeldTracesButNeverCapture)
@@ -208,7 +269,7 @@ TEST(FaultIsolation, ArmedAttemptsReplayHeldTracesButNeverCapture)
     // An attempt replays only what the store already holds, even with
     // the fault layer and a deadline armed. A runaway or a retry has
     // its own trace (a longer one, a perturbed seed), so both generate
-    // live under the watchdog's cancel and leave the store untouched.
+    // live under the watchdog and leave the store untouched.
     const auto pairs =
         enumeratePairs(workloads::cpu2006Suite(), InputSize::Test);
     const auto &victim = pairs.front();

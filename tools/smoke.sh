@@ -6,12 +6,12 @@
 # and descent plans, the co-run and explorer jobs-1-vs-2 and
 # kill-plus---resume byte comparisons, a predictor x way-predictor
 # cross whose lane-importing points must match live per-point runs at
-# jobs 1 and 2, and a telemetry sweep. Two runs also hold a peak-RSS
-# ceiling (the child's ru_maxrss, read through python3's resource
-# module): the jobs-1 predictor x way-predictor cross stays under
-# 64 MiB and the store-on threaded cpu2017 sweep under 27 MiB. Every
-# output lands in OUT_DIR (the CI artifact); any failed check exits
-# nonzero.
+# jobs 1 and 2 and a deadline-armed reference-lane rerun, and a
+# telemetry sweep. Two runs also hold a peak-RSS ceiling (the child's
+# ru_maxrss, read through python3's resource module): the jobs-1
+# predictor x way-predictor cross stays under 64 MiB and the store-on
+# threaded cpu2017 sweep under 27 MiB. Every output lands in OUT_DIR
+# (the CI artifact); any failed check exits nonzero.
 #
 # Usage: tools/smoke.sh BUILD_DIR OUT_DIR
 set -euo pipefail
@@ -146,6 +146,12 @@ peak_rss 64 "the jobs-1 lanes cross" \
   --explore-out=lanes-off.csv
 cmp lanes-j1.csv lanes-j2.csv
 cmp lanes-j1.csv lanes-off.csv
+# Deadline-armed reference-lane cells step in their row's lockstep too,
+# each leading its own clone group; the table must not move.
+"$spec17" explore "${lanes[@]}" --no-cache --jobs=2 \
+  --pair-deadline=100000000 --unbatched-stepping \
+  --explore-out=lanes-observed.csv
+cmp lanes-j1.csv lanes-observed.csv
 for mb in 512 0; do
   "$spec17" explore "${explore[@]}" --multi-axis-mode=descent --no-cache \
     --jobs=2 --trace-arena-mb=$mb --explore-out=descent-mb$mb.csv
