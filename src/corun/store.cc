@@ -1,7 +1,6 @@
 #include "corun/store.hh"
 
-#include <cerrno>
-#include <cstdlib>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -36,29 +35,6 @@ splitOn(const std::string &text, char sep)
     if (!text.empty() && text.back() == sep)
         cells.push_back("");
     return cells;
-}
-
-std::optional<double>
-parseDouble(const std::string &cell)
-{
-    char *end = nullptr;
-    errno = 0;
-    const double value = std::strtod(cell.c_str(), &end);
-    if (cell.empty() || end == nullptr || *end != '\0' || errno != 0)
-        return std::nullopt;
-    return value;
-}
-
-std::optional<std::uint64_t>
-parseUint(const std::string &cell, int base = 10)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long value =
-        std::strtoull(cell.c_str(), &end, base);
-    if (cell.empty() || end == nullptr || *end != '\0' || errno != 0)
-        return std::nullopt;
-    return value;
 }
 
 } // namespace
@@ -107,8 +83,10 @@ parseCorunRow(const std::string &payload, std::string &reason)
                 reason = "malformed mask cell '" + cells[1] + "'";
                 return {};
             }
-            const auto value = parseUint(mask.substr(2), 16);
-            if (!value || *value > 0xffffffffULL) {
+            const auto value = suite::parseUnsigned(
+                std::string_view(mask).substr(2),
+                std::numeric_limits<std::uint32_t>::max(), 16);
+            if (!value) {
                 reason = "unparsable mask '" + mask + "'";
                 return {};
             }
@@ -125,14 +103,14 @@ parseCorunRow(const std::string &payload, std::string &reason)
         }
         MemberResult m;
         m.name = fields[0];
-        const auto cycles = parseDouble(fields[1]);
-        const auto solo = parseDouble(fields[2]);
-        const auto instr = parseUint(fields[3]);
-        const auto hits = parseUint(fields[4]);
-        const auto misses = parseUint(fields[5]);
-        const auto inflicted = parseUint(fields[6]);
-        const auto suffered = parseUint(fields[7]);
-        const auto occupancy = parseUint(fields[8]);
+        const auto cycles = suite::parseDouble(fields[1]);
+        const auto solo = suite::parseDouble(fields[2]);
+        const auto instr = suite::parseUnsigned(fields[3]);
+        const auto hits = suite::parseUnsigned(fields[4]);
+        const auto misses = suite::parseUnsigned(fields[5]);
+        const auto inflicted = suite::parseUnsigned(fields[6]);
+        const auto suffered = suite::parseUnsigned(fields[7]);
+        const auto occupancy = suite::parseUnsigned(fields[8]);
         if (m.name.empty() || !cycles || !solo || !instr || !hits
             || !misses || !inflicted || !suffered || !occupancy) {
             reason = "unparsable member cell '" + cell + "'";

@@ -1,8 +1,9 @@
 #include "suite/failure.hh"
 
-#include <cstdlib>
+#include <limits>
 #include <sstream>
 
+#include "suite/journal.hh"
 #include "util/logging.hh"
 
 namespace spec17 {
@@ -80,14 +81,13 @@ parseOneFailure(const std::string &text)
     if (!category)
         return std::nullopt;
     record.category = *category;
-    char *end = nullptr;
-    record.attempt =
-        static_cast<unsigned>(std::strtoul(fields[1].c_str(), &end, 10));
-    if (end == nullptr || *end != '\0')
+    const auto attempt =
+        parseUnsigned(fields[1], std::numeric_limits<unsigned>::max());
+    const auto ops = parseUnsigned(fields[2]);
+    if (!attempt || !ops)
         return std::nullopt;
-    record.opsCompleted = std::strtoull(fields[2].c_str(), &end, 10);
-    if (end == nullptr || *end != '\0')
-        return std::nullopt;
+    record.attempt = static_cast<unsigned>(*attempt);
+    record.opsCompleted = *ops;
     record.message = text.substr(pos);
     return record;
 }

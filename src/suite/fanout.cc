@@ -165,7 +165,9 @@ struct RowRelease
 /**
  * Simulates @p pair for every session index in @p active, writing
  * each session's result into @p row: lockstep where the cell allows
- * it, the session's own SuiteRunner::runPair otherwise.
+ * it, the session's own SuiteRunner::runPair otherwise. A lockstep
+ * cell that fails is the pair's attempt 0; its retries, if any, run
+ * in its session's runPair.
  */
 void
 runFanoutPair(const AppInputPair &pair,
@@ -175,10 +177,6 @@ runFanoutPair(const AppInputPair &pair,
 {
     SPEC17_ASSERT(pair.profile != nullptr, "pair without profile");
     const WorkloadProfile &profile = *pair.profile;
-
-    const auto fallback = [&](std::size_t p) {
-        row[p] = sessions[p].runner.runPair(pair);
-    };
 
     const bool well_formed = profile.validationError().empty();
     const RunnerOptions &base = sessions[active.front()].runner.options();
@@ -227,7 +225,7 @@ runFanoutPair(const AppInputPair &pair,
     if (lockstep.empty())
         donors.release();
     for (std::size_t p : by_runner)
-        fallback(p);
+        row[p] = sessions[p].runner.runPair(pair);
     if (lockstep.empty())
         return;
 
@@ -305,17 +303,23 @@ runFanoutPair(const AppInputPair &pair,
     const std::vector<LockstepOutcome> outcomes = runLockstep(cells, base);
     for (std::size_t j = 0; j < n; ++j) {
         const std::size_t p = lockstep[j];
-        const RunnerOptions &options = sessions[p].runner.options();
+        const SuiteRunner &runner = sessions[p].runner;
+        const RunnerOptions &options = runner.options();
         PairResult result = makePairResult(pair);
-        try {
-            if (outcomes[j].error)
-                std::rethrow_exception(outcomes[j].error);
-            finalizePairResult(options, outcomes[j].window, result);
-        } catch (...) {
-            // A faulted cell reruns on the ordinary per-point path,
-            // which reproduces the failure containment (retries,
-            // failure records, errored results) byte-identically.
-            fallback(p);
+        std::exception_ptr error = outcomes[j].error;
+        if (!error) {
+            try {
+                finalizePairResult(options, outcomes[j].window, result);
+            } catch (const std::exception &) {
+                error = std::current_exception();
+            }
+        }
+        if (error) {
+            // The cell was the pair's attempt 0: its failure is that
+            // attempt's record, and any retries run in the session's
+            // own failure boundary.
+            row[p] = runner.runPair(
+                pair, {recordFailedAttempt(result.name, 0, error)});
             continue;
         }
         result.series = outcomes[j].series;

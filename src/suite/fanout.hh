@@ -33,9 +33,12 @@
  *    heap buffers to the next pair's leaders. A row with no lockstep
  *    cell frees the donors before its runPair cells allocate.
  * Every other cell -- threaded pairs, malformed profiles, fault-injected
- * sessions, all of a store-less sweep, and any lockstep cell that
- * fails -- runs through its session's SuiteRunner::runPair, with the
- * full retry and failure-record semantics.
+ * sessions and all of a store-less sweep -- runs through its session's
+ * SuiteRunner::runPair, with the full retry and failure-record
+ * semantics. A lockstep cell is its pair's attempt 0: when it fails,
+ * its exception (or the one it inherited from its clone-group leader)
+ * becomes that attempt's FailureRecord, and the pair continues in its
+ * session's runPair from attempt 1, or errors when no retry is left.
  *
  * Identity by construction: rows reuse the runner's own derivations
  * and stepping loop, and replay is draw-for-draw identical to live

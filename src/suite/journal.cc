@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -41,24 +43,40 @@ isHex16(const std::string &text)
     return true;
 }
 
-std::optional<unsigned>
-parseUnsigned(const std::string &cell)
+} // namespace
+
+std::optional<std::uint64_t>
+parseUnsigned(std::string_view cell, std::uint64_t max, unsigned base)
 {
+    SPEC17_ASSERT(base == 10 || base == 16, "unsupported base ", base);
     if (cell.empty())
         return std::nullopt;
-    unsigned value = 0;
-    for (char c : cell) {
-        if (!std::isdigit(static_cast<unsigned char>(c)))
+    std::uint64_t value = 0;
+    for (const char c : cell) {
+        std::uint64_t digit;
+        if (c >= '0' && c <= '9')
+            digit = static_cast<std::uint64_t>(c - '0');
+        else if (base == 16 && c >= 'a' && c <= 'f')
+            digit = static_cast<std::uint64_t>(c - 'a' + 10);
+        else
             return std::nullopt;
-        const unsigned digit = static_cast<unsigned>(c - '0');
-        if (value > (0xffffffffu - digit) / 10)
+        if (digit > max || value > (max - digit) / base)
             return std::nullopt;
-        value = value * 10 + digit;
+        value = value * base + digit;
     }
     return value;
 }
 
-} // namespace
+std::optional<double>
+parseDouble(const std::string &cell)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double value = std::strtod(cell.c_str(), &end);
+    if (cell.empty() || end == nullptr || *end != '\0' || errno != 0)
+        return std::nullopt;
+    return value;
+}
 
 std::uint64_t
 fnv1a(std::string_view data, std::uint64_t seed)
@@ -108,6 +126,8 @@ std::optional<JournalHeader>
 JournalHeader::parse(const std::string &line, std::string &reason)
 {
     static constexpr const char *kMagic = "spec17-journal-v";
+    constexpr std::uint64_t kUnsignedMax =
+        std::numeric_limits<unsigned>::max();
     std::vector<std::string> cells;
     std::string cell;
     std::istringstream stream(line);
@@ -120,12 +140,12 @@ JournalHeader::parse(const std::string &line, std::string &reason)
     }
     JournalHeader header;
     const auto version =
-        parseUnsigned(cells[0].substr(std::strlen(kMagic)));
+        parseUnsigned(cells[0].substr(std::strlen(kMagic)), kUnsignedMax);
     if (!version) {
         reason = "unparsable format version in '" + cells[0] + "'";
         return std::nullopt;
     }
-    header.version = *version;
+    header.version = static_cast<unsigned>(*version);
     if (header.version != kJournalFormatVersion) {
         reason = "unsupported journal format version "
             + std::to_string(header.version) + " (this build reads v"
@@ -159,15 +179,15 @@ JournalHeader::parse(const std::string &line, std::string &reason)
         reason = "malformed shard field '" + cells[3] + "'";
         return std::nullopt;
     }
-    const auto index = parseUnsigned(shard.substr(0, slash));
-    const auto count = parseUnsigned(shard.substr(slash + 1));
+    const auto index = parseUnsigned(shard.substr(0, slash), kUnsignedMax);
+    const auto count = parseUnsigned(shard.substr(slash + 1), kUnsignedMax);
     if (!index || !count || *count == 0 || *index == 0
         || *index > *count) {
         reason = "invalid shard identity '" + shard + "'";
         return std::nullopt;
     }
-    header.shardIndex = *index;
-    header.shardCount = *count;
+    header.shardIndex = static_cast<unsigned>(*index);
+    header.shardCount = static_cast<unsigned>(*count);
     return header;
 }
 

@@ -38,6 +38,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -58,6 +59,22 @@ std::uint64_t fnv1a(std::string_view data,
 
 /** 16-digit lowercase hex rendering of @p value. */
 std::string hex16(std::uint64_t value);
+
+/**
+ * Parses one journal cell as an unsigned number in @p base (10, or 16
+ * with lowercase digits): one or more digits and nothing else -- no
+ * sign, blank or `0x` prefix -- whose value fits @p max, the largest
+ * value of the field it lands in. nullopt otherwise. Every journal
+ * reader parses its unsigned cells here.
+ */
+std::optional<std::uint64_t> parseUnsigned(
+    std::string_view cell,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max(),
+    unsigned base = 10);
+
+/** Parses one journal cell as a double: the whole non-empty cell must
+ *  convert (strtod) without a range error. nullopt otherwise. */
+std::optional<double> parseDouble(const std::string &cell);
 
 /**
  * Content hash of one journal record: FNV-1a over the campaign's

@@ -1,7 +1,6 @@
 #include "suite/result_cache.hh"
 
-#include <cerrno>
-#include <cstdlib>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -45,29 +44,6 @@ columnHeader()
 /** Fixed cells before the per-event counter columns. */
 constexpr std::size_t kFixedFields = 8;
 
-std::optional<double>
-parseDouble(const std::string &cell)
-{
-    char *end = nullptr;
-    errno = 0;
-    const double value = std::strtod(cell.c_str(), &end);
-    if (cell.empty() || end == nullptr || *end != '\0' || errno != 0)
-        return std::nullopt;
-    return value;
-}
-
-std::optional<std::uint64_t>
-parseUint(const std::string &cell)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long value =
-        std::strtoull(cell.c_str(), &end, 10);
-    if (cell.empty() || end == nullptr || *end != '\0' || errno != 0)
-        return std::nullopt;
-    return value;
-}
-
 /**
  * Parses one record payload (the record line minus its hash cell)
  * into a PairResult (profile left unbound). Returns nullopt -- with
@@ -95,9 +71,11 @@ parseRow(const std::string &line, InputSize size, std::string &reason)
     PairResult r;
     r.name = cells[0];
     r.size = size;
-    const auto input = parseUint(cells[1]);
-    const auto errored = parseUint(cells[2]);
-    const auto attempts = parseUint(cells[3]);
+    constexpr std::uint64_t kUnsignedMax =
+        std::numeric_limits<unsigned>::max();
+    const auto input = parseUnsigned(cells[1], kUnsignedMax);
+    const auto errored = parseUnsigned(cells[2], 1);
+    const auto attempts = parseUnsigned(cells[3], kUnsignedMax);
     const auto failures = parseFailures(cells[4]);
     const auto wall = parseDouble(cells[5]);
     const auto instr = parseDouble(cells[6]);
@@ -115,7 +93,7 @@ parseRow(const std::string &line, InputSize size, std::string &reason)
     r.instrBillions = *instr;
     r.seconds = *seconds;
     for (std::size_t e = 0; e < counters::kNumPerfEvents; ++e) {
-        const auto count = parseUint(cells[kFixedFields + e]);
+        const auto count = parseUnsigned(cells[kFixedFields + e]);
         if (!count) {
             reason = "unparsable counter "
                 + std::string(perfEventName(static_cast<PerfEvent>(e)));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -11,6 +12,7 @@
 #include "sim/multicore.hh"
 #include "sim/simulator.hh"
 #include "suite/arena_store.hh"
+#include "suite/journal.hh"
 #include "telemetry/registry.hh"
 #include "trace/arena.hh"
 #include "util/logging.hh"
@@ -92,27 +94,18 @@ std::optional<ShardSpec>
 ShardSpec::parse(const std::string &text)
 {
     const auto slash = text.find('/');
-    if (slash == std::string::npos || slash == 0
-        || slash + 1 >= text.size())
+    if (slash == std::string::npos)
         return std::nullopt;
-    const auto number = [](const std::string &cell)
-        -> std::optional<unsigned> {
-        if (cell.empty() || cell.size() > 9)
-            return std::nullopt;
-        unsigned value = 0;
-        for (char c : cell) {
-            if (c < '0' || c > '9')
-                return std::nullopt;
-            value = value * 10 + static_cast<unsigned>(c - '0');
-        }
-        return value;
-    };
-    const auto index = number(text.substr(0, slash));
-    const auto count = number(text.substr(slash + 1));
+    constexpr std::uint64_t kUnsignedMax =
+        std::numeric_limits<unsigned>::max();
+    const std::string_view label(text);
+    const auto index = parseUnsigned(label.substr(0, slash), kUnsignedMax);
+    const auto count = parseUnsigned(label.substr(slash + 1), kUnsignedMax);
     if (!index || !count || *count == 0 || *index == 0
         || *index > *count)
         return std::nullopt;
-    return ShardSpec{*index, *count};
+    return ShardSpec{static_cast<unsigned>(*index),
+                     static_cast<unsigned>(*count)};
 }
 
 std::vector<AppInputPair>
@@ -594,15 +587,39 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
     return result;
 }
 
+FailureRecord
+recordFailedAttempt(const std::string &pair, unsigned attempt,
+                    const std::exception_ptr &error)
+{
+    FailureRecord record{FailureCategory::Exception, "", attempt, 0};
+    try {
+        std::rethrow_exception(error);
+    } catch (const PairExecutionError &failure) {
+        record.category = failure.category();
+        record.message = failure.what();
+        record.opsCompleted = failure.opsCompleted();
+    } catch (const std::exception &failure) {
+        record.message = failure.what();
+    }
+    logEvent("pair_attempt_failed",
+             {{"pair", pair},
+              {"attempt", std::to_string(attempt)},
+              {"category", failureCategoryName(record.category)},
+              {"ops", std::to_string(record.opsCompleted)},
+              {"message", record.message}});
+    return record;
+}
+
 PairResult
-SuiteRunner::runPair(const AppInputPair &pair) const
+SuiteRunner::runPair(const AppInputPair &pair,
+                     std::vector<FailureRecord> failures) const
 {
     SPEC17_ASSERT(pair.profile != nullptr, "pair without profile");
     const std::string name = pair.displayName();
 
-    std::vector<FailureRecord> failures;
     const unsigned max_attempts = options_.maxRetries + 1;
-    for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
+    for (auto attempt = static_cast<unsigned>(failures.size());
+         attempt < max_attempts; ++attempt) {
         const std::uint64_t delay_ms =
             attempt > 0
             ? retryBackoffDelayMs(options_.retryBackoffMs, attempt)
@@ -630,24 +647,14 @@ SuiteRunner::runPair(const AppInputPair &pair) const
                            std::to_string(result.attempts)}});
             }
             return result;
-        } catch (const PairExecutionError &error) {
-            failures.push_back({error.category(), error.what(), attempt,
-                                error.opsCompleted()});
-        } catch (const std::exception &error) {
-            failures.push_back({FailureCategory::Exception, error.what(),
-                                attempt, 0});
+        } catch (const std::exception &) {
+            failures.push_back(recordFailedAttempt(
+                name, attempt, std::current_exception()));
         }
-        const FailureRecord &last = failures.back();
-        logEvent("pair_attempt_failed",
-                 {{"pair", name},
-                  {"attempt", std::to_string(attempt)},
-                  {"category", failureCategoryName(last.category)},
-                  {"ops", std::to_string(last.opsCompleted)},
-                  {"message", last.message}});
         // A malformed profile fails every attempt identically --
         // retrying (and sleeping the backoff) would only replay the
         // same diagnosis, so fail fast instead.
-        if (last.category == FailureCategory::BadProfile)
+        if (failures.back().category == FailureCategory::BadProfile)
             break;
     }
 

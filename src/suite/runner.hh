@@ -223,9 +223,12 @@ struct RunnerOptions
     unsigned maxRetries = 0;
     /**
      * Watchdog: micro-op budget per attempt, detecting runaway trace
-     * generation deterministically; an expiry reports exactly
-     * pairDeadlineOps + 1 ops. 0 disables. Must comfortably exceed
-     * sampleOps + warmupOps or every pair trips it.
+     * generation deterministically. A single-threaded attempt's
+     * expiry reports exactly pairDeadlineOps + 1 ops. A threaded pair
+     * compares its static sampleOps + warmupOps total with the budget
+     * once, before its machine is built, and an expiry reports that
+     * total. 0 disables. Must comfortably exceed sampleOps +
+     * warmupOps or every pair trips it.
      */
     std::uint64_t pairDeadlineOps = 0;
     /** Watchdog: wall-clock budget per attempt in ms (0 disables);
@@ -428,6 +431,17 @@ void finalizePairResult(const RunnerOptions &options,
                         const sim::SimResult &sim_result,
                         PairResult &result);
 
+/**
+ * The failure boundary's record of @p attempt at the pair named
+ * @p pair, which ended in @p error: a PairExecutionError keeps its
+ * category and op count, any other std::exception is an Exception at
+ * 0 ops. Logs the attempt's `pair_attempt_failed` event. An error that
+ * is no std::exception is rethrown.
+ */
+FailureRecord recordFailedAttempt(const std::string &pair,
+                                  unsigned attempt,
+                                  const std::exception_ptr &error);
+
 /** One single-threaded simulation of a runLockstep() row. */
 struct LockstepCell
 {
@@ -496,9 +510,17 @@ class SuiteRunner
 
     explicit SuiteRunner(RunnerOptions options = {});
 
-    /** Runs a single pair inside the failure boundary; never throws
-     *  for per-pair faults (the result is marked errored instead). */
-    PairResult runPair(const workloads::AppInputPair &pair) const;
+    /**
+     * Runs a single pair inside the failure boundary; never throws
+     * for per-pair faults (the result is marked errored instead).
+     * @p failures holds the records of attempts that already failed
+     * elsewhere, oldest first -- a sweep row's lockstep cell passes
+     * its attempt 0 (suite/fanout.hh) -- and the attempt loop resumes
+     * at attempt failures.size(). With no retry left, the pair errors
+     * straight away.
+     */
+    PairResult runPair(const workloads::AppInputPair &pair,
+                       std::vector<FailureRecord> failures = {}) const;
 
     const RunnerOptions &options() const { return options_; }
 

@@ -215,7 +215,7 @@ ReplaySource::ReplaySource(std::shared_ptr<const TraceArena> arena,
 bool
 ReplaySource::next(isa::MicroOp &op)
 {
-    if (cursor_ >= arena_->numOps || cancelled())
+    if (cursor_ >= arena_->numOps)
         return false;
     op = arena_->lanes.get(cursor_++);
     if (op.isMemory())
@@ -228,8 +228,6 @@ ReplaySource::nextBatchSoA(MicroOpBatch &out, std::size_t at,
                            std::size_t n)
 {
     out.ensure(at + n);
-    if (cancelled())
-        return 0;
     const std::size_t m = std::min(n, arena_->numOps - cursor_);
     const MicroOpBatch &lanes = arena_->lanes;
     std::memcpy(out.cls.data() + at, lanes.cls.data() + cursor_,
@@ -266,11 +264,6 @@ ReplaySource::nextLanes(std::size_t n, std::size_t &at,
 {
     if (shift_ != 0)
         return nullptr; // the arena's lanes hold the captured offset
-    if (cancelled()) {
-        at = cursor_;
-        got = 0;
-        return &arena_->lanes;
-    }
     const std::size_t m = std::min(n, arena_->numOps - cursor_);
     at = cursor_;
     got = m;

@@ -60,8 +60,7 @@ struct TraceArena
 /**
  * Drains @p source to exhaustion (at most @p expected_ops, the
  * caller's knowledge of the stream length) into a fresh arena with
- * one bulk nextBatchSoA pull. The source must be freshly constructed
- * or reset.
+ * one bulk nextBatchSoA pull. The source must be freshly constructed.
  */
 TraceArena captureArena(TraceSource &source, std::size_t expected_ops);
 
@@ -95,10 +94,9 @@ std::unique_ptr<TraceArena> loadArena(const std::string &path);
 /**
  * Replays a captured arena as a TraceSource. Satisfies the full
  * stream contract: next(), nextBatchSoA() and the zero-copy
- * nextLanes() all deliver the identical op sequence, mixed
- * freely, and reset() rewinds exactly. Supports the same cooperative
- * cancellation surface as SyntheticTraceGenerator so the suite
- * runner can swap one for the other without observable difference.
+ * nextLanes() all deliver the identical op sequence, mixed freely, so
+ * the suite runner can swap a replay for live generation without
+ * observable difference.
  *
  * A source replaying at an address offset other than the arena's
  * shifts the addr of every Load/Store op it delivers by the
@@ -126,24 +124,13 @@ class ReplaySource : public TraceSource
     const MicroOpBatch *nextLanes(std::size_t n, std::size_t &at,
                                   std::size_t &got) override;
 
-    bool
-    cancelled() const override
-    {
-        return cancel_ != nullptr && *cancel_;
-    }
-
-    void reset() override { cursor_ = 0; }
-
     std::uint64_t
     virtualReserveBytes() const override
     {
         return arena_->virtualReserveBytes;
     }
 
-    /** Borrowed cancel flag, same contract as the generator's. */
-    void setCancelFlag(const bool *flag) { cancel_ = flag; }
-
-    /** Ops delivered since construction/reset -- the replay twin of
+    /** Ops delivered since construction -- the replay twin of
      *  SyntheticTraceGenerator::emittedOps() (telemetry counter). */
     std::uint64_t deliveredOps() const { return cursor_; }
 
@@ -154,7 +141,6 @@ class ReplaySource : public TraceSource
     /** Added to each Load/Store addr (requested - captured offset). */
     std::uint64_t shift_ = 0;
     std::size_t cursor_ = 0;
-    const bool *cancel_ = nullptr;
 };
 
 } // namespace trace

@@ -12,7 +12,6 @@ namespace {
 
 constexpr char kMagic[4] = {'S', '1', '7', 'T'};
 constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8;
 constexpr std::size_t kRecordBytes = 28;
 constexpr std::size_t kBufferRecords = 4096;
 
@@ -167,16 +166,6 @@ FileTrace::nextBatchSoA(MicroOpBatch &out, std::size_t at, std::size_t n)
         filled += want;
     }
     return filled;
-}
-
-void
-FileTrace::reset()
-{
-    in_.clear();
-    in_.seekg(kHeaderBytes);
-    delivered_ = 0;
-    buffer_.clear();
-    bufferPos_ = 0;
 }
 
 std::uint64_t

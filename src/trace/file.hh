@@ -32,7 +32,7 @@ std::uint64_t writeTrace(const std::string &path, TraceSource &source);
 
 /**
  * Streams a trace file from disk. Records are read through a
- * fixed-size buffer; reset() rewinds to the first record.
+ * fixed-size buffer.
  */
 class FileTrace : public TraceSource
 {
@@ -43,7 +43,6 @@ class FileTrace : public TraceSource
     bool next(isa::MicroOp &op) override;
     std::size_t nextBatchSoA(MicroOpBatch &out, std::size_t at,
                              std::size_t n) override;
-    void reset() override;
     std::uint64_t virtualReserveBytes() const override;
 
     /** Total records in the file. */

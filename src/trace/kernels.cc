@@ -66,13 +66,6 @@ StreamKernel::next(isa::MicroOp &op)
     return true;
 }
 
-void
-StreamKernel::reset()
-{
-    iter_ = 0;
-    phase_ = 0;
-}
-
 std::uint64_t
 StreamKernel::virtualReserveBytes() const
 {
@@ -135,14 +128,6 @@ PointerChaseKernel::next(isa::MicroOp &op)
     return true;
 }
 
-void
-PointerChaseKernel::reset()
-{
-    hop_ = 0;
-    node_ = 0;
-    phase_ = 0;
-}
-
 std::uint64_t
 PointerChaseKernel::virtualReserveBytes() const
 {
@@ -197,13 +182,6 @@ MatrixWalkKernel::next(isa::MicroOp &op)
         ++index_;
     }
     return true;
-}
-
-void
-MatrixWalkKernel::reset()
-{
-    index_ = 0;
-    phase_ = 0;
 }
 
 std::uint64_t

@@ -39,7 +39,6 @@ class StreamKernel : public TraceSource
                  bool with_store = false);
 
     bool next(isa::MicroOp &op) override;
-    void reset() override;
     std::uint64_t virtualReserveBytes() const override;
 
     /** Micro-ops per loop iteration (load[, store], add, branch). */
@@ -70,7 +69,6 @@ class PointerChaseKernel : public TraceSource
                        std::uint64_t seed = 7);
 
     bool next(isa::MicroOp &op) override;
-    void reset() override;
     std::uint64_t virtualReserveBytes() const override;
 
   private:
@@ -94,7 +92,6 @@ class MatrixWalkKernel : public TraceSource
                      bool row_major, std::uint64_t passes = 1);
 
     bool next(isa::MicroOp &op) override;
-    void reset() override;
     std::uint64_t virtualReserveBytes() const override;
 
   private:
@@ -113,7 +110,6 @@ class VectorTrace : public TraceSource
     explicit VectorTrace(std::vector<isa::MicroOp> ops);
 
     bool next(isa::MicroOp &op) override;
-    void reset() override { pos_ = 0; }
 
   private:
     std::vector<isa::MicroOp> ops_;

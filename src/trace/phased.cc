@@ -19,13 +19,6 @@ PhasedTrace::next(isa::MicroOp &op)
     while (current_ < phases_.size()) {
         if (phases_[current_]->next(op))
             return true;
-        // A child that produced nothing is either exhausted or merely
-        // paused by cooperative cancellation. Advancing past a paused
-        // child would silently drop its remaining ops and splice the
-        // next phase's head into the stream, so only an exhausted
-        // child moves the cursor.
-        if (phases_[current_]->cancelled())
-            return false;
         ++current_;
     }
     return false;
@@ -45,30 +38,10 @@ PhasedTrace::nextBatchSoA(MicroOpBatch &out, std::size_t at, std::size_t n)
         const std::size_t got =
             phases_[current_]->nextBatchSoA(out, at + filled, want);
         filled += got;
-        if (got < want) {
-            // Short child return: exhausted -> next phase; paused by
-            // cancellation -> stop here so the phase remainder resumes
-            // once the flag clears (matches the next()-loop stream).
-            if (phases_[current_]->cancelled())
-                break;
-            ++current_;
-        }
+        if (got < want)
+            ++current_; // a short child return: the phase is exhausted
     }
     return filled;
-}
-
-bool
-PhasedTrace::cancelled() const
-{
-    return current_ < phases_.size() && phases_[current_]->cancelled();
-}
-
-void
-PhasedTrace::reset()
-{
-    for (const auto &phase : phases_)
-        phase->reset();
-    current_ = 0;
 }
 
 std::uint64_t

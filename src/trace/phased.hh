@@ -19,7 +19,7 @@
 namespace spec17 {
 namespace trace {
 
-/** Plays its child sources back to back; reset rewinds all. */
+/** Plays its child sources back to back. */
 class PhasedTrace : public TraceSource
 {
   public:
@@ -30,11 +30,7 @@ class PhasedTrace : public TraceSource
     bool next(isa::MicroOp &op) override;
     std::size_t nextBatchSoA(MicroOpBatch &out, std::size_t at,
                              std::size_t n) override;
-    void reset() override;
     std::uint64_t virtualReserveBytes() const override;
-
-    /** A phased trace is paused exactly while its current child is. */
-    bool cancelled() const override;
 
     /** Number of child phases. */
     std::size_t numPhases() const { return phases_.size(); }

@@ -27,13 +27,11 @@ namespace trace {
  * chunks of any size must yield the identical op sequence, and the
  * surfaces may be mixed freely at any point of the stream.
  *
- * reset() rewinds to the first micro-op and must reproduce the
- * identical stream (the framework's determinism guarantee hinges on
- * this). The contract is unconditional on how far and in what chunk
- * sizes the stream was consumed: a reset() issued mid-stream -- in
- * particular after a partially filled batch -- replays the same ops
- * from the beginning. The suite runner's retry-with-seed-perturbation
- * and the record/replay tooling both depend on it.
+ * A source is read once, from its first op on. A second pass builds a
+ * second source: two sources built from equal parameters emit
+ * identical streams, which is the framework's determinism guarantee.
+ * A retry opens a fresh trace with a perturbed seed; nothing rewinds
+ * one.
  */
 class TraceSource
 {
@@ -54,11 +52,10 @@ class TraceSource
      *
      * Semantically equivalent to calling next() @p n times: the ops
      * delivered and the post-call source state are identical. A short
-     * return (fewer than @p n ops) means the stream ended -- or, for
-     * cancellable sources, that cooperative cancellation engaged --
-     * exactly where next() would have returned false; subsequent
-     * calls return 0 until reset(). Writers fill every lane of every
-     * delivered op (see MicroOpBatch).
+     * return (fewer than @p n ops) means the stream ended exactly
+     * where next() would have returned false; subsequent calls return
+     * 0. Writers fill every lane of every delivered op (see
+     * MicroOpBatch).
      *
      * The default adapter loops next() and scatters each op into the
      * lanes; sources on the hot path override this to fill lanes
@@ -85,8 +82,7 @@ class TraceSource
      * delivered op and @p got to the number delivered (<= @p n). The
      * stream contract is unchanged -- the delivered ops and the
      * post-call state are exactly those of a nextBatchSoA() pull of
-     * @p n ops, and a short @p got has the same end-of-stream /
-     * cancellation meaning.
+     * @p n ops, and a short @p got means the stream ended.
      *
      * The returned lanes stay valid until the source is mutated or
      * destroyed; callers must not write through them. Sources without
@@ -103,21 +99,6 @@ class TraceSource
         (void)got;
         return nullptr;
     }
-
-    /**
-     * True while cooperative cancellation is holding the stream back:
-     * a short return in that state does NOT mean the ops ran out, and
-     * clearing the cancel flag resumes exactly where the stream
-     * stopped. Sources without a cancellation mechanism return false.
-     * Combinators (PhasedTrace) consult this to distinguish a child
-     * that finished from a child that was paused -- advancing past a
-     * merely-paused child would silently drop its remainder.
-     */
-    virtual bool cancelled() const { return false; }
-
-    /** Rewinds to the beginning of the identical stream (see the
-     *  class comment for the exact contract). */
-    virtual void reset() = 0;
 
     /**
      * Virtual address space the workload reserves beyond what it

@@ -88,15 +88,14 @@ SyntheticTraceGenerator::SyntheticTraceGenerator(SyntheticTraceParams params)
 {
     params_.validate();
     rebuildStaticStructure();
-    reset();
 }
 
 void
 SyntheticTraceGenerator::rebuildStaticStructure()
 {
     // The static program shape (branch sites, indirect targets, region
-    // bases) comes from its own RNG stream so that reset() does not
-    // need to rebuild it.
+    // bases) comes from its own RNG stream, so it draws nothing from
+    // the op stream's.
     Rng srng(deriveSeed(params_.seed, "static-structure"));
 
     const std::uint64_t code_span = params_.codeFootprintBytes;
@@ -233,16 +232,6 @@ SyntheticTraceGenerator::pickWeighted(const std::vector<double> &weights,
             return i;
     }
     SPEC17_PANIC("unreachable in pickWeighted");
-}
-
-void
-SyntheticTraceGenerator::reset()
-{
-    rng_ = Rng(deriveSeed(params_.seed, "uop-stream"));
-    emitted_ = 0;
-    pc_ = kCodeBase;
-    for (auto &state : regionState_)
-        state.cursor = 0;
 }
 
 std::uint64_t
@@ -562,7 +551,7 @@ SyntheticTraceGenerator::emitOpTo(Writer &&w, const EmitConsts &k)
 bool
 SyntheticTraceGenerator::next(isa::MicroOp &op)
 {
-    if (cancelled() || emitted_ >= params_.numOps)
+    if (emitted_ >= params_.numOps)
         return false;
     emitOpTo(AosOpWriter{op}, emitConsts());
     ++emitted_;
@@ -573,8 +562,6 @@ std::size_t
 SyntheticTraceGenerator::nextBatchSoA(MicroOpBatch &out, std::size_t at,
                                       std::size_t n)
 {
-    if (cancel_ != nullptr && *cancel_)
-        return 0;
     const std::uint64_t remaining = params_.numOps - emitted_;
     if (remaining < n)
         n = static_cast<std::size_t>(remaining);

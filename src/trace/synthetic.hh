@@ -147,7 +147,7 @@ struct SyntheticTraceParams
 
 /**
  * Deterministic statistical trace generator. Two generators built
- * from equal params emit identical streams; reset() rewinds exactly.
+ * from equal params emit identical streams.
  */
 class SyntheticTraceGenerator : public TraceSource
 {
@@ -157,26 +157,9 @@ class SyntheticTraceGenerator : public TraceSource
     bool next(isa::MicroOp &op) override;
     std::size_t nextBatchSoA(MicroOpBatch &out, std::size_t at,
                              std::size_t n) override;
-    void reset() override;
     std::uint64_t virtualReserveBytes() const override;
 
-    /** True while the borrowed cancel flag is raised (see
-     *  setCancelFlag); the stream resumes when it clears. */
-    bool
-    cancelled() const override
-    {
-        return cancel_ != nullptr && *cancel_;
-    }
-
     const SyntheticTraceParams &params() const { return params_; }
-
-    /**
-     * Cooperative cancellation: while @p flag points at a true value,
-     * next() emits nothing and reports end-of-stream, letting a
-     * watchdog stop runaway generation at the next micro-op boundary.
-     * The flag is borrowed, not owned; pass nullptr to detach.
-     */
-    void setCancelFlag(const bool *flag) { cancel_ = flag; }
 
     /** Micro-ops emitted so far (telemetry counter). */
     std::uint64_t emittedOps() const { return emitted_; }
@@ -244,9 +227,8 @@ class SyntheticTraceGenerator : public TraceSource
 
     SyntheticTraceParams params_;
     Rng rng_;
-    const bool *cancel_ = nullptr;
     std::uint64_t emitted_ = 0;
-    std::uint64_t pc_ = 0;
+    std::uint64_t pc_ = kCodeBase;
 
     std::vector<BranchSite> condSites_;
     std::vector<std::uint64_t> indirectSitePcs_;

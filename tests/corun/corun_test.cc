@@ -320,6 +320,35 @@ TEST(CorunStore, RowSerializationRoundTrips)
     const CorunResult damaged = parseCorunRow("a+b,-", reason);
     EXPECT_TRUE(damaged.name.empty());
     EXPECT_NE(reason, "");
+
+    // Numbers no writer emits are damage, never a wrapped or widened
+    // value: a second `0x`, signs, blanks, uppercase hex digits, and
+    // values past the field's width.
+    const auto row = [](const std::string &masks,
+                        const std::string &member) {
+        return "a+b@0x1f," + masks + "," + member;
+    };
+    const std::string member = "a:1.5:1.25:7:0:0:0:0:0";
+    for (const std::string &bad :
+         {row("0x0x1f", member), row("0x-1", member), row("0x+1f", member),
+          row("0x 1f", member), row("0x1F", member),
+          row("0x100000000", member),
+          row("-", "a:1.5:1.25:-1:0:0:0:0:0"),
+          row("-", "a:1.5:1.25: 7:0:0:0:0:0"),
+          row("-", "a:1.5:1.25:+7:0:0:0:0:0"),
+          row("-", "a:1.5:1.25:18446744073709551616:0:0:0:0:0")}) {
+        reason.clear();
+        EXPECT_TRUE(parseCorunRow(bad, reason).name.empty()) << bad;
+        EXPECT_NE(reason, "") << bad;
+    }
+    reason.clear();
+    const CorunResult widest = parseCorunRow(
+        row("0xffffffff", "a:1.5:1.25:18446744073709551615:0:0:0:0:0"),
+        reason);
+    EXPECT_EQ(reason, "");
+    EXPECT_EQ(widest.masks, std::vector<std::uint32_t>{0xffffffffu});
+    ASSERT_EQ(widest.members.size(), 1u);
+    EXPECT_EQ(widest.members[0].instructions, 18446744073709551615u);
 }
 
 /** Truncates @p file to its 2 header lines + @p keep_rows records. */

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -210,56 +211,99 @@ TEST(FaultIsolation, StalledGenerationTripsTheOpBudgetWatchdog)
     }
 }
 
+TEST(FaultIsolation, ThreadedPairsCheckTheOpBudgetUpFront)
+{
+    // A threaded pair's interleaver runs to completion in one call, so
+    // its op budget is compared once, before the machine is built,
+    // with the static sample + warmup total: the Deadline record
+    // carries that total, not budget + 1.
+    const auto pairs =
+        enumeratePairs(workloads::cpu2017Suite(), InputSize::Test);
+    const auto threaded =
+        std::find_if(pairs.begin(), pairs.end(), [](const auto &pair) {
+            return pair.displayName() == "657.xz_s-in1";
+        });
+    ASSERT_NE(threaded, pairs.end());
+    ASSERT_EQ(threaded->profile->numThreads, 4u);
+
+    RunnerOptions options = fastOptions();
+    options.pairDeadlineOps = 50000;
+    const PairResult result = SuiteRunner(options).runPair(*threaded);
+    EXPECT_TRUE(result.errored);
+    EXPECT_EQ(result.attempts, 1u);
+    ASSERT_EQ(result.failures.size(), 1u);
+    const FailureRecord &failure = result.failures.front();
+    EXPECT_EQ(failure.category, FailureCategory::Deadline);
+    EXPECT_EQ(failure.attempt, 0u);
+    EXPECT_EQ(failure.opsCompleted,
+              options.sampleOps + options.warmupOps);
+    EXPECT_EQ(failure.message,
+              "op budget expired: 80000 > 50000 micro-ops");
+}
+
 TEST(FaultIsolation, GroupedCellsTripTheOpBudgetAtBudgetPlusOne)
 {
     // Two sessions that differ only in the branch predictor form one
     // clone group: with a store, the leader and its lane-importing
     // sibling step each pair in lockstep, and both trip a budget below
     // sample + warmup mid-window. Every cell must carry the store-less
-    // sweep's one Deadline record, at budget + 1.
+    // sweep's Deadline records, each at budget + 1: the lockstep cell
+    // is attempt 0, and a retry (with its perturbed seed) runs in the
+    // session's runPair. No cell is simulated a second time over the
+    // row's arena, so the store never serves a hit.
     const auto &suite = workloads::cpu2006Suite();
-    RunnerOptions gshare = fastOptions();
-    gshare.pairDeadlineOps = 50000;
-    gshare.system.branchPredictor = "gshare";
-    RunnerOptions tournament = gshare;
-    tournament.system.branchPredictor = "tournament";
-    const auto sweep = [&](TraceArenaStore *store, unsigned jobs) {
-        RunnerOptions a = gshare, b = tournament;
-        a.arenaStore = b.arenaStore = store;
-        a.jobs = b.jobs = jobs;
-        const SuiteRunner runner_a(a), runner_b(b);
-        ResultCache journal_a(""), journal_b("");
-        return runFanoutSweep(
-            {{runner_a, journal_a, {}}, {runner_b, journal_b, {}}}, suite,
-            InputSize::Test);
-    };
+    for (const unsigned retries : {0u, 1u}) {
+        SCOPED_TRACE(::testing::Message() << "maxRetries=" << retries);
+        RunnerOptions gshare = fastOptions();
+        gshare.pairDeadlineOps = 50000;
+        gshare.maxRetries = retries;
+        gshare.system.branchPredictor = "gshare";
+        RunnerOptions tournament = gshare;
+        tournament.system.branchPredictor = "tournament";
+        const auto sweep = [&](TraceArenaStore *store, unsigned jobs) {
+            RunnerOptions a = gshare, b = tournament;
+            a.arenaStore = b.arenaStore = store;
+            a.jobs = b.jobs = jobs;
+            const SuiteRunner runner_a(a), runner_b(b);
+            ResultCache journal_a(""), journal_b("");
+            return runFanoutSweep({{runner_a, journal_a, {}},
+                                   {runner_b, journal_b, {}}},
+                                  suite, InputSize::Test);
+        };
 
-    const auto reference = sweep(nullptr, 1);
-    ASSERT_EQ(reference.size(), 2u);
-    for (const unsigned jobs : {1u, 8u}) {
-        SCOPED_TRACE(::testing::Message() << "jobs=" << jobs);
-        TraceArenaStore store(512 * kMiB);
-        const auto sessions = sweep(&store, jobs);
-        ASSERT_EQ(sessions.size(), 2u);
-        for (std::size_t s = 0; s < 2; ++s) {
-            ASSERT_EQ(sessions[s].size(), reference[s].size());
-            ASSERT_FALSE(sessions[s].empty());
-            for (std::size_t i = 0; i < sessions[s].size(); ++i) {
-                const PairResult &cell = sessions[s][i];
-                const PairResult &alone = reference[s][i];
-                SCOPED_TRACE(cell.name);
-                EXPECT_TRUE(cell.errored);
-                ASSERT_EQ(cell.failures.size(), 1u);
-                ASSERT_EQ(alone.failures.size(), 1u);
-                const FailureRecord &got = cell.failures.front();
-                const FailureRecord &want = alone.failures.front();
-                EXPECT_EQ(got.category, FailureCategory::Deadline);
-                EXPECT_EQ(got.opsCompleted, gshare.pairDeadlineOps + 1);
-                EXPECT_EQ(got.category, want.category);
-                EXPECT_EQ(got.message, want.message);
-                EXPECT_EQ(got.attempt, want.attempt);
-                EXPECT_EQ(got.opsCompleted, want.opsCompleted);
+        const auto reference = sweep(nullptr, 1);
+        ASSERT_EQ(reference.size(), 2u);
+        for (const unsigned jobs : {1u, 8u}) {
+            SCOPED_TRACE(::testing::Message() << "jobs=" << jobs);
+            TraceArenaStore store(512 * kMiB);
+            const auto sessions = sweep(&store, jobs);
+            ASSERT_EQ(sessions.size(), 2u);
+            for (std::size_t s = 0; s < 2; ++s) {
+                ASSERT_EQ(sessions[s].size(), reference[s].size());
+                ASSERT_FALSE(sessions[s].empty());
+                for (std::size_t i = 0; i < sessions[s].size(); ++i) {
+                    const PairResult &cell = sessions[s][i];
+                    const PairResult &alone = reference[s][i];
+                    SCOPED_TRACE(cell.name);
+                    EXPECT_TRUE(cell.errored);
+                    EXPECT_EQ(cell.attempts, retries + 1);
+                    ASSERT_EQ(cell.failures.size(), retries + 1);
+                    ASSERT_EQ(alone.failures.size(), retries + 1);
+                    for (unsigned f = 0; f <= retries; ++f) {
+                        const FailureRecord &got = cell.failures[f];
+                        const FailureRecord &want = alone.failures[f];
+                        EXPECT_EQ(got.category, FailureCategory::Deadline);
+                        EXPECT_EQ(got.attempt, f);
+                        EXPECT_EQ(got.opsCompleted,
+                                  gshare.pairDeadlineOps + 1);
+                        EXPECT_EQ(got.category, want.category);
+                        EXPECT_EQ(got.message, want.message);
+                        EXPECT_EQ(got.attempt, want.attempt);
+                        EXPECT_EQ(got.opsCompleted, want.opsCompleted);
+                    }
+                }
             }
+            EXPECT_EQ(store.stats().hits, 0u);
         }
     }
 }
@@ -506,6 +550,20 @@ TEST(FaultIsolation, FailureHistorySerializationRoundTrips)
     EXPECT_TRUE(parseFailures("-")->empty());
     EXPECT_FALSE(parseFailures("nonsense").has_value());
     EXPECT_FALSE(parseFailures("deadline@x@0@msg").has_value());
+
+    // Numbers no writer emits are rejected, never wrapped, widened or
+    // read as 0: empty fields, signs, blanks and values past the
+    // field's width.
+    for (const char *bad :
+         {"deadline@@@x", "deadline@4294967296@5@x", "deadline@-1@-1@x",
+          "deadline@+1@5@x", "deadline@ 1@5@x", "deadline@0@-1@x",
+          "deadline@0@18446744073709551616@x"})
+        EXPECT_FALSE(parseFailures(bad).has_value()) << bad;
+    const auto widest =
+        parseFailures("deadline@4294967295@18446744073709551615@x");
+    ASSERT_TRUE(widest.has_value());
+    EXPECT_EQ(widest->front().attempt, 4294967295u);
+    EXPECT_EQ(widest->front().opsCompleted, 18446744073709551615u);
 }
 
 } // namespace

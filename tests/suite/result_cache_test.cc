@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
+#include <utility>
 
 namespace spec17 {
 namespace suite {
@@ -94,6 +96,70 @@ TEST(ResultCache, CorruptFileFallsBackToRun)
     }
     const auto results = cache.runOrLoad(runner, suite, InputSize::Test);
     EXPECT_EQ(results.size(), 29u);
+
+    // A hash-valid record whose cells no writer emits is damaged too:
+    // resuming replays the rows before it and simulates its pair
+    // again, rather than load a wrapped, widened or defaulted number.
+    const auto read_lines = [&file] {
+        std::ifstream in(file);
+        std::vector<std::string> lines;
+        for (std::string line; std::getline(in, line);)
+            lines.push_back(line);
+        return lines;
+    };
+    const auto split = [](const std::string &payload) {
+        std::vector<std::string> cells;
+        std::istringstream stream(payload);
+        for (std::string cell; std::getline(stream, cell, ',');)
+            cells.push_back(cell);
+        return cells;
+    };
+    constexpr std::size_t kFirstCounter = 8;
+    const std::vector<std::pair<std::size_t, const char *>> damage = {
+        {kFirstCounter, "-1"},
+        {kFirstCounter, "+5"},
+        {kFirstCounter, " 5"},
+        {kFirstCounter, "18446744073709551616"},
+        {1, "4294967296"},
+        {2, "2"},
+        {4, "deadline@@@x"},
+        {4, "deadline@4294967296@5@x"},
+        {4, "deadline@-1@-1@x"},
+    };
+    const auto event = static_cast<counters::PerfEvent>(0);
+    for (const auto &[column, bad] : damage) {
+        SCOPED_TRACE(::testing::Message()
+                     << "cell " << column << " = '" << bad << "'");
+        std::vector<std::string> lines = read_lines();
+        ASSERT_EQ(lines.size(), 2u + results.size());
+        std::string reason;
+        const auto header = JournalHeader::parse(lines[0], reason);
+        ASSERT_TRUE(header.has_value()) << reason;
+        std::string &last = lines.back();
+        std::vector<std::string> cells =
+            split(last.substr(0, last.rfind(',')));
+        cells[column] = bad;
+        std::string payload = cells[0];
+        for (std::size_t c = 1; c < cells.size(); ++c)
+            payload += "," + cells[c];
+        last = payload + ","
+            + recordHash(header->configFingerprint, payload);
+        {
+            std::ofstream out(file, std::ios::trunc | std::ios::binary);
+            for (const std::string &line : lines)
+                out << line << "\n";
+        }
+        const auto reread = ResultCache(base, /*resume=*/true)
+                                .runOrLoad(runner, suite, InputSize::Test);
+        ASSERT_EQ(reread.size(), results.size());
+        EXPECT_TRUE(reread.front().replayed);
+        EXPECT_FALSE(reread.back().replayed);
+        EXPECT_EQ(reread.back().inputIndex, results.back().inputIndex);
+        EXPECT_EQ(reread.back().errored, results.back().errored);
+        EXPECT_TRUE(reread.back().failures.empty());
+        EXPECT_EQ(reread.back().counters.get(event),
+                  results.back().counters.get(event));
+    }
     cache.invalidate();
 }
 

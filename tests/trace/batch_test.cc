@@ -3,9 +3,7 @@
  * Batched trace delivery: TraceSource::nextBatchSoA() must describe
  * the same stream as next() -- op for op, at any batch size, across
  * phase boundaries, through the default adapter, and mixed freely with
- * per-op pulls -- and reset() after a partially consumed batch must
- * replay the identical stream from the top (the contract retry-with-
- * seed-perturbation and record/replay depend on).
+ * per-op pulls.
  */
 
 #include "trace/source.hh"
@@ -179,50 +177,6 @@ TEST(TraceBatch, MixedPerOpAndBatchPullsAreOneStream)
     expectSameStream(ops, golden);
 }
 
-TEST(TraceBatch, ResetAfterPartialBatchReplaysIdenticalStream)
-{
-    // The documented reset() contract: no matter how far or in what
-    // chunk sizes the stream was consumed, reset() replays it
-    // identically from the first op.
-    const std::string path =
-        std::string(::testing::TempDir()) + "/spec17_batch_reset.s17t";
-    {
-        SyntheticTraceGenerator gen(params(5000));
-        ASSERT_EQ(writeTrace(path, gen), 5000u);
-    }
-
-    const auto check = [](TraceSource &source) {
-        const auto golden = drainPerOp(source);
-        source.reset();
-
-        // Consume a partial batch (an odd count, mid-stream), then
-        // rewind and replay in full.
-        MicroOpBatch lanes;
-        ASSERT_EQ(source.nextBatchSoA(lanes, 0, 37), 37u);
-        source.reset();
-        expectSameStream(drainSoA(source, 64), golden);
-    };
-
-    SyntheticTraceGenerator synthetic(params(5000));
-    check(synthetic);
-
-    std::vector<std::shared_ptr<TraceSource>> phases;
-    phases.push_back(
-        std::make_shared<StreamKernel>(32 * 1024, 200, false));
-    phases.push_back(
-        std::make_shared<SyntheticTraceGenerator>(params(2000)));
-    PhasedTrace phased(std::move(phases));
-    check(phased);
-
-    FileTrace file(path);
-    check(file);
-
-    PointerChaseKernel kernel(256 * 1024, 900, 8);
-    check(kernel);
-
-    std::remove(path.c_str());
-}
-
 TEST(TraceBatch, SoaPullsAtAnOffsetStitchOneStream)
 {
     // The `at` parameter lets a combinator place a child's ops deeper
@@ -276,90 +230,6 @@ TEST(TraceBatch, PhasedGoldenBatchSplitAcrossATransition)
         EXPECT_EQ(op.cls, golden[i].cls) << "op " << i;
         EXPECT_EQ(op.effAddr, golden[i].effAddr) << "op " << i;
     }
-}
-
-TEST(TraceBatch, CancellationStopsABatchAtTheFlag)
-{
-    bool cancelled = false;
-    SyntheticTraceGenerator gen(params());
-    gen.setCancelFlag(&cancelled);
-
-    MicroOpBatch lanes;
-    ASSERT_EQ(gen.nextBatchSoA(lanes, 0, 64), 64u);
-    cancelled = true;
-    EXPECT_EQ(gen.nextBatchSoA(lanes, 0, 64), 0u);
-    EXPECT_EQ(gen.emittedOps(), 64u);
-
-    // Clearing the flag resumes exactly where the stream stopped,
-    // like next() does.
-    cancelled = false;
-    EXPECT_EQ(gen.nextBatchSoA(lanes, 0, 64), 64u);
-    EXPECT_EQ(gen.emittedOps(), 128u);
-}
-
-TEST(TraceBatch, PhasedDoesNotDropACancelledPhaseRemainder)
-{
-    // Regression: a child returning short because its cancel flag is
-    // raised is paused, not exhausted. PhasedTrace used to advance
-    // past it anyway, silently dropping the phase's remaining ops and
-    // splicing the next phase's head into the stream. cancelled()
-    // distinguishes the two cases on every surface.
-    const auto make = [](const bool *flag) {
-        auto first =
-            std::make_shared<SyntheticTraceGenerator>(params(100));
-        first->setCancelFlag(flag);
-        SyntheticTraceParams second = params(100);
-        second.seed = 4321;
-        std::vector<std::shared_ptr<TraceSource>> phases;
-        phases.push_back(first);
-        phases.push_back(
-            std::make_shared<SyntheticTraceGenerator>(second));
-        return PhasedTrace(std::move(phases));
-    };
-
-    PhasedTrace golden_trace = make(nullptr);
-    const auto golden = drainPerOp(golden_trace);
-    ASSERT_EQ(golden.size(), 200u);
-
-    // Cancel mid-phase-0, observe the pause, resume, and check the
-    // full stream is intact on each surface.
-    const auto check = [&](auto &&pull) {
-        bool cancelled = false;
-        PhasedTrace phased = make(&cancelled);
-        std::vector<isa::MicroOp> ops = pull(phased, 64);
-        ASSERT_EQ(ops.size(), 64u);
-
-        cancelled = true;
-        EXPECT_TRUE(phased.cancelled());
-        EXPECT_TRUE(pull(phased, 64).empty());
-        // The cursor must still be on the paused phase 0.
-        EXPECT_EQ(phased.currentPhase(), 0u);
-
-        cancelled = false;
-        while (true) {
-            const auto got = pull(phased, 64);
-            ops.insert(ops.end(), got.begin(), got.end());
-            if (got.size() < 64)
-                break;
-        }
-        expectSameStream(ops, golden);
-    };
-
-    check([](PhasedTrace &source, std::size_t n) {
-        MicroOpBatch lanes;
-        const std::size_t got = source.nextBatchSoA(lanes, 0, n);
-        std::vector<isa::MicroOp> ops;
-        for (std::size_t i = 0; i < got; ++i)
-            ops.push_back(lanes.get(i));
-        return ops;
-    });
-    check([](PhasedTrace &source, std::size_t n) {
-        std::vector<isa::MicroOp> ops;
-        isa::MicroOp op;
-        while (ops.size() < n && source.next(op))
-            ops.push_back(op);
-        return ops;
-    });
 }
 
 } // namespace

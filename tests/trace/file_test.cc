@@ -29,12 +29,12 @@ TEST(TraceFile, RoundTripsEveryField)
         {AccessPattern::Random, 1 << 20, 64, 1.0, 1.0},
         {AccessPattern::PointerChase, 1 << 20, 64, 0.3, 0.0},
     };
-    SyntheticTraceGenerator original(params);
+    SyntheticTraceGenerator written(params);
 
     const std::string path = tempTrace("roundtrip");
-    EXPECT_EQ(writeTrace(path, original), 5000u);
+    EXPECT_EQ(writeTrace(path, written), 5000u);
 
-    original.reset();
+    SyntheticTraceGenerator original(params);
     FileTrace replay(path);
     EXPECT_EQ(replay.size(), 5000u);
     EXPECT_EQ(replay.virtualReserveBytes(),
@@ -57,23 +57,6 @@ TEST(TraceFile, RoundTripsEveryField)
     }
     EXPECT_FALSE(replay.next(b));
     EXPECT_EQ(compared, 5000u);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, ResetReplaysFromStart)
-{
-    StreamKernel kernel(4096, 100, true);
-    const std::string path = tempTrace("reset");
-    writeTrace(path, kernel);
-    FileTrace replay(path);
-    isa::MicroOp op;
-    ASSERT_TRUE(replay.next(op));
-    const auto first_pc = op.pc;
-    while (replay.next(op)) {
-    }
-    replay.reset();
-    ASSERT_TRUE(replay.next(op));
-    EXPECT_EQ(op.pc, first_pc);
     std::remove(path.c_str());
 }
 
@@ -142,10 +125,10 @@ TEST(TraceFile, ReplayedTraceDrivesTheSimulatorIdentically)
     params.regions = {
         {AccessPattern::Random, 4 << 20, 64, 1.0, 1.0},
     };
-    SyntheticTraceGenerator live(params);
+    SyntheticTraceGenerator written(params);
     const std::string path = tempTrace("simdrive");
-    writeTrace(path, live);
-    live.reset();
+    writeTrace(path, written);
+    SyntheticTraceGenerator live(params);
     FileTrace replay(path);
 
     sim::CpuSimulator sim_live(sim::SystemConfig::haswellXeonE52650Lv3());

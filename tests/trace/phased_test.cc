@@ -36,21 +36,6 @@ TEST(PhasedTrace, PlaysChildrenInOrder)
     EXPECT_EQ(trace.currentPhase(), 3u);
 }
 
-TEST(PhasedTrace, ResetRewindsEveryChild)
-{
-    PhasedTrace trace = threePhases();
-    isa::MicroOp op;
-    std::vector<std::uint64_t> first;
-    while (trace.next(op))
-        first.push_back(op.effAddr);
-    trace.reset();
-    EXPECT_EQ(trace.currentPhase(), 0u);
-    std::vector<std::uint64_t> second;
-    while (trace.next(op))
-        second.push_back(op.effAddr);
-    EXPECT_EQ(first, second);
-}
-
 TEST(PhasedTrace, ReserveIsMaxOfChildren)
 {
     PhasedTrace trace = threePhases();

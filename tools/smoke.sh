@@ -6,12 +6,14 @@
 # and descent plans, the co-run and explorer jobs-1-vs-2 and
 # kill-plus---resume byte comparisons, a predictor x way-predictor
 # cross whose lane-importing points must match live per-point runs at
-# jobs 1 and 2 and a deadline-armed reference-lane rerun, and a
-# telemetry sweep. Two runs also hold a peak-RSS ceiling (the child's
-# ru_maxrss, read through python3's resource module): the jobs-1
-# predictor x way-predictor cross stays under 64 MiB and the store-on
-# threaded cpu2017 sweep under 27 MiB. Every output lands in OUT_DIR
-# (the CI artifact); any failed check exits nonzero.
+# jobs 1 and 2 and a deadline-armed reference-lane rerun, the same
+# cross under an op budget that fails every attempt, whose table,
+# per-point journals and failure records must match store on and off,
+# and a telemetry sweep. Two runs also hold a peak-RSS ceiling (the
+# child's ru_maxrss, read through python3's resource module): the
+# jobs-1 predictor x way-predictor cross stays under 64 MiB and the
+# store-on threaded cpu2017 sweep under 27 MiB. Every output lands in
+# OUT_DIR (the CI artifact); any failed check exits nonzero.
 #
 # Usage: tools/smoke.sh BUILD_DIR OUT_DIR
 set -euo pipefail
@@ -152,6 +154,38 @@ cmp lanes-j1.csv lanes-off.csv
   --pair-deadline=100000000 --unbatched-stepping \
   --explore-out=lanes-observed.csv
 cmp lanes-j1.csv lanes-observed.csv
+# A 25000-op budget below sample + warmup fails both attempts of all
+# 15 x 29 cells, so every record holds
+# deadline@0@25001@...|deadline@1@25001@... With the store on, a
+# lockstep cell's failure is its pair's attempt 0, lane-importing
+# siblings inherit their leader's, and only the retry runs again; the
+# table and every per-point journal must match the store-off run. Each
+# run's 870 pair_attempt_failed lines land in budget-mb*.events.
+for mb in 512 0; do
+  SPEC17_CACHE=budget-mb$mb "$spec17" explore "${lanes[@]}" --jobs=2 \
+    --pair-deadline=25000 --retries=1 --trace-arena-mb=$mb \
+    --explore-out=budget-mb$mb.csv 2> budget-mb$mb.events
+  failed=$(grep -c '^event: pair_attempt_failed ' budget-mb$mb.events \
+    || true)
+  if [ "$failed" -ne 870 ]; then
+    echo "budget-mb$mb logged $failed failed attempts, not 870" >&2
+    exit 1
+  fi
+done
+cmp budget-mb512.csv budget-mb0.csv
+journals=(budget-mb512.explore.*.csv)
+if [ ${#journals[@]} -ne 15 ]; then
+  echo "the budget cross wrote ${#journals[@]} journals, not 15" >&2
+  exit 1
+fi
+for journal in "${journals[@]}"; do
+  cmp "$journal" "budget-mb0${journal#budget-mb512}"
+  if tail -n +3 "$journal" \
+      | grep -v ',deadline@0@25001@[^,|]*|deadline@1@25001@[^,|]*,'; then
+    echo "$journal holds a record without both budget failures" >&2
+    exit 1
+  fi
+done
 for mb in 512 0; do
   "$spec17" explore "${explore[@]}" --multi-axis-mode=descent --no-cache \
     --jobs=2 --trace-arena-mb=$mb --explore-out=descent-mb$mb.csv
