@@ -86,15 +86,17 @@ importCloneKey(const sim::SystemConfig &system)
 using Row = std::vector<std::optional<PairResult>>;
 
 /**
- * Bounded freelists of dead clone-group leaders whose heap buffers
- * (cache lanes, memos, batch and staging lanes) the next pair's
- * leaders adopt. They hold only simulators with a memory side: a lane
- * importer has nothing to lend. Recycling is an allocation shortcut
- * only (results are bit-identical to fresh construction), so a
- * freelist can drop donors freely when full, and a row that builds
- * no simulator releases every donor rather than keep them idle.
+ * One dead clone-group leader per worker thread, whose heap buffers
+ * (cache lanes, memos, batch and staging lanes) the thread's next
+ * leader adopts. A row steps its clone groups one after another, and
+ * each group take()s before it give()s, so the thread's slot is empty
+ * whenever a leader comes back and one slot suffices. It holds only
+ * simulators with a memory side: a lane importer has nothing to lend.
+ * Recycling is an allocation shortcut only (results are bit-identical
+ * to fresh construction), and a row that builds no simulator releases
+ * every donor rather than keep them idle.
  *
- * Each worker thread recycles only the donors it gave. A buffer
+ * Each worker thread recycles only the donor it gave. A buffer
  * returns to the malloc arena of the thread that allocated it when it
  * is freed, and glibc gives each thread its own arena: a donor that
  * wandered to another worker and was freed there would leave its
@@ -103,38 +105,24 @@ using Row = std::vector<std::optional<PairResult>>;
  */
 class DonorPool
 {
-    using Donors = std::vector<std::unique_ptr<sim::CpuSimulator>>;
-
   public:
-    explicit DonorPool(std::size_t cap) : cap_(cap) {}
-
-    /** One of the calling thread's donors, or null. */
+    /** The calling thread's donor, or null. */
     std::unique_ptr<sim::CpuSimulator>
     take()
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        Donors &donors = donors_[std::this_thread::get_id()];
-        if (donors.empty())
-            return nullptr;
-        std::unique_ptr<sim::CpuSimulator> donor = std::move(donors.back());
-        donors.pop_back();
-        return donor;
+        return std::move(donors_[std::this_thread::get_id()]);
     }
 
-    /** Keeps @p sims, up to the cap, for the calling thread. */
+    /** Keeps @p sim as the calling thread's donor. */
     void
-    give(Donors sims)
+    give(std::unique_ptr<sim::CpuSimulator> sim)
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        Donors &donors = donors_[std::this_thread::get_id()];
-        for (auto &sim : sims) {
-            if (donors.size() >= cap_)
-                return; // drop the rest: recycling is best-effort
-            donors.push_back(std::move(sim));
-        }
+        donors_[std::this_thread::get_id()] = std::move(sim);
     }
 
-    /** Frees every thread's donors. */
+    /** Frees every thread's donor. */
     void
     release()
     {
@@ -143,9 +131,8 @@ class DonorPool
     }
 
   private:
-    std::size_t cap_;
     std::mutex mutex_;
-    std::map<std::thread::id, Donors> donors_;
+    std::map<std::thread::id, std::unique_ptr<sim::CpuSimulator>> donors_;
 };
 
 /** Releases the traces a row acquired from @p store when the row
@@ -243,64 +230,91 @@ runFanoutPair(const AppInputPair &pair,
     const std::size_t n = lockstep.size();
     SPEC17_ASSERT(arena != nullptr || n == 1,
                   "lockstep cells without an arena to share");
-    std::vector<trace::ReplaySource> replays;
-    replays.reserve(n);
 
-    // Clone groups: a point matching an earlier point in everything
-    // but the branch side (importCloneKey) is a lane-importing sibling
-    // of that leader. It consumes the leader's recorded memory lanes,
-    // so it is built in the lane-importer form, with no cache
-    // hierarchy to prefill, and takes no donor. A sampled or unbatched
-    // cell leads its own group: its registry reads the hierarchy an
-    // importer lacks, and only the batched lane records. Each leader
-    // prefills its own hierarchy, adopting a dead leader's buffers
-    // from the pool when one is there.
-    std::map<std::string, std::size_t> leaders;
-    std::vector<LockstepCell> cells(n);
-    std::vector<std::unique_ptr<sim::CpuSimulator>> sims(n);
-    std::vector<std::unique_ptr<telemetry::MetricsRegistry>> registries(n);
+    // Clone groups, as lockstep indices with the leader first: a point
+    // matching an earlier point in everything but the branch side
+    // (importCloneKey) is a lane-importing sibling in the first such
+    // point's group. A sampled or unbatched cell leads its own group:
+    // its registry reads the hierarchy an importer lacks, and only the
+    // batched lane records.
+    std::map<std::string, std::size_t> keyed;
+    std::vector<std::vector<std::size_t>> groups;
     for (std::size_t j = 0; j < n; ++j) {
-        const RunnerOptions &point =
-            sessions[lockstep[j]].runner.options();
-        cells[j].leader = j;
+        const RunnerOptions &point = sessions[lockstep[j]].runner.options();
         if (point.sampleIntervalOps == 0 && !point.unbatchedStepping) {
             const std::string key = importCloneKey(point.system)
                 + "|batch=" + std::to_string(point.batchOps);
-            cells[j].leader = leaders.emplace(key, j).first->second;
+            const auto [it, fresh] = keyed.emplace(key, groups.size());
+            if (!fresh) {
+                groups[it->second].push_back(j);
+                continue;
+            }
         }
-        if (cells[j].leader != j) {
-            sims[j] = std::make_unique<sim::CpuSimulator>(
-                sim::CpuSimulator::LaneImporter{}, point.system);
-        } else {
-            const std::unique_ptr<sim::CpuSimulator> donor = donors.take();
-            sims[j] = std::make_unique<sim::CpuSimulator>(
-                point.system, pair_seed, nullptr, nullptr, donor.get());
-            prefillSteadyState(*sims[j], generator);
-        }
-        if (point.batchOps != 0)
-            sims[j]->setBatchOps(point.batchOps);
-        sims[j]->setUnbatchedStepping(point.unbatchedStepping);
-        cells[j].simulator = sims[j].get();
-        cells[j].source = &generator;
-        if (arena != nullptr)
-            cells[j].source = &replays.emplace_back(arena);
-        // The runner's column order: the simulator's metrics, then
-        // the consumed source's emission counter.
-        if (point.sampleIntervalOps > 0) {
-            registries[j] = std::make_unique<telemetry::MetricsRegistry>();
-            telemetry::registerSimulatorMetrics(*registries[j], *sims[j]);
-            std::function<std::uint64_t()> emitted = [&generator] {
-                return generator.emittedOps();
-            };
-            if (arena != nullptr)
-                emitted = [r = &replays.back()] { return r->deliveredOps(); };
-            telemetry::registerTraceMetrics(*registries[j],
-                                            std::move(emitted));
-            cells[j].registry = registries[j].get();
-        }
+        groups.push_back({j});
     }
 
-    const std::vector<LockstepOutcome> outcomes = runLockstep(cells, base);
+    // Groups share nothing but the row's arena, so each steps in its
+    // own runLockstep() call and the row holds one leader's hierarchy
+    // at a time. The leader is cell 0, every cell's default leader. It
+    // prefills its hierarchy, adopting the thread's dead leader's
+    // buffers when the pool has one, and is the next group's donor once
+    // its call returns. Its siblings consume its recorded memory
+    // lanes, so they are built in the lane-importer form, with no cache
+    // hierarchy to prefill.
+    std::vector<LockstepOutcome> outcomes(n);
+    for (const std::vector<std::size_t> &group : groups) {
+        const std::size_t g = group.size();
+        std::vector<trace::ReplaySource> replays;
+        replays.reserve(g);
+        std::vector<LockstepCell> cells(g);
+        std::vector<std::unique_ptr<sim::CpuSimulator>> sims(g);
+        std::vector<std::unique_ptr<telemetry::MetricsRegistry>>
+            registries(g);
+        for (std::size_t c = 0; c < g; ++c) {
+            const RunnerOptions &point =
+                sessions[lockstep[group[c]]].runner.options();
+            if (c != 0) {
+                sims[c] = std::make_unique<sim::CpuSimulator>(
+                    sim::CpuSimulator::LaneImporter{}, point.system);
+            } else {
+                const std::unique_ptr<sim::CpuSimulator> donor =
+                    donors.take();
+                sims[c] = std::make_unique<sim::CpuSimulator>(
+                    point.system, pair_seed, nullptr, nullptr, donor.get());
+                prefillSteadyState(*sims[c], generator);
+            }
+            if (point.batchOps != 0)
+                sims[c]->setBatchOps(point.batchOps);
+            sims[c]->setUnbatchedStepping(point.unbatchedStepping);
+            cells[c].simulator = sims[c].get();
+            cells[c].source = &generator;
+            if (arena != nullptr)
+                cells[c].source = &replays.emplace_back(arena);
+            // The runner's column order: the simulator's metrics, then
+            // the consumed source's emission counter.
+            if (point.sampleIntervalOps > 0) {
+                registries[c] =
+                    std::make_unique<telemetry::MetricsRegistry>();
+                telemetry::registerSimulatorMetrics(*registries[c],
+                                                    *sims[c]);
+                std::function<std::uint64_t()> emitted = [&generator] {
+                    return generator.emittedOps();
+                };
+                if (arena != nullptr)
+                    emitted = [r = &replays.back()] {
+                        return r->deliveredOps();
+                    };
+                telemetry::registerTraceMetrics(*registries[c],
+                                                std::move(emitted));
+                cells[c].registry = registries[c].get();
+            }
+        }
+        std::vector<LockstepOutcome> stepped = runLockstep(cells, base);
+        for (std::size_t c = 0; c < g; ++c)
+            outcomes[group[c]] = std::move(stepped[c]);
+        donors.give(std::move(sims.front()));
+    }
+
     for (std::size_t j = 0; j < n; ++j) {
         const std::size_t p = lockstep[j];
         const SuiteRunner &runner = sessions[p].runner;
@@ -327,13 +341,6 @@ runFanoutPair(const AppInputPair &pair,
             options.telemetrySink->write(result.name, *result.series);
         row[p] = std::move(result);
     }
-
-    std::vector<std::unique_ptr<sim::CpuSimulator>> spent;
-    for (std::size_t j = 0; j < n; ++j) {
-        if (cells[j].leader == j)
-            spent.push_back(std::move(sims[j]));
-    }
-    donors.give(std::move(spent));
 }
 
 } // namespace
@@ -405,7 +412,7 @@ runFanoutSweep(const std::vector<FanoutSession> &sessions,
             start = std::min(start, have[p]);
     }
 
-    DonorPool donors(m);
+    DonorPool donors;
     runOrderedPool<Row>(
         n - start, base.jobs,
         [&](std::size_t k) {

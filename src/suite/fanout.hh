@@ -18,20 +18,25 @@
  * live.
  *
  * With a store, a row steps each single-threaded, well-formed cell
- * (one pair under one session) whose session injects no faults in one
+ * (one pair under one session) whose session injects no faults in
+ * lockstep: its clone groups run one after another, each in one
  * runLockstep() call (suite/runner.hh), the loop every runPair attempt
  * steps its one cell with. Three cost levers compose there
  * (docs/performance.md):
  *  - capture-once/replay-many arenas: every cell replays the row's
- *    trace zero-copy, and each lockstep chunk is read once for all;
+ *    trace zero-copy, and each lockstep chunk is read once per clone
+ *    group;
  *  - lane import: batched, unsampled cells that differ only on the
  *    branch side form a clone group. Its leader records the lanes its
  *    cache, TLB and footprint passes produce; its siblings, built in
  *    CpuSimulator's lane-importer form with no cache hierarchy, import
- *    them and run only the branch and retire passes;
- *  - simulator buffer recycling: dead leaders donate their page-faulted
- *    heap buffers to the next pair's leaders. A row with no lockstep
- *    cell frees the donors before its runPair cells allocate.
+ *    them and run only the branch and retire passes. Every other cell
+ *    leads a group of its own. Groups share nothing but the arena, so
+ *    a row holds one leader's cache hierarchy at a time;
+ *  - simulator buffer recycling: each worker's dead leader donates its
+ *    page-faulted heap buffers to that worker's next leader, in the
+ *    same row or the next. A row with no lockstep cell frees the
+ *    donors before its runPair cells allocate.
  * Every other cell -- threaded pairs, malformed profiles, fault-injected
  * sessions and all of a store-less sweep -- runs through its session's
  * SuiteRunner::runPair, with the full retry and failure-record

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -68,12 +67,33 @@ parseUnsigned(std::string_view cell, std::uint64_t max, unsigned base)
 }
 
 std::optional<double>
-parseDouble(const std::string &cell)
+parseDouble(std::string_view cell)
 {
-    char *end = nullptr;
-    errno = 0;
-    const double value = std::strtod(cell.c_str(), &end);
-    if (cell.empty() || end == nullptr || *end != '\0' || errno != 0)
+    // The writers' 17-digit grammar: -?D+(.D+)?(e[+-]D+)?
+    std::size_t at = 0;
+    const auto digits = [&cell, &at] {
+        const std::size_t from = at;
+        while (at < cell.size() && cell[at] >= '0' && cell[at] <= '9')
+            ++at;
+        return at > from;
+    };
+    const auto skip = [&cell, &at](char c) {
+        const bool found = at < cell.size() && cell[at] == c;
+        at += found;
+        return found;
+    };
+    skip('-');
+    if (!digits() || (skip('.') && !digits()))
+        return std::nullopt;
+    if (skip('e') && !((skip('+') || skip('-')) && digits()))
+        return std::nullopt;
+    if (at != cell.size())
+        return std::nullopt;
+    // from_chars keeps a subnormal value and reports overflow as a
+    // range error; strtod reports both.
+    double value = 0.0;
+    if (std::from_chars(cell.data(), cell.data() + cell.size(), value).ec
+        != std::errc())
         return std::nullopt;
     return value;
 }

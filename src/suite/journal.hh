@@ -72,9 +72,15 @@ std::optional<std::uint64_t> parseUnsigned(
     std::uint64_t max = std::numeric_limits<std::uint64_t>::max(),
     unsigned base = 10);
 
-/** Parses one journal cell as a double: the whole non-empty cell must
- *  convert (strtod) without a range error. nullopt otherwise. */
-std::optional<double> parseDouble(const std::string &cell);
+/**
+ * Parses one journal cell as a double in exactly the grammar the
+ * 17-significant-digit writers emit: an optional `-`, digits, an
+ * optional `.digits` and an optional `e` with a sign and digits. No
+ * blank, `+`, hex float, `inf` or `nan` (no writer emits a non-finite
+ * cell) and no value that overflows; a subnormal value loads. nullopt
+ * otherwise. Every journal reader parses its double cells here.
+ */
+std::optional<double> parseDouble(std::string_view cell);
 
 /**
  * Content hash of one journal record: FNV-1a over the campaign's

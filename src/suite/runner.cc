@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -187,8 +188,9 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /** Micro-ops per lockstep chunk: small enough that one chunk's arena
- *  slice stays cache-resident while every cell of a row reads it,
- *  large enough to amortize the per-step dispatch. */
+ *  slice stays cache-resident while every cell of the call -- one
+ *  clone group of a sweep row -- reads it, large enough to amortize
+ *  the per-step dispatch. */
 constexpr std::uint64_t kLockstepOps = 16384;
 
 /**
@@ -422,6 +424,14 @@ finalizePairResult(const RunnerOptions &options,
         / (options.system.core.frequencyGHz * 1e9);
     result.seconds =
         wall_seconds * (result.instrBillions * kBillion / sim_instr);
+    // A journal holds finite doubles only. The time is finite only
+    // when the cycles and the instruction count are and the product
+    // did not overflow.
+    if (!std::isfinite(result.seconds)) {
+        throw PairExecutionError(
+            FailureCategory::Invariant,
+            result.name + ": paper-scale time is not finite");
+    }
 
     // RSS/VSZ are microarchitecture-independent input magnitudes; the
     // sampled run cannot touch a paper-scale working set, so OVERRIDE

@@ -396,11 +396,11 @@ struct PairResult
  * @name Pair-identity helpers
  * The exact derivations SuiteRunner::runPairAttempt() uses, and the
  * one loop that steps every single-threaded attempt: an attempt is a
- * one-cell runLockstep() call, and a sweep row (suite/fanout.hh) one
- * call with a cell per session. Rows thereby reproduce per-pair
- * identity -- build options, seeds, chunk schedule, the measured
- * window and paper-unit scaling -- by construction rather than by
- * copy.
+ * one-cell runLockstep() call, and each clone group of a sweep row
+ * (suite/fanout.hh) one call with a cell per session in the group.
+ * Rows thereby reproduce per-pair identity -- build options, seeds,
+ * chunk schedule, the measured window and paper-unit scaling -- by
+ * construction rather than by copy.
  */
 /// @{
 
@@ -425,7 +425,8 @@ PairResult makePairResult(const workloads::AppInputPair &pair);
  * billions, seconds; the profile's declared RSS/VSZ override the
  * sampling substrate's footprint, floored by pages actually touched).
  * Throws PairExecutionError(Invariant) when the measured interval
- * retired nothing.
+ * retired nothing or the paper-scale time is not finite (journals
+ * hold finite doubles only).
  */
 void finalizePairResult(const RunnerOptions &options,
                         const sim::SimResult &sim_result,

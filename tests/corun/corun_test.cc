@@ -322,8 +322,9 @@ TEST(CorunStore, RowSerializationRoundTrips)
     EXPECT_NE(reason, "");
 
     // Numbers no writer emits are damage, never a wrapped or widened
-    // value: a second `0x`, signs, blanks, uppercase hex digits, and
-    // values past the field's width.
+    // value: a second `0x`, signs, blanks, uppercase hex digits,
+    // values past the field's width, hex floats, non-finite doubles
+    // and doubles that overflow.
     const auto row = [](const std::string &masks,
                         const std::string &member) {
         return "a+b@0x1f," + masks + "," + member;
@@ -336,7 +337,13 @@ TEST(CorunStore, RowSerializationRoundTrips)
           row("-", "a:1.5:1.25:-1:0:0:0:0:0"),
           row("-", "a:1.5:1.25: 7:0:0:0:0:0"),
           row("-", "a:1.5:1.25:+7:0:0:0:0:0"),
-          row("-", "a:1.5:1.25:18446744073709551616:0:0:0:0:0")}) {
+          row("-", "a:1.5:1.25:18446744073709551616:0:0:0:0:0"),
+          row("-", "a: 1.5:1.25:7:0:0:0:0:0"),
+          row("-", "a:+1.5:1.25:7:0:0:0:0:0"),
+          row("-", "a:0x1p3:1.25:7:0:0:0:0:0"),
+          row("-", "a:1.5:inf:7:0:0:0:0:0"),
+          row("-", "a:1.5:nan:7:0:0:0:0:0"),
+          row("-", "a:1.5:1e309:7:0:0:0:0:0")}) {
         reason.clear();
         EXPECT_TRUE(parseCorunRow(bad, reason).name.empty()) << bad;
         EXPECT_NE(reason, "") << bad;
@@ -349,6 +356,16 @@ TEST(CorunStore, RowSerializationRoundTrips)
     EXPECT_EQ(widest.masks, std::vector<std::uint32_t>{0xffffffffu});
     ASSERT_EQ(widest.members.size(), 1u);
     EXPECT_EQ(widest.members[0].instructions, 18446744073709551615u);
+
+    // A subnormal cycle count is what the 17-digit writer emits for
+    // 1e-310, and it reads back exactly.
+    CorunResult tiny = result;
+    tiny.members[0].cycles = 1e-310;
+    reason.clear();
+    const CorunResult reread = parseCorunRow(serializeCorunRow(tiny), reason);
+    EXPECT_EQ(reason, "");
+    ASSERT_EQ(reread.members.size(), 2u);
+    EXPECT_EQ(reread.members[0].cycles, 1e-310);
 }
 
 /** Truncates @p file to its 2 header lines + @p keep_rows records. */

@@ -179,6 +179,25 @@ TEST(FaultIsolation, BadProfileFailsFastWithoutRetries)
               std::string::npos);
 }
 
+TEST(FaultIsolation, NonFinitePaperScaleTimeFailsTheAttempt)
+{
+    // Journals hold finite doubles only. A well-formed profile whose
+    // paper-scale instruction count overflows (finite factors, an
+    // infinite product) fails its attempt as an invariant violation
+    // rather than journal an `inf` cell that no reader accepts.
+    workloads::WorkloadProfile huge = workloads::cpu2006Suite().front();
+    huge.refInstrBillions = 1e300;
+    huge.testScale = 1e10;
+    ASSERT_EQ(huge.validationError(), "");
+    const PairResult result =
+        SuiteRunner(fastOptions()).runPair({&huge, InputSize::Test, 0});
+    EXPECT_TRUE(result.errored);
+    ASSERT_EQ(result.failures.size(), 1u);
+    EXPECT_EQ(result.failures[0].category, FailureCategory::Invariant);
+    EXPECT_NE(result.failures[0].message.find("not finite"),
+              std::string::npos);
+}
+
 TEST(FaultIsolation, StalledGenerationTripsTheOpBudgetWatchdog)
 {
     const auto pairs =

@@ -125,11 +125,16 @@ TEST(ResultCache, CorruptFileFallsBackToRun)
         {4, "deadline@@@x"},
         {4, "deadline@4294967296@5@x"},
         {4, "deadline@-1@-1@x"},
+        {5, " 1.5"},
+        {5, "+1.5"},
+        {6, "0x1p3"},
+        {6, "inf"},
+        {7, "nan"},
+        {7, "1e309"},
     };
-    const auto event = static_cast<counters::PerfEvent>(0);
-    for (const auto &[column, bad] : damage) {
-        SCOPED_TRACE(::testing::Message()
-                     << "cell " << column << " = '" << bad << "'");
+    // Rewrites the last record with @p text in @p column, re-hashed.
+    const auto rewrite_last = [&](std::size_t column,
+                                  const std::string &text) {
         std::vector<std::string> lines = read_lines();
         ASSERT_EQ(lines.size(), 2u + results.size());
         std::string reason;
@@ -138,17 +143,21 @@ TEST(ResultCache, CorruptFileFallsBackToRun)
         std::string &last = lines.back();
         std::vector<std::string> cells =
             split(last.substr(0, last.rfind(',')));
-        cells[column] = bad;
+        cells[column] = text;
         std::string payload = cells[0];
         for (std::size_t c = 1; c < cells.size(); ++c)
             payload += "," + cells[c];
         last = payload + ","
             + recordHash(header->configFingerprint, payload);
-        {
-            std::ofstream out(file, std::ios::trunc | std::ios::binary);
-            for (const std::string &line : lines)
-                out << line << "\n";
-        }
+        std::ofstream out(file, std::ios::trunc | std::ios::binary);
+        for (const std::string &line : lines)
+            out << line << "\n";
+    };
+    const auto event = static_cast<counters::PerfEvent>(0);
+    for (const auto &[column, bad] : damage) {
+        SCOPED_TRACE(::testing::Message()
+                     << "cell " << column << " = '" << bad << "'");
+        rewrite_last(column, bad);
         const auto reread = ResultCache(base, /*resume=*/true)
                                 .runOrLoad(runner, suite, InputSize::Test);
         ASSERT_EQ(reread.size(), results.size());
@@ -160,6 +169,15 @@ TEST(ResultCache, CorruptFileFallsBackToRun)
         EXPECT_EQ(reread.back().counters.get(event),
                   results.back().counters.get(event));
     }
+
+    // A subnormal double is a cell the 17-digit writer emits (for
+    // 1e-310), so a hash-valid row holding one loads as written.
+    rewrite_last(7, "9.9999999999999694e-311");
+    const auto reread = ResultCache(base, /*resume=*/true)
+                            .runOrLoad(runner, suite, InputSize::Test);
+    ASSERT_EQ(reread.size(), results.size());
+    EXPECT_TRUE(reread.back().replayed);
+    EXPECT_EQ(reread.back().seconds, 1e-310);
     cache.invalidate();
 }
 

@@ -9,11 +9,15 @@
 # jobs 1 and 2 and a deadline-armed reference-lane rerun, the same
 # cross under an op budget that fails every attempt, whose table,
 # per-point journals and failure records must match store on and off,
-# and a telemetry sweep. Two runs also hold a peak-RSS ceiling (the
-# child's ru_maxrss, read through python3's resource module): the
-# jobs-1 predictor x way-predictor cross stays under 64 MiB and the
-# store-on threaded cpu2017 sweep under 27 MiB. Every output lands in
-# OUT_DIR (the CI artifact); any failed check exits nonzero.
+# and a telemetry sweep. Four runs also hold a peak-RSS ceiling (the
+# child's ru_maxrss, read through python3's resource module). A sweep
+# row steps its clone groups one after another, so an explore run
+# holds one group leader's cache hierarchy per worker: the jobs-1
+# predictor x way-predictor cross and the jobs-1 way-predictor x
+# l2-prefetcher cross (every point leads its own group) stay under
+# 20 MiB, the jobs-2 deadline-armed reference-lane cross under 32 MiB,
+# and the store-on threaded cpu2017 sweep under 27 MiB. Every output
+# lands in OUT_DIR (the CI artifact); any failed check exits nonzero.
 #
 # Usage: tools/smoke.sh BUILD_DIR OUT_DIR
 set -euo pipefail
@@ -123,7 +127,10 @@ for jobs in 1 2; do
     --export-jsonl=explore-j$jobs.jsonl
 done
 cmp explore-j1.csv explore-j2.csv
-"$spec17" explore "${explore[@]}" --no-cache --jobs=1 \
+# Every point of this cross leads its own clone group; the row steps
+# them one after another and holds one leader's hierarchy at a time.
+peak_rss 20 "the jobs-1 way-predictor x l2-prefetcher cross" \
+  "$spec17" explore "${explore[@]}" --no-cache --jobs=1 \
   --explore-out=replay-ref.csv
 "$spec17" explore "${explore[@]}" --no-cache --jobs=2 \
   --explore-out=replay-par.csv
@@ -137,9 +144,10 @@ cmp replay-ref.csv replay-off.csv
 # way-predictor leader only in the branch predictor: with the store on
 # they import the leader's memory-side lanes and footprint pages. The
 # store-off table simulates every point itself. The importers own no
-# cache hierarchy: each one that built a 30 MB L3 again would add
-# about 8 MiB to the jobs-1 peak.
-peak_rss 64 "the jobs-1 lanes cross" \
+# cache hierarchy, and the row's three clone groups step one after
+# another, so the jobs-1 run holds one 30 MB-L3 hierarchy (about
+# 8 MiB) at a time.
+peak_rss 20 "the jobs-1 lanes cross" \
   "$spec17" explore "${lanes[@]}" --no-cache --jobs=1 \
   --explore-out=lanes-j1.csv
 "$spec17" explore "${lanes[@]}" --no-cache --jobs=2 \
@@ -149,8 +157,10 @@ peak_rss 64 "the jobs-1 lanes cross" \
 cmp lanes-j1.csv lanes-j2.csv
 cmp lanes-j1.csv lanes-off.csv
 # Deadline-armed reference-lane cells step in their row's lockstep too,
-# each leading its own clone group; the table must not move.
-"$spec17" explore "${lanes[@]}" --no-cache --jobs=2 \
+# each leading its own clone group; the table must not move. Each of
+# the 15 groups builds its full simulator only when its turn comes.
+peak_rss 32 "the jobs-2 deadline-armed reference-lane cross" \
+  "$spec17" explore "${lanes[@]}" --no-cache --jobs=2 \
   --pair-deadline=100000000 --unbatched-stepping \
   --explore-out=lanes-observed.csv
 cmp lanes-j1.csv lanes-observed.csv
