@@ -106,7 +106,7 @@ void
 BM_RetireBatch(benchmark::State &state)
 {
     // The retire pass alone: 4096 ops of real generator lanes (class
-    // and dependence bits) with fixed memory-side and mispredict
+    // and flags) with fixed memory-side and mispredict
     // lanes. Loads hit L1 in 4 cycles; every 8th misses to L2, every
     // 64th goes to DRAM; every 16th op's branch mispredicts.
     constexpr std::size_t kOps = 4096;
@@ -134,10 +134,10 @@ BM_RetireBatch(benchmark::State &state)
     }
     sim::CoreModel core{sim::CoreParams{}};
     for (auto _ : state) {
-        core.retireBatch(lanes.cls.data(), lanes.depOnLoad.data(),
-                         lanes.depOnPrev.data(), mem_latency.data(),
-                         l1_miss.data(), fetch_stall.data(),
-                         mispredicted.data(), dram.data(), kOps);
+        core.retireBatch(lanes.cls.data(), lanes.flags.data(),
+                         mem_latency.data(), l1_miss.data(),
+                         fetch_stall.data(), mispredicted.data(),
+                         dram.data(), kOps);
         benchmark::DoNotOptimize(core.cycles());
     }
     state.SetItemsProcessed(state.iterations() * kOps);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "trace/batch.hh"
 #include "util/logging.hh"
 
 namespace spec17 {
@@ -48,18 +49,16 @@ CoreModel::retire(const isa::MicroOp &op, unsigned mem_latency,
                   bool l1_miss, unsigned fetch_stall, bool mispredicted,
                   std::uint8_t dram)
 {
-    const std::uint8_t dep_on_load = op.depOnLoad;
-    const std::uint8_t dep_on_prev = op.depOnPrev;
+    const std::uint8_t flags = trace::packFlags(op);
     const std::uint8_t missed = l1_miss;
     const std::uint8_t mispred = mispredicted;
-    retireBatch(&op.cls, &dep_on_load, &dep_on_prev, &mem_latency,
-                &missed, &fetch_stall, &mispred, &dram, 1);
+    retireBatch(&op.cls, &flags, &mem_latency, &missed, &fetch_stall,
+                &mispred, &dram, 1);
 }
 
 void
 CoreModel::retireBatch(const isa::UopClass *__restrict cls,
-                       const std::uint8_t *__restrict dep_on_load,
-                       const std::uint8_t *__restrict dep_on_prev,
+                       const std::uint8_t *__restrict flags,
                        const unsigned *__restrict mem_latency,
                        const std::uint8_t *__restrict l1_miss,
                        const unsigned *__restrict fetch_stall,
@@ -95,8 +94,8 @@ CoreModel::retireBatch(const isa::UopClass *__restrict cls,
 
     for (std::size_t i = 0; i < n; ++i) {
         const C op_cls = cls[i];
-        const bool on_load = dep_on_load[i] != 0;
-        const bool on_prev = dep_on_prev[i] != 0;
+        const bool on_load = (flags[i] & trace::kFlagDepOnLoad) != 0;
+        const bool on_prev = (flags[i] & trace::kFlagDepOnPrev) != 0;
         const unsigned latency = mem_latency[i];
         const bool missed = l1_miss[i] != 0;
         const unsigned stall = fetch_stall[i];

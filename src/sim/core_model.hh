@@ -144,16 +144,16 @@ class CoreModel
 
     /**
      * Accounts @p n micro-ops from SoA lanes; the one retire body.
-     * Lane slot i holds op i's class and dependence bits and what the
-     * memory side and the branch unit resolved for it, with retire()'s
-     * meanings; byte lanes other than @p dram are flags (nonzero is
+     * Lane slot i holds op i's class and MicroOpBatch flags byte (of
+     * which only the dependence bits are read) and what the memory
+     * side and the branch unit resolved for it, with retire()'s
+     * meanings; @p l1_miss and @p mispredicted are bools (nonzero is
      * true). The serial core state stays in registers for the whole
      * batch (see RetireRegs), and results are bit-identical to n
      * retire() calls in op order, at any batch size.
      */
     void retireBatch(const isa::UopClass *__restrict cls,
-                     const std::uint8_t *__restrict dep_on_load,
-                     const std::uint8_t *__restrict dep_on_prev,
+                     const std::uint8_t *__restrict flags,
                      const unsigned *__restrict mem_latency,
                      const std::uint8_t *__restrict l1_miss,
                      const unsigned *__restrict fetch_stall,

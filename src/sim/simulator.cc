@@ -290,7 +290,6 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
         fetchStall_.resize(n);
         memLatency_.resize(n);
         l1Miss_.resize(n);
-        mispredicted_.resize(n);
         dram_.resize(n);
         branchIdx_.resize(n);
         memIdx_.resize(n);
@@ -303,25 +302,16 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
     // and memo value after each store -- measurably dominating the
     // pass loops. The restrict qualification restores the no-overlap
     // guarantee the distinct vectors trivially satisfy.
+    // Only Load and Store operands are read here: an operand is a
+    // memory op's address or a branch's target.
     const std::uint64_t *__restrict const pcs = lanes.pc.data() + base;
-    const std::uint64_t *__restrict const addrs =
-        lanes.addr.data() + base;
-    const std::uint64_t *__restrict const targets =
-        lanes.target.data() + base;
+    const std::uint64_t *__restrict const operands =
+        lanes.operand.data() + base;
     const isa::UopClass *__restrict const classes =
         lanes.cls.data() + base;
-    const isa::BranchKind *__restrict const kindv =
-        lanes.kind.data() + base;
-    const std::uint8_t *__restrict const takenv =
-        lanes.taken.data() + base;
-    const std::uint8_t *__restrict const dep_load =
-        lanes.depOnLoad.data() + base;
-    const std::uint8_t *__restrict const dep_prev =
-        lanes.depOnPrev.data() + base;
     unsigned *__restrict const fetch_stall = fetchStall_.data();
     unsigned *__restrict const mem_lat = memLatency_.data();
     std::uint8_t *__restrict const l1_missed = l1Miss_.data();
-    std::uint8_t *__restrict const mispred = mispredicted_.data();
     std::uint8_t *__restrict const dram_code = dram_.data();
     std::uint64_t *__restrict const inst_memo = instMemo_.data();
     std::uint64_t *__restrict const data_memo = dataMemo_.data();
@@ -375,7 +365,7 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
         if (cls == isa::UopClass::Load) {
             ++num_loads;
             mem_idx[mem_count++] = static_cast<std::uint32_t>(i);
-            const std::uint64_t addr = addrs[i];
+            const std::uint64_t addr = operands[i];
             const std::uint64_t line = addr >> data_shift;
             const std::uint64_t dset = l1d.setOfLine(line);
             HitLevel level = HitLevel::L1;
@@ -403,7 +393,7 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
         } else if (cls == isa::UopClass::Store) {
             ++num_stores;
             mem_idx[mem_count++] = static_cast<std::uint32_t>(i);
-            const std::uint64_t addr = addrs[i];
+            const std::uint64_t addr = operands[i];
             const std::uint64_t line = addr >> data_shift;
             const std::uint64_t dset = l1d.setOfLine(line);
             if (data_memo_legal && data_memo[dset] == line
@@ -437,7 +427,7 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
             const std::size_t i = mem_idx[j];
             if (classes[i] != isa::UopClass::Load)
                 continue;
-            const TlbOutcome outcome = dtlb_.access(addrs[i]);
+            const TlbOutcome outcome = dtlb_.access(operands[i]);
             mem_lat[i] += outcome.extraLatency;
             // A translation longer than the L1 hit pipeline behaves
             // like a miss for overlap purposes.
@@ -447,24 +437,7 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
         }
     }
 
-    // Branch pass: walks the branch index list in op order, so the
-    // predictor/BTB see the exact consume() sequence.
-    std::fill(mispred, mispred + n, std::uint8_t{0});
-    const std::uint64_t num_branches = branch_count;
-    std::uint64_t num_mispredicts = 0;
-    std::uint64_t kinds[isa::kNumBranchKinds + 1] = {};
-    for (std::size_t j = 0; j < branch_count; ++j) {
-        const std::size_t i = branch_idx[j];
-        const isa::BranchKind kind = kindv[i];
-        SPEC17_ASSERT(kind != isa::BranchKind::None,
-                      "branch with kind None reached simulator");
-        ++kinds[static_cast<std::size_t>(kind)];
-        if (branches_.execute(kind, pcs[i], takenv[i] != 0,
-                              targets[i])) {
-            mispred[i] = 1;
-            ++num_mispredicts;
-        }
-    }
+    branchPass(lanes, base, n, branch_idx, branch_count);
 
     // Footprint pass: pc sub-pass, then data sub-pass, each with a
     // local last-page filter backed by a direct-mapped seen-page
@@ -495,28 +468,36 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
         for (std::size_t j = 0; j < mem_count; ++j) {
             const std::size_t i = mem_idx[j];
             const std::uint64_t page =
-                addrs[i] / FootprintTracker::kPageBytes;
+                operands[i] / FootprintTracker::kPageBytes;
             if (page == last_data_page)
                 continue;
             last_data_page = page;
             std::uint64_t &slot = data_seen[page % kDataPageSeenSlots];
             if (slot != page) {
                 slot = page;
-                if (footprint_.touch(addrs[i]) && record != nullptr)
-                    record->pageAddrs.push_back(addrs[i]);
+                if (footprint_.touch(operands[i]) && record != nullptr)
+                    record->pageAddrs.push_back(operands[i]);
             }
         }
     }
 
+    // The cache and TLB passes' counter deltas.
+    MemoryLaneLog::Batch b;
+    b.n = static_cast<std::uint32_t>(n);
+    b.numLoads = num_loads;
+    b.numStores = num_stores;
+    for (unsigned v = 0; v < 4; ++v)
+        b.loadsAt[v] = loads_at[v];
+    b.itlbWalks = itlb_walks;
+    b.dtlbWalks = dtlb_walks;
+
     // Lane recording: the memory-side lanes have been final since the
-    // TLB passes (the branch pass writes only mispred), so a clone-
-    // group sibling replaying the identical stream can import them,
-    // the footprint's new pages and the counter deltas instead of
-    // re-running the cache, TLB and footprint passes. One bulk append
-    // per lane.
+    // TLB passes (the branch pass writes only mispredicted_), so a
+    // clone-group sibling replaying the identical stream can import
+    // them, the footprint's new pages and the counter deltas instead
+    // of re-running the cache, TLB and footprint passes. One bulk
+    // append per lane.
     if (record != nullptr) {
-        MemoryLaneLog::Batch b;
-        b.n = static_cast<std::uint32_t>(n);
         b.laneOffset =
             static_cast<std::uint32_t>(record->fetchStall.size());
         b.branchOffset =
@@ -525,12 +506,6 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
         b.pageOffset = static_cast<std::uint32_t>(page_offset);
         b.pageCount = static_cast<std::uint32_t>(
             record->pageAddrs.size() - page_offset);
-        b.numLoads = num_loads;
-        b.numStores = num_stores;
-        for (unsigned v = 0; v < 4; ++v)
-            b.loadsAt[v] = loads_at[v];
-        b.itlbWalks = itlb_walks;
-        b.dtlbWalks = dtlb_walks;
         record->fetchStall.insert(record->fetchStall.end(), fetch_stall,
                                   fetch_stall + n);
         record->memLatency.insert(record->memLatency.end(), mem_lat,
@@ -547,8 +522,9 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
     // Retire pass: serial core timing fed by the staged scratch
     // lanes, with the cross-op state register-hoisted for the whole
     // batch (see CoreModel::retireBatch).
-    core_.retireBatch(classes, dep_load, dep_prev, mem_lat, l1_missed,
-                      fetch_stall, mispred, dram_code, n);
+    core_.retireBatch(classes, lanes.flags.data() + base, mem_lat,
+                      l1_missed, fetch_stall, mispredicted_.data(),
+                      dram_code, n);
 
     if (inst_repeat_hits != 0)
         hier.creditInstHits(inst_repeat_hits);
@@ -556,30 +532,45 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
         hier.creditDataHits(data_repeat_hits);
     if (way_pred && data_repeat_load_hits != 0)
         hier.creditDataWayPredictions(data_repeat_load_hits);
-    if (tlb) {
-        counters_.add(PerfEvent::ItlbMissesWalk, itlb_walks);
-        counters_.add(PerfEvent::DtlbLoadMissesWalk, dtlb_walks);
+    addBatchCounters(b);
+}
+
+void
+CpuSimulator::branchPass(const trace::MicroOpBatch &lanes, std::size_t base,
+                         std::size_t n, const std::uint32_t *branch_idx,
+                         std::size_t count)
+{
+    // Walks the branch index list in op order, so the predictor/BTB
+    // see the exact consume() sequence. A branch's operand is its
+    // target.
+    const std::uint64_t *__restrict const pcs = lanes.pc.data() + base;
+    const std::uint64_t *__restrict const targets =
+        lanes.operand.data() + base;
+    const isa::BranchKind *__restrict const kindv =
+        lanes.kind.data() + base;
+    const std::uint8_t *__restrict const flagv =
+        lanes.flags.data() + base;
+    if (mispredicted_.size() < n)
+        mispredicted_.resize(n);
+    std::uint8_t *__restrict const mispred = mispredicted_.data();
+    std::fill(mispred, mispred + n, std::uint8_t{0});
+    std::uint64_t num_mispredicts = 0;
+    std::uint64_t kinds[isa::kNumBranchKinds + 1] = {};
+    for (std::size_t j = 0; j < count; ++j) {
+        const std::size_t i = branch_idx[j];
+        const isa::BranchKind kind = kindv[i];
+        SPEC17_ASSERT(kind != isa::BranchKind::None,
+                      "branch with kind None reached simulator");
+        ++kinds[static_cast<std::size_t>(kind)];
+        if (branches_.execute(kind, pcs[i],
+                              (flagv[i] & trace::kFlagTaken) != 0,
+                              targets[i])) {
+            mispred[i] = 1;
+            ++num_mispredicts;
+        }
     }
 
-    // Counter flush.
-    counters_.add(PerfEvent::InstRetiredAny, n);
-    counters_.add(PerfEvent::UopsRetiredAll, n);
-    counters_.add(PerfEvent::MemUopsRetiredAllLoads, num_loads);
-    counters_.add(PerfEvent::MemUopsRetiredAllStores, num_stores);
-    const std::uint64_t l2 =
-        loads_at[static_cast<std::size_t>(HitLevel::L2)];
-    const std::uint64_t l3 =
-        loads_at[static_cast<std::size_t>(HitLevel::L3)];
-    const std::uint64_t mem =
-        loads_at[static_cast<std::size_t>(HitLevel::Memory)];
-    counters_.add(PerfEvent::MemLoadUopsRetiredL1Hit,
-                  loads_at[static_cast<std::size_t>(HitLevel::L1)]);
-    counters_.add(PerfEvent::MemLoadUopsRetiredL1Miss, l2 + l3 + mem);
-    counters_.add(PerfEvent::MemLoadUopsRetiredL2Hit, l2);
-    counters_.add(PerfEvent::MemLoadUopsRetiredL2Miss, l3 + mem);
-    counters_.add(PerfEvent::MemLoadUopsRetiredL3Hit, l3);
-    counters_.add(PerfEvent::MemLoadUopsRetiredL3Miss, mem);
-    counters_.add(PerfEvent::BrInstExecAllBranches, num_branches);
+    counters_.add(PerfEvent::BrInstExecAllBranches, count);
     counters_.add(
         PerfEvent::BrInstExecAllConditional,
         kinds[static_cast<std::size_t>(isa::BranchKind::Conditional)]);
@@ -608,9 +599,9 @@ CpuSimulator::consumeBatchImported(const trace::MicroOpBatch &lanes,
     // passes -- deterministic functions of the op stream and the
     // (identical) hierarchy/TLB configuration -- are replaced by the
     // leader's recorded lanes, new pages and counter deltas, consumed
-    // in place. The branch pass below is copied verbatim from
-    // consumeBatch and the retire pass is fed by the imported lanes,
-    // so this simulator's predictor state and core timing are exact.
+    // in place. The branch pass is consumeBatch's and the retire pass
+    // is fed by the imported lanes, so this simulator's predictor
+    // state and core timing are exact.
     // The hierarchy, if any, and the TLBs are never touched.
     SPEC17_ASSERT(cursor < log.batches.size(),
                   "memory-lane log exhausted: the sibling's batch "
@@ -619,20 +610,6 @@ CpuSimulator::consumeBatchImported(const trace::MicroOpBatch &lanes,
     SPEC17_ASSERT(b.n == n,
                   "memory-lane batch size diverged from the log (have ",
                   n, ", recorded ", b.n, ")");
-
-    const std::uint64_t *__restrict const pcs = lanes.pc.data() + base;
-    const std::uint64_t *__restrict const targets =
-        lanes.target.data() + base;
-    const isa::UopClass *__restrict const classes =
-        lanes.cls.data() + base;
-    const isa::BranchKind *__restrict const kindv =
-        lanes.kind.data() + base;
-    const std::uint8_t *__restrict const takenv =
-        lanes.taken.data() + base;
-    const std::uint8_t *__restrict const dep_load =
-        lanes.depOnLoad.data() + base;
-    const std::uint8_t *__restrict const dep_prev =
-        lanes.depOnPrev.data() + base;
 
     const unsigned *__restrict const fetch_stall =
         log.fetchStall.data() + b.laneOffset;
@@ -645,27 +622,7 @@ CpuSimulator::consumeBatchImported(const trace::MicroOpBatch &lanes,
     const std::uint32_t *__restrict const branch_idx =
         log.branchIdx.data() + b.branchOffset;
 
-    if (mispredicted_.size() < n)
-        mispredicted_.resize(n);
-    std::uint8_t *__restrict const mispred = mispredicted_.data();
-
-    // Branch pass (verbatim from consumeBatch).
-    std::fill(mispred, mispred + n, std::uint8_t{0});
-    const std::uint64_t num_branches = b.branchCount;
-    std::uint64_t num_mispredicts = 0;
-    std::uint64_t kinds[isa::kNumBranchKinds + 1] = {};
-    for (std::size_t j = 0; j < b.branchCount; ++j) {
-        const std::size_t i = branch_idx[j];
-        const isa::BranchKind kind = kindv[i];
-        SPEC17_ASSERT(kind != isa::BranchKind::None,
-                      "branch with kind None reached simulator");
-        ++kinds[static_cast<std::size_t>(kind)];
-        if (branches_.execute(kind, pcs[i], takenv[i] != 0,
-                              targets[i])) {
-            mispred[i] = 1;
-            ++num_mispredicts;
-        }
-    }
+    branchPass(lanes, base, n, branch_idx, b.branchCount);
 
     // Footprint: the leader's page set equalled this one before the
     // batch, so touching exactly the addresses whose pages were new to
@@ -676,19 +633,26 @@ CpuSimulator::consumeBatchImported(const trace::MicroOpBatch &lanes,
         footprint_.touch(page_addrs[k]);
 
     // Retire pass on the imported lanes.
-    core_.retireBatch(classes, dep_load, dep_prev, mem_lat, l1_missed,
-                      fetch_stall, mispred, dram_code, n);
+    core_.retireBatch(lanes.cls.data() + base, lanes.flags.data() + base,
+                      mem_lat, l1_missed, fetch_stall, mispredicted_.data(),
+                      dram_code, n);
 
-    // Counter flush: cache/TLB deltas from the log, branch counts
-    // from this simulator's own branch pass. The hierarchy stat
-    // credits consumeBatch performs are intentionally absent -- a
-    // lane importer has no hierarchy to credit.
+    // Counter flush: the leader's cache/TLB deltas (the branch pass
+    // added the branch counts). The hierarchy stat credits
+    // consumeBatch performs are intentionally absent -- a lane
+    // importer has no hierarchy to credit.
+    addBatchCounters(b);
+}
+
+void
+CpuSimulator::addBatchCounters(const MemoryLaneLog::Batch &b)
+{
     if (config_.enableTlb) {
         counters_.add(PerfEvent::ItlbMissesWalk, b.itlbWalks);
         counters_.add(PerfEvent::DtlbLoadMissesWalk, b.dtlbWalks);
     }
-    counters_.add(PerfEvent::InstRetiredAny, n);
-    counters_.add(PerfEvent::UopsRetiredAll, n);
+    counters_.add(PerfEvent::InstRetiredAny, b.n);
+    counters_.add(PerfEvent::UopsRetiredAll, b.n);
     counters_.add(PerfEvent::MemUopsRetiredAllLoads, b.numLoads);
     counters_.add(PerfEvent::MemUopsRetiredAllStores, b.numStores);
     const std::uint64_t l2 =
@@ -704,23 +668,6 @@ CpuSimulator::consumeBatchImported(const trace::MicroOpBatch &lanes,
     counters_.add(PerfEvent::MemLoadUopsRetiredL2Miss, l3 + mem);
     counters_.add(PerfEvent::MemLoadUopsRetiredL3Hit, l3);
     counters_.add(PerfEvent::MemLoadUopsRetiredL3Miss, mem);
-    counters_.add(PerfEvent::BrInstExecAllBranches, num_branches);
-    counters_.add(
-        PerfEvent::BrInstExecAllConditional,
-        kinds[static_cast<std::size_t>(isa::BranchKind::Conditional)]);
-    counters_.add(
-        PerfEvent::BrInstExecAllDirectJmp,
-        kinds[static_cast<std::size_t>(isa::BranchKind::DirectJump)]);
-    counters_.add(PerfEvent::BrInstExecAllDirectNearCall,
-                  kinds[static_cast<std::size_t>(
-                      isa::BranchKind::DirectNearCall)]);
-    counters_.add(PerfEvent::BrInstExecAllIndirectJumpNonCallRet,
-                  kinds[static_cast<std::size_t>(
-                      isa::BranchKind::IndirectJumpNonCallRet)]);
-    counters_.add(PerfEvent::BrInstExecAllIndirectNearReturn,
-                  kinds[static_cast<std::size_t>(
-                      isa::BranchKind::IndirectNearReturn)]);
-    counters_.add(PerfEvent::BrMispExecAllBranches, num_mispredicts);
 }
 
 void

@@ -282,6 +282,16 @@ class CpuSimulator
                               std::size_t base, std::size_t n,
                               const MemoryLaneLog &log,
                               std::size_t &cursor);
+    /** The branch pass of both: runs the @p count branch ops listed
+     *  in @p branch_idx (slots of [base, base+n), in op order)
+     *  through the branch unit, leaves mispredicted_[0, n) flagging
+     *  the mispredicted ones, and adds the branch counters. */
+    void branchPass(const trace::MicroOpBatch &lanes, std::size_t base,
+                    std::size_t n, const std::uint32_t *branch_idx,
+                    std::size_t count);
+    /** The counter flush of both: adds @p b's retired ops and cache
+     *  and TLB counter deltas. */
+    void addBatchCounters(const MemoryLaneLog::Batch &b);
     /** Shared batched-lane pull loop behind step()/stepRecording()/
      *  stepImporting(): exactly one of record / (import, cursor) may
      *  be set. */

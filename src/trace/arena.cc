@@ -14,13 +14,14 @@ namespace trace {
 namespace {
 
 constexpr char kMagic[4] = {'S', '1', '7', 'A'};
-constexpr std::uint32_t kVersion = 1;
+/** Version 2: the six-lane layout (version 1 held nine lanes). */
+constexpr std::uint32_t kVersion = 2;
 
-/** Bytes one op occupies across the nine lanes: the residency
+/** Bytes one op occupies across the six lanes: the residency
  *  accounting unit and the spill image's per-op payload. */
 constexpr std::size_t kOpBytes = sizeof(isa::UopClass)
-    + sizeof(isa::BranchKind) + 3 * sizeof(std::uint64_t)
-    + 4 * sizeof(std::uint8_t);
+    + sizeof(isa::BranchKind) + 2 * sizeof(std::uint64_t)
+    + 2 * sizeof(std::uint8_t);
 
 /** Appends one lane's raw bytes to the spill image. */
 template <typename T>
@@ -117,15 +118,9 @@ saveArena(const std::string &path, const TraceArena &arena)
     image.append(reinterpret_cast<const char *>(&count), 8);
     image.append(
         reinterpret_cast<const char *>(&arena.virtualReserveBytes), 8);
-    appendLane(image, arena.lanes.cls, n);
-    appendLane(image, arena.lanes.kind, n);
-    appendLane(image, arena.lanes.pc, n);
-    appendLane(image, arena.lanes.addr, n);
-    appendLane(image, arena.lanes.accessSize, n);
-    appendLane(image, arena.lanes.taken, n);
-    appendLane(image, arena.lanes.target, n);
-    appendLane(image, arena.lanes.depOnLoad, n);
-    appendLane(image, arena.lanes.depOnPrev, n);
+    MicroOpBatch::forEachLane(
+        [&](const auto &lane) { appendLane(image, lane, n); },
+        arena.lanes);
     std::string error;
     if (!writeFileAtomic(path, image, error)) {
         warn("cannot spill trace arena: ", error);
@@ -171,26 +166,27 @@ loadArena(const std::string &path)
     arena->lanes.ensure(n);
     arena->numOps = n;
     arena->virtualReserveBytes = reserve;
-    const bool ok = readLane(in, arena->lanes.cls, n)
-        && readLane(in, arena->lanes.kind, n)
-        && readLane(in, arena->lanes.pc, n)
-        && readLane(in, arena->lanes.addr, n)
-        && readLane(in, arena->lanes.accessSize, n)
-        && readLane(in, arena->lanes.taken, n)
-        && readLane(in, arena->lanes.target, n)
-        && readLane(in, arena->lanes.depOnLoad, n)
-        && readLane(in, arena->lanes.depOnPrev, n);
+    bool ok = true;
+    MicroOpBatch::forEachLane(
+        [&](auto &lane) { ok = ok && readLane(in, lane, n); },
+        arena->lanes);
     if (!ok) {
         warn("ignoring truncated arena spill: ", path);
         return nullptr;
     }
-    // Reject out-of-range enum bytes so a corrupt spill cannot feed
-    // the simulator undefined class values.
+    // Reject out-of-range enum and flags bytes, a branch kind off a
+    // branch (or a branch without one), and an operand on an op that
+    // has none, so a corrupt spill cannot feed the simulator undefined
+    // class values or an op no trace source delivers.
+    const MicroOpBatch &lanes = arena->lanes;
     for (std::size_t i = 0; i < n; ++i) {
-        if (static_cast<std::uint8_t>(arena->lanes.cls[i])
-                >= isa::kNumUopClasses
-            || static_cast<std::uint8_t>(arena->lanes.kind[i])
-                > isa::kNumBranchKinds) {
+        if (static_cast<std::uint8_t>(lanes.cls[i]) >= isa::kNumUopClasses
+            || static_cast<std::uint8_t>(lanes.kind[i])
+                > isa::kNumBranchKinds
+            || (lanes.cls[i] == isa::UopClass::Branch)
+                != (lanes.kind[i] != isa::BranchKind::None)
+            || lanes.flags[i] > kFlagMask
+            || !fitsLanes(lanes.get(i))) {
             warn("ignoring corrupt arena spill (bad op record): ",
                  path);
             return nullptr;
@@ -229,29 +225,19 @@ ReplaySource::nextBatchSoA(MicroOpBatch &out, std::size_t at,
 {
     out.ensure(at + n);
     const std::size_t m = std::min(n, arena_->numOps - cursor_);
-    const MicroOpBatch &lanes = arena_->lanes;
-    std::memcpy(out.cls.data() + at, lanes.cls.data() + cursor_,
-                m * sizeof(lanes.cls[0]));
-    std::memcpy(out.kind.data() + at, lanes.kind.data() + cursor_,
-                m * sizeof(lanes.kind[0]));
-    std::memcpy(out.pc.data() + at, lanes.pc.data() + cursor_,
-                m * sizeof(lanes.pc[0]));
-    std::memcpy(out.addr.data() + at, lanes.addr.data() + cursor_,
-                m * sizeof(lanes.addr[0]));
-    std::memcpy(out.accessSize.data() + at,
-                lanes.accessSize.data() + cursor_, m);
-    std::memcpy(out.taken.data() + at, lanes.taken.data() + cursor_, m);
-    std::memcpy(out.target.data() + at, lanes.target.data() + cursor_,
-                m * sizeof(lanes.target[0]));
-    std::memcpy(out.depOnLoad.data() + at,
-                lanes.depOnLoad.data() + cursor_, m);
-    std::memcpy(out.depOnPrev.data() + at,
-                lanes.depOnPrev.data() + cursor_, m);
+    MicroOpBatch::forEachLane(
+        [&](auto &to, const auto &from) {
+            std::memcpy(to.data() + at, from.data() + cursor_,
+                        m * sizeof(from[0]));
+        },
+        out, arena_->lanes);
     if (shift_ != 0) {
+        // The operand lane also holds branch targets, which a context's
+        // offset does not move.
         for (std::size_t i = at; i < at + m; ++i) {
             if (out.cls[i] == isa::UopClass::Load
                 || out.cls[i] == isa::UopClass::Store)
-                out.addr[i] += shift_;
+                out.operand[i] += shift_;
         }
     }
     cursor_ += m;

@@ -84,9 +84,12 @@ std::string describeTraceParams(const SyntheticTraceParams &params);
 bool saveArena(const std::string &path, const TraceArena &arena);
 
 /** Loads an arena spilled by saveArena(); nullptr when the file is
- *  missing, torn, has a foreign magic/version, or a header op count
- *  that disagrees with the lane bytes that follow it (the caller
- *  then recaptures -- a bad spill never aborts a run). */
+ *  missing, torn, has a foreign magic/version, a header op count
+ *  that disagrees with the lane bytes that follow it, or an op no
+ *  trace source delivers (an undefined enum or flag bit, a branch
+ *  kind on a non-branch or none on a branch, or an operand on an op
+ *  without one). The caller then recaptures -- a bad spill never
+ *  aborts a run. */
 std::unique_ptr<TraceArena> loadArena(const std::string &path);
 
 /// @}
@@ -99,10 +102,10 @@ std::unique_ptr<TraceArena> loadArena(const std::string &path);
  * observable difference.
  *
  * A source replaying at an address offset other than the arena's
- * shifts the addr of every Load/Store op it delivers by the
- * difference (wrapping, so exact in either direction). Shifted lanes
- * are no longer the arena's own, so nextLanes() then returns nullptr
- * and the caller stages through nextBatchSoA().
+ * shifts the operand of every Load/Store op (never a Branch's
+ * target) by the difference, wrapping, so exact in either direction.
+ * Shifted lanes are no longer the arena's own, so nextLanes() then
+ * returns nullptr and the caller stages through nextBatchSoA().
  *
  * Many ReplaySources may share one arena (each holds its own cursor
  * and offset); the shared_ptr keeps the arena alive across store
@@ -138,7 +141,8 @@ class ReplaySource : public TraceSource
 
   private:
     std::shared_ptr<const TraceArena> arena_;
-    /** Added to each Load/Store addr (requested - captured offset). */
+    /** Added to each Load/Store operand (requested - captured
+     *  offset). */
     std::uint64_t shift_ = 0;
     std::size_t cursor_ = 0;
 };

@@ -3,17 +3,22 @@
  * Structure-of-arrays micro-op batch: the delivery format of the
  * simulator's batched fast lane.
  *
- * A MicroOpBatch carries the same nine fields as isa::MicroOp, but as
- * parallel lanes (one contiguous array per field) instead of an array
+ * A MicroOpBatch carries the same nine fields as isa::MicroOp, in six
+ * parallel lanes (one contiguous array per lane) instead of an array
  * of structs. The simulator's per-component passes each walk only the
- * lanes they consume -- the branch pass never loads effective
- * addresses, the footprint pass never loads branch kinds -- which
- * keeps the hot loops dense and lets the compiler vectorize the lane
- * arithmetic (line/set/page decomposition, class tests).
+ * lanes they consume -- the branch pass never loads a load's address,
+ * the footprint pass never loads branch kinds -- which keeps the hot
+ * loops dense and lets the compiler vectorize the lane arithmetic
+ * (line/set/page decomposition, class tests).
+ *
+ * No op is both a memory access and a branch, so one `operand` lane
+ * holds a Load/Store's effAddr or a Branch's target, and the three
+ * bools share one `flags` byte: 20 bytes an op. An op fits the lanes
+ * only when it sets neither field outside its class (fitsLanes()).
  *
  * Every writer fills every lane for every op (lanes irrelevant to an
  * op's class hold the same defaults isa::MicroOp construction would:
- * zero / None / false), so get(i) reproduces the exact op a next()
+ * zero / None / no flag), so get(i) reproduces the exact op a next()
  * pull would have delivered and lane-level tests can compare streams
  * field for field.
  */
@@ -27,9 +32,38 @@
 #include <vector>
 
 #include "isa/uop.hh"
+#include "util/logging.hh"
 
 namespace spec17 {
 namespace trace {
+
+/** @name MicroOpBatch::flags bits (the S17T record's flag byte) */
+/// @{
+inline constexpr std::uint8_t kFlagTaken = 1;
+inline constexpr std::uint8_t kFlagDepOnLoad = 2;
+inline constexpr std::uint8_t kFlagDepOnPrev = 4;
+/** Every defined bit; a flags byte above it is corrupt. */
+inline constexpr std::uint8_t kFlagMask =
+    kFlagTaken | kFlagDepOnLoad | kFlagDepOnPrev;
+/// @}
+
+/** @p op's flags byte. */
+inline std::uint8_t
+packFlags(const isa::MicroOp &op)
+{
+    return static_cast<std::uint8_t>((op.taken ? kFlagTaken : 0)
+                                     | (op.depOnLoad ? kFlagDepOnLoad : 0)
+                                     | (op.depOnPrev ? kFlagDepOnPrev : 0));
+}
+
+/** True unless @p op sets effAddr off a memory op or target off a
+ *  branch: MicroOp construction never does, and set() asserts it. */
+inline bool
+fitsLanes(const isa::MicroOp &op)
+{
+    return (op.effAddr == 0 || op.isMemory())
+        && (op.target == 0 || op.isBranch());
+}
 
 /** SoA twin of isa::MicroOp (see file comment for the contract). */
 struct MicroOpBatch
@@ -39,33 +73,38 @@ struct MicroOpBatch
     std::vector<isa::UopClass> cls;
     std::vector<isa::BranchKind> kind;
     std::vector<std::uint64_t> pc;
-    std::vector<std::uint64_t> addr;    //!< MicroOp::effAddr
+    /** MicroOp::effAddr of a Load/Store, MicroOp::target of a Branch,
+     *  0 otherwise. */
+    std::vector<std::uint64_t> operand;
     std::vector<std::uint8_t> accessSize;
-    std::vector<std::uint8_t> taken;    //!< bool lane (0/1)
-    std::vector<std::uint64_t> target;
-    std::vector<std::uint8_t> depOnLoad;
-    std::vector<std::uint8_t> depOnPrev;
+    std::vector<std::uint8_t> flags; //!< kFlag* bits
     /// @}
 
     /** Lane capacity in ops (all lanes always share one size). */
     std::size_t capacity() const { return cls.size(); }
 
-    /** Grows every lane to hold at least @p n ops (never shrinks --
-     *  the simulator reuses one batch across its whole run). */
+    /** Calls @p f once per lane, with that lane of each of
+     *  @p batches, in the S17A spill's lane order. */
+    template <typename F, typename... Batches>
+    static void
+    forEachLane(F &&f, Batches &...batches)
+    {
+        f(batches.cls...);
+        f(batches.kind...);
+        f(batches.pc...);
+        f(batches.operand...);
+        f(batches.accessSize...);
+        f(batches.flags...);
+    }
+
+    /** Grows every lane to hold at least @p n ops, new slots
+     *  value-initialized (IntAlu / None / 0), and never shrinks: the
+     *  simulator reuses one batch across its whole run. */
     void
     ensure(std::size_t n)
     {
-        if (capacity() >= n)
-            return;
-        cls.resize(n, isa::UopClass::IntAlu);
-        kind.resize(n, isa::BranchKind::None);
-        pc.resize(n, 0);
-        addr.resize(n, 0);
-        accessSize.resize(n, 0);
-        taken.resize(n, 0);
-        target.resize(n, 0);
-        depOnLoad.resize(n, 0);
-        depOnPrev.resize(n, 0);
+        if (capacity() < n)
+            forEachLane([n](auto &lane) { lane.resize(n); }, *this);
     }
 
     /**
@@ -85,27 +124,23 @@ struct MicroOpBatch
                       "memset pre-fill relies on zero defaults");
         std::memset(cls.data() + at, 0, n * sizeof(cls[0]));
         std::memset(kind.data() + at, 0, n * sizeof(kind[0]));
-        std::memset(addr.data() + at, 0, n * sizeof(addr[0]));
+        std::memset(operand.data() + at, 0, n * sizeof(operand[0]));
         std::memset(accessSize.data() + at, 0, n);
-        std::memset(taken.data() + at, 0, n);
-        std::memset(target.data() + at, 0, n * sizeof(target[0]));
-        std::memset(depOnLoad.data() + at, 0, n);
-        std::memset(depOnPrev.data() + at, 0, n);
+        std::memset(flags.data() + at, 0, n);
     }
 
     /** Scatters one AoS op into lane slot @p i (i < capacity()). */
     void
     set(std::size_t i, const isa::MicroOp &op)
     {
+        SPEC17_ASSERT(fitsLanes(op), isa::uopClassName(op.cls),
+                      " op does not fit the lanes");
         cls[i] = op.cls;
         kind[i] = op.branch;
         pc[i] = op.pc;
-        addr[i] = op.effAddr;
+        operand[i] = op.isBranch() ? op.target : op.effAddr;
         accessSize[i] = op.size;
-        taken[i] = op.taken ? 1 : 0;
-        target[i] = op.target;
-        depOnLoad[i] = op.depOnLoad ? 1 : 0;
-        depOnPrev[i] = op.depOnPrev ? 1 : 0;
+        flags[i] = packFlags(op);
     }
 
     /** Gathers lane slot @p i back into an AoS op. */
@@ -116,12 +151,11 @@ struct MicroOpBatch
         op.cls = cls[i];
         op.branch = kind[i];
         op.pc = pc[i];
-        op.effAddr = addr[i];
+        (op.isBranch() ? op.target : op.effAddr) = operand[i];
         op.size = accessSize[i];
-        op.taken = taken[i] != 0;
-        op.target = target[i];
-        op.depOnLoad = depOnLoad[i] != 0;
-        op.depOnPrev = depOnPrev[i] != 0;
+        op.taken = (flags[i] & kFlagTaken) != 0;
+        op.depOnLoad = (flags[i] & kFlagDepOnLoad) != 0;
+        op.depOnPrev = (flags[i] & kFlagDepOnPrev) != 0;
         return op;
     }
 };

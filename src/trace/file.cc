@@ -21,16 +21,15 @@ pack(const isa::MicroOp &op, unsigned char *out)
 {
     out[0] = static_cast<unsigned char>(op.cls);
     out[1] = static_cast<unsigned char>(op.branch);
-    out[2] = static_cast<unsigned char>(
-        (op.taken ? 1 : 0) | (op.depOnLoad ? 2 : 0)
-        | (op.depOnPrev ? 4 : 0));
+    out[2] = packFlags(op);
     out[3] = op.size;
     std::memcpy(out + 4, &op.pc, 8);
     std::memcpy(out + 12, &op.effAddr, 8);
     std::memcpy(out + 20, &op.target, 8);
 }
 
-/** Unpacks a 28-byte record; panics on invalid enum bytes. */
+/** Unpacks a 28-byte record; panics on invalid enum or flags bytes
+ *  and on an op the lanes cannot carry (see trace/file.hh). */
 isa::MicroOp
 unpack(const unsigned char *in)
 {
@@ -38,16 +37,21 @@ unpack(const unsigned char *in)
                   "corrupt trace record: bad uop class ", int(in[0]));
     SPEC17_ASSERT(in[1] <= isa::kNumBranchKinds,
                   "corrupt trace record: bad branch kind ", int(in[1]));
+    SPEC17_ASSERT(in[2] <= kFlagMask,
+                  "corrupt trace record: bad flags ", int(in[2]));
     isa::MicroOp op;
     op.cls = static_cast<isa::UopClass>(in[0]);
     op.branch = static_cast<isa::BranchKind>(in[1]);
-    op.taken = (in[2] & 1) != 0;
-    op.depOnLoad = (in[2] & 2) != 0;
-    op.depOnPrev = (in[2] & 4) != 0;
+    op.taken = (in[2] & kFlagTaken) != 0;
+    op.depOnLoad = (in[2] & kFlagDepOnLoad) != 0;
+    op.depOnPrev = (in[2] & kFlagDepOnPrev) != 0;
     op.size = in[3];
     std::memcpy(&op.pc, in + 4, 8);
     std::memcpy(&op.effAddr, in + 12, 8);
     std::memcpy(&op.target, in + 20, 8);
+    SPEC17_ASSERT(fitsLanes(op), "corrupt trace record: ",
+                  isa::uopClassName(op.cls), " op with effAddr ",
+                  op.effAddr, " and target ", op.target);
     return op;
 }
 

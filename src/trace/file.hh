@@ -9,7 +9,13 @@
  * Format (little-endian):
  *   header: magic "S17T", u32 version, u64 record count,
  *           u64 virtual-reserve bytes
- *   records: packed MicroOp fields, 28 bytes each
+ *   records: packed MicroOp fields, 28 bytes each: u8 class, u8
+ *            kind, u8 flags (trace::kFlag* bits), u8 size, u64 pc,
+ *            u64 effAddr, u64 target
+ *
+ * A record the SoA lanes cannot carry (an undefined enum or flag bit,
+ * or !fitsLanes) is a fatal error, so next() and nextBatchSoA() never
+ * deliver different ops.
  */
 
 #ifndef SPEC17_TRACE_FILE_HH_

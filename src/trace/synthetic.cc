@@ -365,7 +365,7 @@ struct AosOpWriter
 /** emitOpTo() writer landing fields directly in SoA batch lanes.
  *  The caller zeroFill()s the batch span first, so each method only
  *  stores the fields its op class can set away from the construction
- *  defaults -- roughly half the lane stores of a full scatter. Holds
+ *  defaults -- three to five of the six lanes an op. Holds
  *  raw restrict-qualified lane pointers captured once per batch: the
  *  byte-typed lanes would otherwise make every store a universal-
  *  aliasing store (std::uint8_t is unsigned char) and force the
@@ -376,21 +376,15 @@ struct SoaLaneWriter
     isa::UopClass *__restrict clsLane;
     isa::BranchKind *__restrict kindLane;
     std::uint64_t *__restrict pcLane;
-    std::uint64_t *__restrict addrLane;
+    std::uint64_t *__restrict operandLane;
     std::uint8_t *__restrict sizeLane;
-    std::uint8_t *__restrict takenLane;
-    std::uint64_t *__restrict targetLane;
-    std::uint8_t *__restrict depOnLoadLane;
-    std::uint8_t *__restrict depOnPrevLane;
+    std::uint8_t *__restrict flagsLane;
     std::size_t i = 0;
 
     explicit SoaLaneWriter(MicroOpBatch &b)
         : clsLane(b.cls.data()), kindLane(b.kind.data()),
-          pcLane(b.pc.data()), addrLane(b.addr.data()),
-          sizeLane(b.accessSize.data()), takenLane(b.taken.data()),
-          targetLane(b.target.data()),
-          depOnLoadLane(b.depOnLoad.data()),
-          depOnPrevLane(b.depOnPrev.data())
+          pcLane(b.pc.data()), operandLane(b.operand.data()),
+          sizeLane(b.accessSize.data()), flagsLane(b.flags.data())
     {}
 
     void
@@ -399,16 +393,16 @@ struct SoaLaneWriter
     {
         clsLane[i] = isa::UopClass::Load;
         pcLane[i] = pc;
-        addrLane[i] = addr;
+        operandLane[i] = addr;
         sizeLane[i] = size;
-        depOnLoadLane[i] = dep_on_load ? 1 : 0;
+        flagsLane[i] = dep_on_load ? kFlagDepOnLoad : 0;
     }
     void
     store(std::uint64_t pc, std::uint64_t addr, std::uint8_t size)
     {
         clsLane[i] = isa::UopClass::Store;
         pcLane[i] = pc;
-        addrLane[i] = addr;
+        operandLane[i] = addr;
         sizeLane[i] = size;
     }
     void
@@ -418,16 +412,16 @@ struct SoaLaneWriter
         clsLane[i] = isa::UopClass::Branch;
         kindLane[i] = kind;
         pcLane[i] = pc;
-        takenLane[i] = taken ? 1 : 0;
-        targetLane[i] = target;
-        depOnLoadLane[i] = dep_on_load ? 1 : 0;
+        operandLane[i] = target;
+        flagsLane[i] = (taken ? kFlagTaken : 0)
+            | (dep_on_load ? kFlagDepOnLoad : 0);
     }
     void
     compute(std::uint64_t pc, isa::UopClass cls, bool dep_on_prev)
     {
         clsLane[i] = cls;
         pcLane[i] = pc;
-        depOnPrevLane[i] = dep_on_prev ? 1 : 0;
+        flagsLane[i] = dep_on_prev ? kFlagDepOnPrev : 0;
     }
 };
 

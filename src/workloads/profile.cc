@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/logging.hh"
+#include "util/units.hh"
 
 namespace spec17 {
 namespace workloads {
@@ -146,8 +147,16 @@ WorkloadProfile::validationError() const
     if (!(std::isfinite(rssRefMiB) && std::isfinite(vszRefMiB)
           && rssRefMiB > 0.0 && vszRefMiB >= rssRefMiB))
         return name + ": need 0 < RSS <= VSZ";
-    if (!(testScale > 0.0 && trainScale > 0.0))
-        return name + ": input scales must be positive";
+    if (!(std::isfinite(testScale) && std::isfinite(trainScale)
+          && testScale > 0.0 && trainScale > 0.0))
+        return name + ": input scales must be positive and finite";
+    // Journals hold finite doubles only, so an overflowing paper-scale
+    // count fails here, before its window is simulated.
+    for (const InputSize size : kAllInputSizes) {
+        if (!std::isfinite(instrBillions(size) * kBillion))
+            return name + ": " + inputSizeName(size)
+                + " instruction count is not finite";
+    }
     if (numThreads < 1)
         return name + ": needs at least one thread";
     for (unsigned n : numInputs) {

@@ -181,16 +181,38 @@ TEST(FaultIsolation, BadProfileFailsFastWithoutRetries)
 
 TEST(FaultIsolation, NonFinitePaperScaleTimeFailsTheAttempt)
 {
-    // Journals hold finite doubles only. A well-formed profile whose
-    // paper-scale instruction count overflows (finite factors, an
-    // infinite product) fails its attempt as an invariant violation
-    // rather than journal an `inf` cell that no reader accepts.
+    // Journals hold finite doubles only. A profile whose paper-scale
+    // instruction count overflows (finite factors, an infinite
+    // product) is malformed: it fails up front as one BadProfile
+    // record, before any window is simulated, and is not retried.
     workloads::WorkloadProfile huge = workloads::cpu2006Suite().front();
     huge.refInstrBillions = 1e300;
     huge.testScale = 1e10;
-    ASSERT_EQ(huge.validationError(), "");
+    RunnerOptions options = fastOptions();
+    options.maxRetries = 2;
     const PairResult result =
-        SuiteRunner(fastOptions()).runPair({&huge, InputSize::Test, 0});
+        SuiteRunner(options).runPair({&huge, InputSize::Test, 0});
+    EXPECT_TRUE(result.errored);
+    ASSERT_EQ(result.failures.size(), 1u);
+    EXPECT_EQ(result.failures[0].category, FailureCategory::BadProfile);
+    EXPECT_NE(result.failures[0].message.find("not finite"),
+              std::string::npos);
+}
+
+TEST(FaultIsolation, OverflowingPaperScaleTimeFailsTheAttempt)
+{
+    // A well-formed profile can still overflow the paper-scale time,
+    // CPI x instructions / clock, because the clock is the system's:
+    // an instruction count near the double limit on a 1 uHz clock
+    // fails its attempt as an invariant violation rather than journal
+    // an `inf` cell that no reader accepts.
+    workloads::WorkloadProfile huge = workloads::cpu2006Suite().front();
+    huge.refInstrBillions = 1e299;
+    ASSERT_EQ(huge.validationError(), "");
+    RunnerOptions options = fastOptions();
+    options.system.core.frequencyGHz = 1e-15;
+    const PairResult result =
+        SuiteRunner(options).runPair({&huge, InputSize::Test, 0});
     EXPECT_TRUE(result.errored);
     ASSERT_EQ(result.failures.size(), 1u);
     EXPECT_EQ(result.failures[0].category, FailureCategory::Invariant);

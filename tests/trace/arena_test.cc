@@ -5,18 +5,22 @@
  * every delivery surface (next(), nextBatchSoA(), the zero-copy
  * nextLanes()), mixed freely and again by a second source over the
  * same arena, also when it replays the arena shifted to another
- * address offset; the S17A spill format must round-trip an arena
- * exactly and reject torn, foreign or forged files by returning
- * nullptr (never aborting a run).
+ * address offset; the lanes must hold 20 bytes an op, and a shifted
+ * replay must move memory operands only; the S17A spill format must
+ * round-trip an arena exactly and reject torn, foreign, forged,
+ * old-version or lane-corrupt files by returning nullptr (never
+ * aborting a run).
  */
 
 #include "trace/arena.hh"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -98,6 +102,36 @@ capture(const SyntheticTraceParams &p)
     return std::make_shared<const TraceArena>(captureArena(p));
 }
 
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** A store finding a bad spill at @p p's path in @p dir must
+ *  recapture: never throw, never serve the bad file. */
+void
+expectCleanRecapture(const SyntheticTraceParams &p, const std::string &dir)
+{
+    SyntheticTraceGenerator live(p);
+    suite::TraceArenaStore store(64 * kMiB, dir);
+    const auto arena = store.acquire(p);
+    ASSERT_NE(arena, nullptr);
+    EXPECT_EQ(store.stats().captures, 1u);
+    EXPECT_EQ(store.stats().spillLoads, 0u);
+    ReplaySource replay(arena);
+    expectSameStream(drainPerOp(live), drainPerOp(replay));
+}
+
 /** Offsets the golden cases replay an offset-0 capture at: unshifted,
  *  and shifted to two other co-run contexts' address spaces. */
 constexpr std::uint64_t kReplayOffsets[] = {0, 8 * kGiB, 24 * kGiB};
@@ -112,6 +146,58 @@ TEST(Arena, CaptureDrainsTheWholeStreamOnce)
     EXPECT_EQ(arena->numOps, reference.size());
     EXPECT_EQ(arena->virtualReserveBytes, live.virtualReserveBytes());
     EXPECT_GT(arena->byteSize(), 0u);
+}
+
+TEST(Arena, LanesHoldTwentyBytesPerOpOfCapacity)
+{
+    // cls, kind, accessSize and flags take a byte each, pc and operand
+    // eight: byteSize() counts capacity, so an over-allocated capture
+    // is charged for its spare slots too.
+    SyntheticTraceGenerator source(params(5000));
+    const TraceArena arena = captureArena(source, 6000);
+    EXPECT_EQ(arena.numOps, 5000u);
+    EXPECT_EQ(arena.lanes.capacity(), 6000u);
+    EXPECT_EQ(arena.byteSize(), 20u * 6000u);
+
+    // A spill holds the 24-byte header and 20 bytes per captured op.
+    const std::string path =
+        std::string(::testing::TempDir()) + "/arena_size.s17a";
+    ASSERT_TRUE(saveArena(path, arena));
+    EXPECT_EQ(fileBytes(path).size(), 24u + 20u * 5000u);
+    std::remove(path.c_str());
+}
+
+TEST(Arena, ShiftedReplayMovesOnlyMemoryOperands)
+{
+    // The operand lane holds Load/Store addresses and Branch targets;
+    // a context's offset moves the addresses only.
+    const auto arena = capture(params());
+    const MicroOpBatch &captured = arena->lanes;
+    ReplaySource shifted(arena, 8 * kGiB);
+    MicroOpBatch lanes;
+    ASSERT_EQ(shifted.nextBatchSoA(lanes, 0, arena->numOps),
+              arena->numOps);
+    std::size_t memory_ops = 0;
+    std::size_t branches = 0;
+    for (std::size_t i = 0; i < arena->numOps; ++i) {
+        const bool memory = captured.cls[i] == isa::UopClass::Load
+            || captured.cls[i] == isa::UopClass::Store;
+        memory_ops += memory;
+        branches += captured.cls[i] == isa::UopClass::Branch;
+        EXPECT_EQ(lanes.operand[i],
+                  captured.operand[i] + (memory ? 8 * kGiB : 0))
+            << "op " << i;
+        EXPECT_EQ(lanes.cls[i], captured.cls[i]) << "op " << i;
+        EXPECT_EQ(lanes.kind[i], captured.kind[i]) << "op " << i;
+        EXPECT_EQ(lanes.pc[i], captured.pc[i]) << "op " << i;
+        EXPECT_EQ(lanes.accessSize[i], captured.accessSize[i])
+            << "op " << i;
+        EXPECT_EQ(lanes.flags[i], captured.flags[i]) << "op " << i;
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    EXPECT_GT(memory_ops, 0u);
+    EXPECT_GT(branches, 0u);
 }
 
 TEST(Arena, ReplayMatchesLivePerOp)
@@ -289,20 +375,6 @@ TEST(Arena, ForgedOpCountIsRejectedAndRecaptured)
     std::filesystem::create_directories(dir);
     const std::string path = suite::TraceArenaStore(kMiB, dir)
                                  .spillPathFor(describeTraceParams(p));
-    SyntheticTraceGenerator live(p);
-    const std::vector<isa::MicroOp> reference = drainPerOp(live);
-
-    // A store finding a bad spill at the key's path must recapture:
-    // never throw, never serve the bad file.
-    const auto expect_clean_recapture = [&] {
-        suite::TraceArenaStore store(64 * kMiB, dir);
-        const auto arena = store.acquire(p);
-        ASSERT_NE(arena, nullptr);
-        EXPECT_EQ(store.stats().captures, 1u);
-        EXPECT_EQ(store.stats().spillLoads, 0u);
-        ReplaySource replay(arena);
-        expectSameStream(reference, drainPerOp(replay));
-    };
 
     // Forged header: count = 2^40 over a 3000-op body. The count is
     // refused before it sizes any allocation.
@@ -315,14 +387,84 @@ TEST(Arena, ForgedOpCountIsRejectedAndRecaptured)
         file.write(reinterpret_cast<const char *>(&forged), 8);
     }
     EXPECT_EQ(loadArena(path), nullptr);
-    expect_clean_recapture();
+    expectCleanRecapture(p, dir);
 
     // A well-formed spill of another length under this key loads, but
     // the store refuses it for not matching params.numOps.
     ASSERT_TRUE(saveArena(path, captureArena(params(1000))));
     ASSERT_NE(loadArena(path), nullptr);
-    expect_clean_recapture();
+    expectCleanRecapture(p, dir);
     std::filesystem::remove_all(dir);
+}
+
+TEST(Arena, VersionOneSpillIsRejectedAndRecaptured)
+{
+    // Version 1 held nine lanes; a spill claiming it is refused by its
+    // header and the store recaptures.
+    const SyntheticTraceParams p = params(3000);
+    const std::string dir =
+        std::string(::testing::TempDir()) + "/arena_v1";
+    std::filesystem::create_directories(dir);
+    const std::string path = suite::TraceArenaStore(kMiB, dir)
+                                 .spillPathFor(describeTraceParams(p));
+    ASSERT_TRUE(saveArena(path, captureArena(p)));
+    ASSERT_NE(loadArena(path), nullptr);
+    std::string bytes = fileBytes(path);
+    const std::uint32_t v1 = 1;
+    bytes.replace(4, 4, reinterpret_cast<const char *>(&v1), 4);
+    writeBytes(path, bytes);
+    EXPECT_EQ(loadArena(path), nullptr);
+    expectCleanRecapture(p, dir);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Arena, CorruptLaneBytesAreRejected)
+{
+    // The v2 image holds, after its 24-byte header, the cls, kind, pc,
+    // operand, accessSize and flags lanes of n ops, in that order. Each
+    // corruption is checked alone, on a fresh copy of a valid spill.
+    const auto arena = capture(params(3000));
+    const std::size_t n = arena->numOps;
+    const std::string path =
+        std::string(::testing::TempDir()) + "/arena_lanes.s17a";
+    ASSERT_TRUE(saveArena(path, *arena));
+    const std::string clean = fileBytes(path);
+    ASSERT_EQ(clean.size(), 24 + 20 * n);
+    const std::size_t operand_at = 24 + 10 * n;
+    const std::size_t flags_at = 24 + 19 * n;
+    const auto first = [&](isa::UopClass cls) {
+        std::size_t i = 0;
+        while (i < n && arena->lanes.cls[i] != cls)
+            ++i;
+        return i;
+    };
+    const std::size_t alu = first(isa::UopClass::IntAlu);
+    const std::size_t load = first(isa::UopClass::Load);
+    const std::size_t branch = first(isa::UopClass::Branch);
+    ASSERT_LT(std::max({alu, load, branch}), n);
+    const auto load_patched = [&](std::size_t offset, char value) {
+        std::string bytes = clean;
+        bytes[offset] = value;
+        writeBytes(path, bytes);
+        return loadArena(path);
+    };
+
+    // Every defined flag bit loads; bit 3 does not.
+    EXPECT_NE(load_patched(flags_at + alu, 7), nullptr);
+    EXPECT_EQ(load_patched(flags_at + alu, 8), nullptr);
+    EXPECT_EQ(load_patched(flags_at + load, char(0x80)), nullptr);
+    // A load's or branch's operand may hold any value; an ALU op has
+    // none.
+    EXPECT_NE(load_patched(operand_at + 8 * load + 7, 1), nullptr);
+    EXPECT_NE(load_patched(operand_at + 8 * branch + 7, 1), nullptr);
+    EXPECT_EQ(load_patched(operand_at + 8 * alu, 1), nullptr);
+    EXPECT_EQ(load_patched(operand_at + 8 * alu + 7, 1), nullptr);
+    // A branch without a kind would abort the simulator's branch pass;
+    // a kind on another op is no op a source delivers.
+    const std::size_t kind_at = 24 + n;
+    EXPECT_EQ(load_patched(kind_at + branch, 0), nullptr);
+    EXPECT_EQ(load_patched(kind_at + alu, 1), nullptr);
+    std::remove(path.c_str());
 }
 
 TEST(Arena, DescribeTraceParamsIsAnExactKey)

@@ -3,7 +3,8 @@
  * Batched trace delivery: TraceSource::nextBatchSoA() must describe
  * the same stream as next() -- op for op, at any batch size, across
  * phase boundaries, through the default adapter, and mixed freely with
- * per-op pulls.
+ * per-op pulls -- and the six lanes must carry every op a source can
+ * deliver, field for field.
  */
 
 #include "trace/source.hh"
@@ -230,6 +231,63 @@ TEST(TraceBatch, PhasedGoldenBatchSplitAcrossATransition)
         EXPECT_EQ(op.cls, golden[i].cls) << "op " << i;
         EXPECT_EQ(op.effAddr, golden[i].effAddr) << "op " << i;
     }
+}
+
+TEST(TraceBatch, SetGetRoundTripsEveryClassAboveFourGiB)
+{
+    // Six lanes carry all nine fields: the operand lane holds a memory
+    // op's address or a branch's target at full width, and the flags
+    // byte any combination of the three bools.
+    constexpr std::uint64_t kHigh = std::uint64_t(0xfedc) << 32;
+    std::vector<isa::MicroOp> ops;
+    for (std::size_t c = 0; c < isa::kNumUopClasses; ++c) {
+        const auto cls = static_cast<isa::UopClass>(c);
+        const std::size_t kinds =
+            cls == isa::UopClass::Branch ? isa::kNumBranchKinds : 1;
+        for (std::size_t k = 0; k < kinds; ++k) {
+            for (unsigned bits = 0; bits <= kFlagMask; ++bits) {
+                isa::MicroOp op;
+                op.cls = cls;
+                op.pc = kHigh + 4 * ops.size();
+                op.taken = (bits & kFlagTaken) != 0;
+                op.depOnLoad = (bits & kFlagDepOnLoad) != 0;
+                op.depOnPrev = (bits & kFlagDepOnPrev) != 0;
+                if (op.isMemory()) {
+                    op.effAddr = kHigh + 0x123456789 + 8 * ops.size();
+                    op.size = static_cast<std::uint8_t>(1u << (bits % 4));
+                }
+                if (op.isBranch()) {
+                    op.branch = static_cast<isa::BranchKind>(k + 1);
+                    op.target = kHigh + 0x987654321 + 4 * ops.size();
+                }
+                ops.push_back(op);
+            }
+        }
+    }
+    MicroOpBatch lanes;
+    lanes.ensure(ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i)
+        lanes.set(i, ops[i]);
+    std::vector<isa::MicroOp> gathered;
+    for (std::size_t i = 0; i < ops.size(); ++i)
+        gathered.push_back(lanes.get(i));
+    expectSameStream(gathered, ops);
+}
+
+TEST(TraceBatchDeathTest, SetRejectsAnOpTheLanesCannotCarry)
+{
+    MicroOpBatch lanes;
+    lanes.ensure(1);
+    isa::MicroOp alu = isa::makeAlu(0x400000);
+    alu.effAddr = 64;
+    EXPECT_DEATH(lanes.set(0, alu), "does not fit the lanes");
+    isa::MicroOp load = isa::makeLoad(0x400000, 64);
+    load.target = 0x400040;
+    EXPECT_DEATH(lanes.set(0, load), "does not fit the lanes");
+    isa::MicroOp branch = isa::makeBranch(
+        0x400000, isa::BranchKind::Conditional, true, 0x400040);
+    branch.effAddr = 64;
+    EXPECT_DEATH(lanes.set(0, branch), "does not fit the lanes");
 }
 
 } // namespace

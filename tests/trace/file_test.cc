@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "trace/kernels.hh"
 #include "trace/synthetic.hh"
@@ -115,6 +117,69 @@ TEST(TraceFileDeathTest, TruncationIsDetected)
             }
         },
         "truncated");
+    std::remove(path.c_str());
+}
+
+TEST(TraceFileDeathTest, RecordsTheLanesCannotCarryAreRejected)
+{
+    // A record the SoA lanes cannot carry -- an undefined flag bit, a
+    // target on a non-branch, an address on a non-memory op -- would
+    // make next() and nextBatchSoA() deliver different ops, so both
+    // surfaces reject it like a bad enum byte.
+    StreamKernel kernel(4096, 100); // load, alu, branch per iteration
+    const std::string path = tempTrace("unfit");
+    writeTrace(path, kernel);
+    std::string clean;
+    {
+        std::ifstream in(path, std::ios::binary);
+        clean.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    constexpr std::size_t kHeader = 24, kRecord = 28;
+    const auto record = [&](std::size_t index) {
+        return kHeader + index * kRecord;
+    };
+    ASSERT_EQ(clean[record(0)], char(isa::UopClass::Load));
+    ASSERT_EQ(clean[record(1)], char(isa::UopClass::IntAlu));
+    ASSERT_EQ(clean[record(2)], char(isa::UopClass::Branch));
+
+    struct Corruption
+    {
+        std::size_t offset; //!< byte patched to 0x08
+        const char *message;
+    };
+    const Corruption cases[] = {
+        {record(0) + 2, "bad flags 8"}, // flag bit 3
+        {record(3) + 20, "load op with effAddr .* and target 8"},
+        {record(1) + 12, "int_alu op with effAddr 8 and target 0"},
+        {record(2) + 12, "branch op with effAddr 8 and target"},
+    };
+    for (const Corruption &c : cases) {
+        SCOPED_TRACE(c.message);
+        std::string bytes = clean;
+        bytes[c.offset] = 0x08;
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(bytes.data(),
+                      static_cast<std::streamsize>(bytes.size()));
+        }
+        EXPECT_DEATH(
+            {
+                FileTrace replay(path);
+                isa::MicroOp op;
+                while (replay.next(op)) {
+                }
+            },
+            c.message);
+        EXPECT_DEATH(
+            {
+                FileTrace replay(path);
+                MicroOpBatch lanes;
+                while (replay.nextBatchSoA(lanes, 0, 64) == 64) {
+                }
+            },
+            c.message);
+    }
     std::remove(path.c_str());
 }
 

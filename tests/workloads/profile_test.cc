@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 
@@ -190,6 +191,39 @@ TEST(Profiles, EveryProfileValidates)
     for (const auto &p : cpu2006Suite())
         p.validate();
     SUCCEED();
+}
+
+TEST(Profiles, NonFiniteScalesAndInstructionCountsAreMalformed)
+{
+    const WorkloadProfile base = cpu2006Suite().front();
+    const auto error_of = [&](auto mutate) {
+        WorkloadProfile p = base;
+        mutate(p);
+        return p.validationError();
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_NE(error_of([&](WorkloadProfile &p) { p.testScale = inf; })
+                  .find("input scales"),
+              std::string::npos);
+    EXPECT_NE(error_of([&](WorkloadProfile &p) { p.trainScale = nan; })
+                  .find("input scales"),
+              std::string::npos);
+    // Finite factors whose paper-scale product overflows, at each size.
+    EXPECT_NE(error_of([](WorkloadProfile &p) {
+                  p.refInstrBillions = 1e300;
+                  p.testScale = 1e10;
+              }).find("test instruction count is not finite"),
+              std::string::npos);
+    EXPECT_NE(error_of([](WorkloadProfile &p) {
+                  p.refInstrBillions = 1e300;
+              }).find("ref instruction count is not finite"),
+              std::string::npos);
+    // A count near the limit whose products stay finite is well-formed.
+    EXPECT_EQ(error_of([](WorkloadProfile &p) {
+                  p.refInstrBillions = 1e299;
+              }),
+              "");
 }
 
 TEST(Profiles, SuiteKindNames)

@@ -3,13 +3,14 @@
 # identity/speedup gates, the sweep and co-run shard round-trips plus
 # fsck, store-on vs store-off comparisons of a sweep over threaded
 # pairs, of a co-run campaign with self-pairs and of explore's cross
-# and descent plans, the co-run and explorer jobs-1-vs-2 and
-# kill-plus---resume byte comparisons, a predictor x way-predictor
-# cross whose lane-importing points must match live per-point runs at
-# jobs 1 and 2 and a deadline-armed reference-lane rerun, the same
-# cross under an op budget that fails every attempt, whose table,
-# per-point journals and failure records must match store on and off,
-# and a telemetry sweep. Four runs also hold a peak-RSS ceiling (the
+# and descent plans, a co-run campaign that spills one S17A arena per
+# app and a second one that replays them all from disk, the co-run and
+# explorer jobs-1-vs-2 and kill-plus---resume byte comparisons, a
+# predictor x way-predictor cross whose lane-importing points must
+# match live per-point runs at jobs 1 and 2 and a deadline-armed
+# reference-lane rerun, the same cross under an op budget that fails
+# every attempt, whose table, per-point journals and failure records
+# must match store on and off, and a telemetry sweep. Four runs also hold a peak-RSS ceiling (the
 # child's ru_maxrss, read through python3's resource module). A sweep
 # row steps its clone groups one after another, so an explore run
 # holds one group leader's cache hierarchy per worker: the jobs-1
@@ -92,7 +93,7 @@ SPEC17_CACHE=store-off "$spec17" characterize "${sweep17[@]}" \
   --trace-arena-mb=0
 cmp store-on.cpu2017.test.csv store-off.cpu2017.test.csv
 
-echo "== co-run: jobs 1 vs 2, store on vs off, torn + --resume and 3 merged shards are identical"
+echo "== co-run: jobs 1 vs 2, store on vs off, S17A spill and reload, torn + --resume and 3 merged shards are identical"
 SPEC17_CACHE=ref "$spec17" corun --size=test "${small[@]}" --jobs=1 \
   --progress
 SPEC17_CACHE=par "$spec17" corun --size=test "${small[@]}" --jobs=2
@@ -103,6 +104,29 @@ cmp ref.corun.test.csv par.corun.test.csv
 SPEC17_CACHE=par-off "$spec17" corun --size=test "${small[@]}" --jobs=2 \
   --trace-arena-mb=0
 cmp ref.corun.test.csv par-off.corun.test.csv
+# S17A round trip: the first run spills each app's arena as it captures
+# it. The second, with a fresh journal, replays every arena from disk,
+# self-pairs and shifted contexts included, and so writes no spill.
+rm -rf corun-arenas
+SPEC17_CACHE=spill1 "$spec17" corun --size=test "${small[@]}" --jobs=2 \
+  --arena-spill-dir=corun-arenas
+apps=$(tail -n +3 ref.corun.test.csv | cut -d, -f1 | tr + '\n' | sort -u \
+  | wc -l)
+spills=$(find corun-arenas -name '*.s17a' | wc -l)
+if [ "$spills" -ne "$apps" ]; then
+  echo "co-run spilled $spills arenas for $apps apps" >&2
+  exit 1
+fi
+touch corun-arenas.stamp
+SPEC17_CACHE=spill2 "$spec17" corun --size=test "${small[@]}" --jobs=2 \
+  --arena-spill-dir=corun-arenas
+if [ -n "$(find corun-arenas -name '*.s17a' -newer corun-arenas.stamp)" ]
+then
+  echo "the replaying co-run captured an arena again" >&2
+  exit 1
+fi
+cmp ref.corun.test.csv spill1.corun.test.csv
+cmp ref.corun.test.csv spill2.corun.test.csv
 head -n 5 ref.corun.test.csv > torn.corun.test.csv
 SPEC17_CACHE=torn "$spec17" corun --size=test "${small[@]}" --jobs=2 \
   --resume
