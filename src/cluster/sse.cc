@@ -9,9 +9,9 @@
 namespace spec17 {
 namespace cluster {
 
-double
-sumSquaredError(const stats::Matrix &points,
-                const std::vector<std::size_t> &labels)
+stats::Matrix
+centroids(const stats::Matrix &points,
+          const std::vector<std::size_t> &labels)
 {
     SPEC17_ASSERT(labels.size() == points.rows(),
                   "one label per observation required");
@@ -19,24 +19,30 @@ sumSquaredError(const stats::Matrix &points,
     for (std::size_t label : labels)
         k = std::max(k, label + 1);
 
-    stats::Matrix centroids(k, points.cols());
+    stats::Matrix means(k, points.cols());
     std::vector<std::size_t> count(k, 0);
     for (std::size_t r = 0; r < points.rows(); ++r) {
         ++count[labels[r]];
         for (std::size_t c = 0; c < points.cols(); ++c)
-            centroids.at(labels[r], c) += points.at(r, c);
+            means.at(labels[r], c) += points.at(r, c);
     }
     for (std::size_t g = 0; g < k; ++g) {
         SPEC17_ASSERT(count[g] > 0, "empty cluster label ", g);
         for (std::size_t c = 0; c < points.cols(); ++c)
-            centroids.at(g, c) /= static_cast<double>(count[g]);
+            means.at(g, c) /= static_cast<double>(count[g]);
     }
+    return means;
+}
 
+double
+sumSquaredError(const stats::Matrix &points,
+                const std::vector<std::size_t> &labels)
+{
+    const stats::Matrix means = centroids(points, labels);
     double sse = 0.0;
     for (std::size_t r = 0; r < points.rows(); ++r) {
         for (std::size_t c = 0; c < points.cols(); ++c) {
-            const double diff =
-                points.at(r, c) - centroids.at(labels[r], c);
+            const double diff = points.at(r, c) - means.at(labels[r], c);
             sse += diff * diff;
         }
     }

@@ -20,6 +20,14 @@ namespace spec17 {
 namespace cluster {
 
 /**
+ * Cluster centroids: row g is the mean of the rows of @p points
+ * labelled g, summed in row order. @p labels holds one cluster id per
+ * row, and every id below the largest must label at least one row.
+ */
+stats::Matrix centroids(const stats::Matrix &points,
+                        const std::vector<std::size_t> &labels);
+
+/**
  * Sum over clusters of squared Euclidean distances between members
  * and their cluster centroid. @p labels holds one cluster id per row
  * of @p points.

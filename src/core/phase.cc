@@ -1,18 +1,18 @@
 #include "core/phase.hh"
 
 #include <algorithm>
-#include <cmath>
+#include <exception>
+#include <limits>
 
 #include "cluster/sse.hh"
 #include "sim/simulator.hh"
 #include "stats/matrix.hh"
+#include "suite/runner.hh"
+#include "telemetry/registry.hh"
 #include "util/logging.hh"
 
 namespace spec17 {
 namespace core {
-
-using counters::CounterSet;
-using counters::PerfEvent;
 
 const std::vector<std::string> &
 phaseSignatureNames()
@@ -25,34 +25,6 @@ phaseSignatureNames()
                   "signature names out of sync");
     return names;
 }
-
-namespace {
-
-std::vector<double>
-signatureOf(const CounterSet &delta, double cycles)
-{
-    auto get = [&](PerfEvent event) {
-        return static_cast<double>(delta.get(event));
-    };
-    auto ratio = [](double a, double b) { return b > 0 ? a / b : 0.0; };
-    const double instr = get(PerfEvent::InstRetiredAny);
-    const double loads = get(PerfEvent::MemUopsRetiredAllLoads);
-    const double l1m = get(PerfEvent::MemLoadUopsRetiredL1Miss);
-    const double l2m = get(PerfEvent::MemLoadUopsRetiredL2Miss);
-    const double branches = get(PerfEvent::BrInstExecAllBranches);
-    return {
-        ratio(instr, cycles),
-        ratio(loads, instr),
-        ratio(get(PerfEvent::MemUopsRetiredAllStores), instr),
-        ratio(branches, instr),
-        ratio(l1m, loads),
-        ratio(l2m, l1m),
-        ratio(get(PerfEvent::MemLoadUopsRetiredL3Miss), l2m),
-        ratio(get(PerfEvent::BrMispExecAllBranches), branches),
-    };
-}
-
-} // namespace
 
 double
 PhaseAnalysis::fullIpc() const
@@ -82,43 +54,55 @@ analyzePhases(trace::TraceSource &source, const sim::SystemConfig &config,
                   "intervals too small to have stable signatures");
     SPEC17_ASSERT(options.maxPhases >= 1, "need at least one phase");
 
-    PhaseAnalysis out;
-    sim::CpuSimulator simulator(config);
-    if (options.warmupOps > 0)
-        simulator.step(source, options.warmupOps);
-
     // ---- 1-2: execute in intervals, collect signatures ----
-    CounterSet previous = simulator.snapshot();
-    double prev_cycles = simulator.core().cycles();
-    std::uint64_t first_op = options.warmupOps;
-    for (;;) {
-        const std::uint64_t consumed =
-            simulator.step(source, options.intervalOps);
-        if (consumed == 0)
-            break;
-        const CounterSet now = simulator.snapshot();
-        const double cycles = simulator.core().cycles();
-        const CounterSet delta = now.diff(previous);
+    // The simulator is the one cell of a lockstep row whose interval
+    // sampler cuts the measured window into intervals: each series row
+    // holds one interval's counter deltas and derived rates.
+    sim::CpuSimulator simulator(config);
+    telemetry::MetricsRegistry registry;
+    telemetry::registerSimulatorMetrics(registry, simulator);
+    suite::RunnerOptions stepping;
+    stepping.warmupOps = options.warmupOps;
+    stepping.sampleIntervalOps = options.intervalOps;
+    const suite::LockstepOutcome run =
+        suite::runLockstep({{&simulator, &source, &registry}}, stepping)
+            .front();
+    if (run.error)
+        std::rethrow_exception(run.error);
+    const telemetry::TimeSeries &series = *run.series;
+    SPEC17_ASSERT(series.numIntervals() > 0, "trace produced no intervals");
 
+    const auto column = [&series](const char *name) {
+        return series.columnIndex(name);
+    };
+    const std::size_t ipc = column("ipc");
+    const std::size_t instr = column("perf.inst_retired.any");
+    const std::size_t loads = column("perf.mem_uops_retired.all_loads");
+    const std::size_t stores = column("perf.mem_uops_retired.all_stores");
+    const std::size_t branches = column("perf.br_inst_exec.all_branches");
+    const std::size_t l1m = column("l1_miss_rate");
+    const std::size_t l2m = column("l2_miss_rate");
+    const std::size_t l3m = column("l3_miss_rate");
+    const std::size_t mispredicts = column("mispredict_rate");
+    PhaseAnalysis out;
+    std::uint64_t measured = 0;
+    for (std::size_t i = 0; i < series.numIntervals(); ++i) {
+        const std::vector<double> &row = series.rows[i];
+        const auto per_instr = [&row, instr](std::size_t count) {
+            return row[instr] > 0.0 ? row[count] / row[instr] : 0.0;
+        };
         IntervalRecord interval;
-        interval.firstOp = first_op;
-        interval.numOps = consumed;
-        const double interval_cycles = cycles - prev_cycles;
-        interval.ipc = interval_cycles > 0.0
-            ? static_cast<double>(
-                  delta.get(PerfEvent::InstRetiredAny))
-                / interval_cycles
-            : 0.0;
-        interval.signature = signatureOf(delta, interval_cycles);
+        interval.firstOp = options.warmupOps + measured;
+        interval.numOps = series.endOps[i] - measured;
+        interval.ipc = row[ipc];
+        interval.signature = {
+            row[ipc],           per_instr(loads), per_instr(stores),
+            per_instr(branches), row[l1m],        row[l2m],
+            row[l3m],           row[mispredicts],
+        };
         out.intervals.push_back(std::move(interval));
-
-        previous = now;
-        prev_cycles = cycles;
-        first_op += consumed;
-        if (consumed < options.intervalOps)
-            break;
+        measured = series.endOps[i];
     }
-    SPEC17_ASSERT(!out.intervals.empty(), "trace produced no intervals");
 
     // A very short run (or maxPhases == 1) degenerates gracefully.
     const std::size_t n = out.intervals.size();
@@ -138,22 +122,13 @@ analyzePhases(trace::TraceSource &source, const sim::SystemConfig &config,
     // A candidate cut must both explain the variance and separate
     // its centroids by a material absolute distance.
     auto max_centroid_separation = [&](std::size_t candidate) {
-        const auto labels = dendrogram.cut(candidate);
-        stats::Matrix centroids(candidate, kPhaseSignatureDims);
-        std::vector<std::size_t> count(candidate, 0);
-        for (std::size_t i = 0; i < n; ++i) {
-            ++count[labels[i]];
-            for (std::size_t d = 0; d < kPhaseSignatureDims; ++d)
-                centroids.at(labels[i], d) += points.at(i, d);
-        }
-        for (std::size_t g = 0; g < candidate; ++g)
-            for (std::size_t d = 0; d < kPhaseSignatureDims; ++d)
-                centroids.at(g, d) /= double(count[g]);
+        const stats::Matrix means =
+            cluster::centroids(points, dendrogram.cut(candidate));
         double separation = 0.0;
         for (std::size_t a = 0; a < candidate; ++a)
             for (std::size_t b = a + 1; b < candidate; ++b)
-                separation = std::max(
-                    separation, cluster::euclidean(centroids, a, b));
+                separation =
+                    std::max(separation, cluster::euclidean(means, a, b));
         return separation;
     };
 
@@ -178,10 +153,10 @@ analyzePhases(trace::TraceSource &source, const sim::SystemConfig &config,
     for (const IntervalRecord &interval : out.intervals)
         total_ops += interval.numOps;
 
+    const stats::Matrix means = cluster::centroids(points, out.labels);
     for (std::size_t phase_id = 0; phase_id < k; ++phase_id) {
         Phase phase;
         phase.id = phase_id;
-        std::vector<double> centroid(kPhaseSignatureDims, 0.0);
         std::uint64_t phase_ops = 0;
         double ipc_sum = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
@@ -190,13 +165,7 @@ analyzePhases(trace::TraceSource &source, const sim::SystemConfig &config,
             phase.intervals.push_back(i);
             phase_ops += out.intervals[i].numOps;
             ipc_sum += out.intervals[i].ipc;
-            for (std::size_t d = 0; d < kPhaseSignatureDims; ++d)
-                centroid[d] += out.intervals[i].signature[d];
         }
-        SPEC17_ASSERT(!phase.intervals.empty(), "empty phase ",
-                      phase_id);
-        for (double &component : centroid)
-            component /= static_cast<double>(phase.intervals.size());
         phase.weight = static_cast<double>(phase_ops)
             / static_cast<double>(total_ops);
         phase.meanIpc =
@@ -207,7 +176,7 @@ analyzePhases(trace::TraceSource &source, const sim::SystemConfig &config,
             double dist = 0.0;
             for (std::size_t d = 0; d < kPhaseSignatureDims; ++d) {
                 const double diff =
-                    out.intervals[i].signature[d] - centroid[d];
+                    points.at(i, d) - means.at(phase_id, d);
                 dist += diff * diff;
             }
             if (dist < best) {

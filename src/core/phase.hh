@@ -4,9 +4,11 @@
  * phase behavior in order to identify the applications' simulation
  * phases"), implemented SimPoint-style over simulated perf counters:
  *
- *  1. execute the workload in fixed-size intervals, collecting the
- *     counter delta of each interval;
- *  2. turn each delta into a normalized signature (mix and rate
+ *  1. execute the workload in fixed-size intervals: the simulator
+ *     is the one cell of a suite::runLockstep() call, whose
+ *     telemetry::IntervalSampler records each interval's counter
+ *     deltas and derived rates;
+ *  2. turn each interval into a normalized signature (mix and rate
  *     vector);
  *  3. hierarchically cluster the signatures and cut at the smallest
  *     k whose SSE drop flattens;
@@ -18,10 +20,10 @@
 #define SPEC17_CORE_PHASE_HH_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cluster/hierarchical.hh"
-#include "counters/perf_event.hh"
 #include "sim/system_config.hh"
 #include "trace/source.hh"
 

@@ -357,12 +357,6 @@ BranchUnit::BranchUnit(std::unique_ptr<DirectionPredictor> direction,
     SPEC17_ASSERT(direction_ != nullptr, "BranchUnit needs a predictor");
 }
 
-const BranchStats &
-BranchUnit::byKind(isa::BranchKind kind) const
-{
-    return perKind_[static_cast<std::size_t>(kind)];
-}
-
 bool
 BranchUnit::execute(const isa::MicroOp &op)
 {

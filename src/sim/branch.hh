@@ -360,14 +360,10 @@ class BranchUnit
 
         ++totals_.executed;
         totals_.mispredicted += mispredicted;
-        BranchStats &ks = perKind_[static_cast<std::size_t>(kind)];
-        ++ks.executed;
-        ks.mispredicted += mispredicted;
         return mispredicted;
     }
 
     const BranchStats &totals() const { return totals_; }
-    const BranchStats &byKind(isa::BranchKind kind) const;
     const DirectionPredictor &direction() const { return *direction_; }
 
   private:
@@ -386,7 +382,6 @@ class BranchUnit
     std::vector<std::uint64_t> btb_;
     std::size_t btbMask_;
     BranchStats totals_;
-    BranchStats perKind_[isa::kNumBranchKinds + 1];
 };
 
 } // namespace sim

@@ -5,26 +5,10 @@
 #include <sstream>
 
 #include "util/logging.hh"
+#include "util/random.hh"
 
 namespace spec17 {
 namespace suite {
-
-namespace {
-
-/** FNV-1a 64-bit hash of the canonical trace key: short, stable
- *  spill file names (the full key is unbounded). */
-std::uint64_t
-fnv1a(const std::string &text)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-} // namespace
 
 TraceArenaStore::TraceArenaStore(std::uint64_t budget_bytes,
                                  std::string spill_dir)
@@ -38,6 +22,8 @@ TraceArenaStore::TraceArenaStore(std::uint64_t budget_bytes,
 std::string
 TraceArenaStore::spillPathFor(const std::string &key) const
 {
+    // The key's FNV-1a hash keeps names short and stable (the full key
+    // is unbounded).
     std::ostringstream name;
     name << std::hex << fnv1a(key);
     return spillDir_ + "/arena-" + name.str() + ".s17a";

@@ -255,12 +255,11 @@ runFanoutPair(const AppInputPair &pair,
 
     // Groups share nothing but the row's arena, so each steps in its
     // own runLockstep() call and the row holds one leader's hierarchy
-    // at a time. The leader is cell 0, every cell's default leader. It
-    // prefills its hierarchy, adopting the thread's dead leader's
-    // buffers when the pool has one, and is the next group's donor once
-    // its call returns. Its siblings consume its recorded memory
-    // lanes, so they are built in the lane-importer form, with no cache
-    // hierarchy to prefill.
+    // at a time. The leader is cell 0. It prefills its hierarchy,
+    // adopting the thread's dead leader's buffers when the pool has
+    // one, and is the next group's donor once its call returns. Its
+    // siblings consume its recorded memory lanes, so they are built in
+    // the lane-importer form, with no cache hierarchy to prefill.
     std::vector<LockstepOutcome> outcomes(n);
     for (const std::vector<std::size_t> &group : groups) {
         const std::size_t g = group.size();

@@ -98,17 +98,6 @@ parseDouble(std::string_view cell)
     return value;
 }
 
-std::uint64_t
-fnv1a(std::string_view data, std::uint64_t seed)
-{
-    std::uint64_t h = seed;
-    for (char c : data) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 std::string
 hex16(std::uint64_t value)
 {

@@ -45,6 +45,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/random.hh"
+
 namespace spec17 {
 namespace suite {
 
@@ -53,9 +55,8 @@ class JournalIoFaultInjector;
 /** Journal format version this build reads and writes. */
 inline constexpr unsigned kJournalFormatVersion = 2;
 
-/** FNV-1a over @p data, continuing from @p seed. */
-std::uint64_t fnv1a(std::string_view data,
-                    std::uint64_t seed = 0xcbf29ce484222325ULL);
+/** FNV-1a over @p data, continuing from @p seed (util/random.hh). */
+using spec17::fnv1a;
 
 /** 16-digit lowercase hex rendering of @p value. */
 std::string hex16(std::uint64_t value);

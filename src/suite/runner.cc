@@ -235,8 +235,7 @@ runLockstep(const std::vector<LockstepCell> &cells,
         std::uint64_t executed = 0;
         Clock::duration spent = Clock::duration::zero();
         bool drained = false;
-        std::size_t group = 0; //!< cells on this one's memory side
-        sim::MemoryLaneLog log; //!< recorded fresh each chunk
+        sim::MemoryLaneLog log; //!< cell 0's, recorded fresh each chunk
         CounterSet warm;
         double warmCycles = 0.0;
         std::uint64_t warmOps = 0;
@@ -247,12 +246,10 @@ runLockstep(const std::vector<LockstepCell> &cells,
     const std::uint64_t budget = options.pairDeadlineOps;
     std::vector<LockstepOutcome> out(n);
     std::vector<State> states(n);
-    for (const LockstepCell &cell : cells)
-        ++states[cell.leader].group;
 
     // Every running cell has executed `done` ops. Steps each by one
     // chunk, cut at the op budget's first op past it, then checks its
-    // watchdog and feeds its sampler. A sibling fails with its leader,
+    // watchdog and feeds its sampler. A sibling fails with cell 0,
     // BEFORE it would import the (then partial) log. Returns whether
     // any cell still runs.
     std::uint64_t done = 0;
@@ -265,19 +262,18 @@ runLockstep(const std::vector<LockstepCell> &cells,
             const LockstepCell &cell = cells[j];
             State &state = states[j];
             if (!out[j].error)
-                out[j].error = out[cell.leader].error;
+                out[j].error = out[0].error;
             if (out[j].error || state.drained)
                 continue;
             try {
                 const Clock::time_point start =
                     timed ? Clock::now() : Clock::time_point();
                 std::uint64_t got;
-                if (cell.leader != j) {
+                if (j != 0) {
                     std::size_t cursor = 0;
                     got = cell.simulator->stepImporting(
-                        *cell.source, chunk, states[cell.leader].log,
-                        cursor);
-                } else if (state.group > 1) {
+                        *cell.source, chunk, states[0].log, cursor);
+                } else if (n > 1) {
                     state.log.clear();
                     got = cell.simulator->stepRecording(*cell.source,
                                                         chunk, state.log);

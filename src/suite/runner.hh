@@ -395,12 +395,13 @@ struct PairResult
 /**
  * @name Pair-identity helpers
  * The exact derivations SuiteRunner::runPairAttempt() uses, and the
- * one loop that steps every single-threaded attempt: an attempt is a
- * one-cell runLockstep() call, and each clone group of a sweep row
- * (suite/fanout.hh) one call with a cell per session in the group.
- * Rows thereby reproduce per-pair identity -- build options, seeds,
- * chunk schedule, the measured window and paper-unit scaling -- by
- * construction rather than by copy.
+ * one loop that steps every single-threaded simulation: an attempt is
+ * a one-cell runLockstep() call, each clone group of a sweep row
+ * (suite/fanout.hh) one call with a cell per session in the group,
+ * and phase analysis (core/phase.hh) a one-cell call sampled every
+ * interval. Rows thereby reproduce per-pair identity -- build
+ * options, seeds, chunk schedule, the measured window and paper-unit
+ * scaling -- by construction rather than by copy.
  */
 /// @{
 
@@ -451,16 +452,12 @@ struct LockstepCell
     /** Sampled every sampleIntervalOps of the measured window when
      *  set. */
     const telemetry::MetricsRegistry *registry = nullptr;
-    /** The earlier cell whose memory-side lanes this one imports
-     *  (CpuSimulator::stepImporting), or its own index. A leader with
-     *  siblings is batched and unsampled. */
-    std::size_t leader = 0;
 };
 
 /** A cell's measured window (counters and cycles since warmup, VSZ as
  *  finished, RSS as the pages touched) and interval series, or the
- *  exception that ended it: its own, or its leader's when the leader
- *  failed first. */
+ *  exception that ended it: its own, or cell 0's when cell 0 failed
+ *  first. */
 struct LockstepOutcome
 {
     sim::SimResult window;
@@ -469,11 +466,14 @@ struct LockstepOutcome
 };
 
 /**
- * The one stepping loop of every single-threaded attempt: steps
- * @p cells through @p options' warmup and then until every source
- * drains, in shared chunks of at most 16384 micro-ops. The chunk is
- * capped row-wide at the next sampling boundary and at the op
- * budget's first op past pairDeadlineOps, so interval rows land on
+ * The one stepping loop of every single-threaded simulation: steps
+ * @p cells, one clone group, through @p options' warmup and then
+ * until every source drains, in shared chunks of at most 16384
+ * micro-ops. Cell 0 leads: with siblings it is batched, unsampled and
+ * records its memory-side lanes each chunk, and every later cell
+ * imports them (CpuSimulator::stepImporting) and fails with it. The
+ * chunk is capped row-wide at the next sampling boundary and at the
+ * op budget's first op past pairDeadlineOps, so interval rows land on
  * exact boundaries and an op-budget expiry reports pairDeadlineOps + 1
  * ops. Each cell's watchdog is checked after every chunk; its
  * wall-clock budget counts only the cell's own steps. Batch-size

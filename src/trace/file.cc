@@ -137,41 +137,6 @@ FileTrace::next(isa::MicroOp &op)
     return true;
 }
 
-std::size_t
-FileTrace::nextBatchSoA(MicroOpBatch &out, std::size_t at, std::size_t n)
-{
-    // Drains whatever the decode buffer still holds (records already
-    // unpacked for next()), then scatters the rest of the
-    // pull straight from raw file records into the lanes, skipping
-    // the intermediate MicroOp buffer entirely.
-    out.ensure(at + n);
-    std::size_t filled = 0;
-    while (filled < n && bufferPos_ < buffer_.size()) {
-        out.set(at + filled, buffer_[bufferPos_++]);
-        ++delivered_;
-        ++filled;
-    }
-    while (filled < n && delivered_ < count_) {
-        const std::uint64_t remaining = count_ - delivered_;
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(
-                remaining,
-                std::min<std::uint64_t>(n - filled, kBufferRecords)));
-        rawScratch_.resize(want * kRecordBytes);
-        in_.read(reinterpret_cast<char *>(rawScratch_.data()),
-                 static_cast<std::streamsize>(rawScratch_.size()));
-        SPEC17_ASSERT(
-            static_cast<std::size_t>(in_.gcount()) == rawScratch_.size(),
-            "trace file truncated: ", path_);
-        for (std::size_t i = 0; i < want; ++i)
-            out.set(at + filled + i,
-                    unpack(rawScratch_.data() + i * kRecordBytes));
-        delivered_ += want;
-        filled += want;
-    }
-    return filled;
-}
-
 std::uint64_t
 FileTrace::virtualReserveBytes() const
 {

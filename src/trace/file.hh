@@ -14,8 +14,9 @@
  *            u64 effAddr, u64 target
  *
  * A record the SoA lanes cannot carry (an undefined enum or flag bit,
- * or !fitsLanes) is a fatal error, so next() and nextBatchSoA() never
- * deliver different ops.
+ * or !fitsLanes) is a fatal error when decoded, so a batched pull --
+ * the base adapter, next() into MicroOpBatch::set() -- never delivers
+ * a different op than next() does.
  */
 
 #ifndef SPEC17_TRACE_FILE_HH_
@@ -37,8 +38,8 @@ namespace trace {
 std::uint64_t writeTrace(const std::string &path, TraceSource &source);
 
 /**
- * Streams a trace file from disk. Records are read through a
- * fixed-size buffer.
+ * Streams a trace file from disk. Records are read and decoded through
+ * a fixed-size buffer, the one decode path of both pull surfaces.
  */
 class FileTrace : public TraceSource
 {
@@ -47,8 +48,6 @@ class FileTrace : public TraceSource
     explicit FileTrace(const std::string &path);
 
     bool next(isa::MicroOp &op) override;
-    std::size_t nextBatchSoA(MicroOpBatch &out, std::size_t at,
-                             std::size_t n) override;
     std::uint64_t virtualReserveBytes() const override;
 
     /** Total records in the file. */
@@ -64,7 +63,6 @@ class FileTrace : public TraceSource
     std::uint64_t delivered_ = 0;
     std::vector<isa::MicroOp> buffer_;
     std::size_t bufferPos_ = 0;
-    std::vector<unsigned char> rawScratch_;
 };
 
 } // namespace trace

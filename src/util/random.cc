@@ -80,15 +80,21 @@ Rng::nextDiscrete(const std::vector<double> &weights)
 }
 
 std::uint64_t
-deriveSeed(std::uint64_t root, std::string_view label)
+fnv1a(std::string_view data, std::uint64_t seed)
 {
-    // FNV-1a over the label, then mixed with the root through SplitMix64.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : label) {
+    std::uint64_t h = seed;
+    for (char c : data) {
         h ^= static_cast<unsigned char>(c);
         h *= 0x100000001b3ULL;
     }
-    std::uint64_t state = root ^ h;
+    return h;
+}
+
+std::uint64_t
+deriveSeed(std::uint64_t root, std::string_view label)
+{
+    // FNV-1a over the label, then mixed with the root through SplitMix64.
+    std::uint64_t state = root ^ fnv1a(label);
     return splitMix64(state);
 }
 

@@ -238,6 +238,12 @@ class BernoulliDraw
 /** SplitMix64 step; exposed for seed derivation and tests. */
 std::uint64_t splitMix64(std::uint64_t &state);
 
+/** 64-bit FNV-1a over @p data, continuing from @p seed (the offset
+ *  basis by default). Seeds, journal record hashes and arena spill
+ *  file names all hash through it. */
+std::uint64_t fnv1a(std::string_view data,
+                    std::uint64_t seed = 0xcbf29ce484222325ULL);
+
 /**
  * Derives a stable child seed from a root seed and a component label
  * (FNV-1a hash mixed through SplitMix64). Used so that adding a new

@@ -270,21 +270,6 @@ TEST(BranchUnit, IndirectJumpMispredictsOnTargetChange)
         0x5000, BranchKind::IndirectJumpNonCallRet, true, 0xc000)));
 }
 
-TEST(BranchUnit, PerKindStatsAreTracked)
-{
-    BranchUnit unit(makeDirectionPredictor("bimodal"));
-    for (int i = 0; i < 50; ++i) {
-        unit.execute(makeBranch(0x100, BranchKind::Conditional,
-                                true, 0x200));
-        unit.execute(makeBranch(0x300, BranchKind::DirectJump,
-                                true, 0x400));
-    }
-    EXPECT_EQ(unit.byKind(BranchKind::Conditional).executed, 50u);
-    EXPECT_EQ(unit.byKind(BranchKind::DirectJump).executed, 50u);
-    EXPECT_EQ(unit.byKind(BranchKind::DirectJump).mispredicted, 0u);
-    EXPECT_EQ(unit.totals().executed, 100u);
-}
-
 TEST(BranchUnit, MispredictRateHelper)
 {
     BranchStats stats;

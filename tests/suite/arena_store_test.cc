@@ -180,6 +180,16 @@ TEST(ArenaStore, OverBudgetArenasAreServedUncached)
     EXPECT_EQ(stats.residentBytes, 0u);
 }
 
+TEST(ArenaStore, SpillFileNamesAreTheKeysFnv1aInUnpaddedHex)
+{
+    // Spill files outlive the process that wrote them, so their names
+    // must never change. This key's hash has a leading zero nibble,
+    // which the name drops.
+    const TraceArenaStore store(64 * kMiB, "spill");
+    EXPECT_EQ(store.spillPathFor("seed=10"),
+              "spill/arena-afeb07c08db2ed2.s17a");
+}
+
 TEST(ArenaStore, SpilledArenasReloadAcrossStores)
 {
     const std::string spill_dir =
