@@ -102,47 +102,98 @@ BM_SimulatorThroughput(benchmark::State &state)
 }
 BENCHMARK(BM_SimulatorThroughput);
 
+/**
+ * The retire pass's inputs: 4096 ops of real generator lanes (class
+ * and flags) with fixed memory-side lanes and @p cores mispredict
+ * lanes. Loads hit L1 in 4 cycles; every 8th misses to L2, every 64th
+ * goes to DRAM; every 16th op's branch mispredicts, core k's lane
+ * shifted by k ops.
+ */
+struct RetireLanes
+{
+    static constexpr std::size_t kOps = 4096;
+
+    explicit RetireLanes(std::size_t cores)
+        : memLatency(kOps, 0), fetchStall(kOps, 0), l1Miss(kOps, 0),
+          dram(kOps, 0),
+          mispredicted(cores, std::vector<std::uint8_t>(kOps, 0))
+    {
+        trace::SyntheticTraceParams params;
+        params.numOps = kOps;
+        params.regions = {
+            {trace::AccessPattern::Random, 1 << 20, 64, 1.0, 1.0},
+        };
+        trace::SyntheticTraceGenerator gen(params);
+        gen.nextBatchSoA(lanes, 0, kOps);
+        for (std::size_t i = 0; i < kOps; ++i) {
+            if (lanes.cls[i] == isa::UopClass::Load) {
+                memLatency[i] = i % 64 == 0 ? 200 : i % 8 == 0 ? 12 : 4;
+                l1Miss[i] = i % 8 == 0;
+                dram[i] = i % 64 == 0;
+            } else if (lanes.cls[i] == isa::UopClass::Branch) {
+                for (std::size_t k = 0; k < cores; ++k)
+                    mispredicted[k][i] = (i + k) % 16 == 0;
+            }
+        }
+    }
+
+    trace::MicroOpBatch lanes;
+    std::vector<unsigned> memLatency;
+    std::vector<unsigned> fetchStall;
+    std::vector<std::uint8_t> l1Miss;
+    std::vector<std::uint8_t> dram;
+    std::vector<std::vector<std::uint8_t>> mispredicted;
+};
+
 void
 BM_RetireBatch(benchmark::State &state)
 {
-    // The retire pass alone: 4096 ops of real generator lanes (class
-    // and flags) with fixed memory-side and mispredict
-    // lanes. Loads hit L1 in 4 cycles; every 8th misses to L2, every
-    // 64th goes to DRAM; every 16th op's branch mispredicts.
-    constexpr std::size_t kOps = 4096;
-    trace::SyntheticTraceParams params;
-    params.numOps = kOps;
-    params.regions = {
-        {trace::AccessPattern::Random, 1 << 20, 64, 1.0, 1.0},
-    };
-    trace::SyntheticTraceGenerator gen(params);
-    trace::MicroOpBatch lanes;
-    gen.nextBatchSoA(lanes, 0, kOps);
-    std::vector<unsigned> mem_latency(kOps, 0);
-    std::vector<unsigned> fetch_stall(kOps, 0);
-    std::vector<std::uint8_t> l1_miss(kOps, 0);
-    std::vector<std::uint8_t> mispredicted(kOps, 0);
-    std::vector<std::uint8_t> dram(kOps, 0);
-    for (std::size_t i = 0; i < kOps; ++i) {
-        if (lanes.cls[i] == isa::UopClass::Load) {
-            mem_latency[i] = i % 64 == 0 ? 200 : i % 8 == 0 ? 12 : 4;
-            l1_miss[i] = i % 8 == 0;
-            dram[i] = i % 64 == 0;
-        } else if (lanes.cls[i] == isa::UopClass::Branch) {
-            mispredicted[i] = i % 16 == 0;
-        }
-    }
+    // The retire pass alone, one core over RetireLanes.
+    const RetireLanes in(1);
     sim::CoreModel core{sim::CoreParams{}};
     for (auto _ : state) {
-        core.retireBatch(lanes.cls.data(), lanes.flags.data(),
-                         mem_latency.data(), l1_miss.data(),
-                         fetch_stall.data(), mispredicted.data(),
-                         dram.data(), kOps);
+        core.retireBatch(in.lanes.cls.data(), in.lanes.flags.data(),
+                         in.memLatency.data(), in.l1Miss.data(),
+                         in.fetchStall.data(), in.mispredicted[0].data(),
+                         in.dram.data(), RetireLanes::kOps);
         benchmark::DoNotOptimize(core.cycles());
     }
-    state.SetItemsProcessed(state.iterations() * kOps);
+    state.SetItemsProcessed(state.iterations() * RetireLanes::kOps);
 }
 BENCHMARK(BM_RetireBatch);
+
+void
+BM_RetireGroup(benchmark::State &state)
+{
+    // A clone group's retire: five cores over the same RetireLanes,
+    // each with its own mispredict lane, in one op-major pass. Items
+    // are cell-ops, comparable with BM_RetireBatch's ops.
+    constexpr std::size_t kCores = 5;
+    const RetireLanes in(kCores);
+    // Each model owns its bus: a group's cores may not share one.
+    std::vector<sim::CoreModel> models;
+    models.reserve(kCores);
+    std::vector<sim::CoreModel *> cores;
+    std::vector<const std::uint8_t *> mispredicted;
+    for (std::size_t k = 0; k < kCores; ++k) {
+        cores.push_back(&models.emplace_back(sim::CoreParams{}));
+        mispredicted.push_back(in.mispredicted[k].data());
+    }
+    for (auto _ : state) {
+        sim::CoreModel::retireGroup(cores, mispredicted, in.lanes.cls.data(),
+                                    in.lanes.flags.data(),
+                                    in.memLatency.data(), in.l1Miss.data(),
+                                    in.fetchStall.data(), in.dram.data(),
+                                    RetireLanes::kOps);
+        benchmark::DoNotOptimize(models.back().cycles());
+    }
+    state.SetItemsProcessed(state.iterations() * RetireLanes::kOps * kCores);
+    state.counters["per_cell_op"] = benchmark::Counter(
+        static_cast<double>(RetireLanes::kOps * kCores),
+        benchmark::Counter::kIsIterationInvariantRate
+            | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RetireGroup);
 
 void
 BM_PcaStudySized(benchmark::State &state)

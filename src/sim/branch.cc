@@ -338,14 +338,6 @@ makeDirectionPredictor(const std::string &name, const TageConfig &tage)
 // BranchUnit
 // ---------------------------------------------------------------------
 
-double
-BranchStats::mispredictRate() const
-{
-    return executed ? static_cast<double>(mispredicted)
-            / static_cast<double>(executed)
-                    : 0.0;
-}
-
 BranchUnit::BranchUnit(std::unique_ptr<DirectionPredictor> direction,
                        unsigned btb_bits)
     : direction_(std::move(direction)),

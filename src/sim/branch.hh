@@ -281,13 +281,11 @@ std::unique_ptr<DirectionPredictor> makeDirectionPredictor(
 std::unique_ptr<DirectionPredictor> makeDirectionPredictor(
     const std::string &name, const TageConfig &tage);
 
-/** Per-kind branch statistics kept by the BranchUnit. */
+/** Branch totals kept by the BranchUnit. */
 struct BranchStats
 {
     std::uint64_t executed = 0;
     std::uint64_t mispredicted = 0;
-    /** mispredicted / executed, or 0 if never executed. */
-    double mispredictRate() const;
 };
 
 /**

@@ -56,24 +56,6 @@ CacheConfig::numSets() const
     return sizeBytes / (static_cast<std::uint64_t>(assoc) * lineBytes);
 }
 
-double
-CacheStats::missRate() const
-{
-    const std::uint64_t total = accesses();
-    return total ? static_cast<double>(misses)
-            / static_cast<double>(total)
-                 : 0.0;
-}
-
-double
-CacheContextStats::missRate() const
-{
-    const std::uint64_t total = accesses();
-    return total ? static_cast<double>(misses)
-            / static_cast<double>(total)
-                 : 0.0;
-}
-
 SetAssocCache::SetAssocCache(CacheConfig config, std::uint64_t seed,
                              SetAssocCache *recycle)
     : config_(std::move(config)), numSets_(config_.numSets()),

@@ -91,8 +91,6 @@ struct CacheStats
     std::uint64_t wayPenaltyCycles = 0;
 
     std::uint64_t accesses() const { return hits + misses; }
-    /** misses / accesses, or 0 when never accessed. */
-    double missRate() const;
 };
 
 /**
@@ -117,8 +115,6 @@ struct CacheContextStats
     std::uint64_t evictionsSuffered = 0;
 
     std::uint64_t accesses() const { return hits + misses; }
-    /** misses / accesses, or 0 when never accessed. */
-    double missRate() const;
 };
 
 /**

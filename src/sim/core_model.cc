@@ -8,6 +8,193 @@
 namespace spec17 {
 namespace sim {
 
+namespace {
+
+using C = isa::UopClass;
+
+/** ROB-slot attribution classes. */
+constexpr std::uint8_t kTagCompute = 0;
+constexpr std::uint8_t kTagMemory = 1;
+
+/**
+ * A core's loop-invariant retire inputs, as the doubles the
+ * unsigned-to-double conversions in the accounting would produce, so
+ * hoisting them changes no sum.
+ */
+struct RetireConsts
+{
+    explicit RetireConsts(const CoreParams &params)
+        : robSize(params.robSize), numMshrs(params.numMshrs),
+          dispatchStep(1.0 / params.dispatchWidth),
+          resolveLatency(params.branchResolveLatency),
+          mispredictPenalty(params.mispredictPenalty)
+    {
+        computeLat[static_cast<std::size_t>(C::IntAlu)] =
+            params.intAluLatency;
+        computeLat[static_cast<std::size_t>(C::IntMul)] =
+            params.intMulLatency;
+        computeLat[static_cast<std::size_t>(C::IntDiv)] =
+            params.intDivLatency;
+        computeLat[static_cast<std::size_t>(C::FpAdd)] =
+            params.fpAddLatency;
+        computeLat[static_cast<std::size_t>(C::FpMul)] =
+            params.fpMulLatency;
+        computeLat[static_cast<std::size_t>(C::FpDiv)] =
+            params.fpDivLatency;
+    }
+
+    std::size_t robSize;
+    std::size_t numMshrs;
+    double dispatchStep;
+    double resolveLatency;
+    double mispredictPenalty;
+    double computeLat[isa::kNumUopClasses] = {};
+};
+
+/** One op's retire inputs besides its class and mispredict flag:
+ *  what every core of a clone group reads alike. */
+struct OpInputs
+{
+    bool onLoad;
+    bool onPrev;
+    unsigned latency;
+    bool missed;
+    unsigned stall;
+    std::uint8_t dram;
+};
+
+OpInputs
+opInputs(std::size_t i, const std::uint8_t *__restrict flags,
+         const unsigned *__restrict mem_latency,
+         const std::uint8_t *__restrict l1_miss,
+         const unsigned *__restrict fetch_stall,
+         const std::uint8_t *__restrict dram)
+{
+    return {(flags[i] & trace::kFlagDepOnLoad) != 0,
+            (flags[i] & trace::kFlagDepOnPrev) != 0,
+            mem_latency[i],
+            l1_miss[i] != 0,
+            fetch_stall[i],
+            dram[i]};
+}
+
+/**
+ * The per-op retire accounting of one core, written once. @p core is
+ * the caller's view of the core: its serial state `r` and its bulk
+ * state `rob`, `tags`, `mshr` and `bus`. retireBatch's view holds `r`
+ * by value, hoisted into registers for the batch; retireGroup's views
+ * reach each core's state in place. @p kClass is Load, Store, Branch
+ * or, standing for every compute class, IntAlu; a compute op takes
+ * @p compute_latency. The callers dispatch the op's class and pick
+ * the instance, so the body tests no class.
+ *
+ * Each instance is called from one place -- the two views are
+ * distinct types -- so GCC inlines it whatever its size, as it
+ * inlines any internal function with a single call site. With one
+ * instance for both callers, GCC 12 at -O2 emitted the Load body out
+ * of line, and retireBatch's state went back to memory.
+ */
+template <C kClass, typename Core>
+void
+retireOp(Core &core, const RetireConsts &c, const OpInputs &op,
+         bool mispred, double compute_latency)
+{
+    auto &r = core.r;
+    double *__restrict const rob = core.rob;
+    std::uint8_t *__restrict const tags = core.tags;
+
+    // (2) ROB window: the slot we are about to occupy still holds the
+    // completion time of uop (i - robSize); dispatch must wait for it.
+    const std::size_t slot = r.robSlot;
+    if (++r.robSlot == c.robSize)
+        r.robSlot = 0;
+    if (rob[slot] > r.dispatchCycle) {
+        const double wait = rob[slot] - r.dispatchCycle;
+        if (tags[slot] == kTagMemory)
+            r.stack.memory += wait;
+        else
+            r.stack.compute += wait;
+        r.dispatchCycle = rob[slot];
+    }
+
+    // Front-end: I-cache miss stalls fetch/dispatch.
+    if (op.stall > 0) {
+        r.dispatchCycle += op.stall;
+        r.stack.frontend += op.stall;
+    }
+
+    // (1) dispatch bandwidth.
+    r.dispatchCycle += c.dispatchStep;
+    r.stack.base += c.dispatchStep;
+
+    double completion;
+    if constexpr (kClass == C::Load) {
+        double start = r.dispatchCycle;
+        if (op.onLoad)
+            start = std::max(start, r.chainReady);
+        if (op.onPrev)
+            start = std::max(start, r.computeChainTail);
+        if (op.missed) {
+            // (3) allocate an MSHR: take the earliest-free slot; if
+            // every slot is still busy past `start`, stall until one
+            // frees up.
+            double *__restrict const mshr = core.mshr;
+            double *slot_it = std::min_element(mshr, mshr + c.numMshrs);
+            start = std::max(start, *slot_it);
+            if (op.dram != 0)
+                start = core.bus.acquire(start, op.dram);
+            completion = start + op.latency;
+            *slot_it = completion;
+        } else {
+            completion = start + op.latency;
+        }
+        if (op.onLoad)
+            r.chainReady = completion;
+        // Most recent load in program order: the producer proxy for
+        // later depOnLoad branches.
+        r.lastLoadCompletion = completion;
+    } else if constexpr (kClass == C::Store) {
+        // Stores drain through the store buffer off the critical path;
+        // they retire one cycle after dispatch, but a store that
+        // misses to DRAM still consumes channel bandwidth (RFO plus
+        // eventual writeback), delaying later demand fills.
+        if (op.dram != 0)
+            core.bus.acquire(r.dispatchCycle, op.dram);
+        completion = r.dispatchCycle + 1.0;
+    } else if constexpr (kClass == C::Branch) {
+        double resolve = r.dispatchCycle + c.resolveLatency;
+        if (op.onLoad) {
+            // A branch fed by a load resolves no earlier than the
+            // load's data returns (mcf-style late mispredicts).
+            resolve = std::max(resolve, r.lastLoadCompletion + 1.0);
+        }
+        if (mispred) {
+            const double squash =
+                resolve + c.mispredictPenalty - r.dispatchCycle;
+            if (squash > 0.0) {
+                r.stack.branch += squash;
+                r.dispatchCycle += squash;
+            }
+        }
+        completion = resolve;
+    } else {
+        double start = r.dispatchCycle;
+        if (op.onLoad)
+            start = std::max(start, r.chainReady);
+        if (op.onPrev)
+            start = std::max(start, r.computeChainTail);
+        completion = start + compute_latency;
+        if (op.onPrev)
+            r.computeChainTail = completion;
+    }
+
+    rob[slot] = completion;
+    tags[slot] = kClass == C::Load && op.missed ? kTagMemory : kTagCompute;
+    r.maxCompletion = std::max(r.maxCompletion, completion);
+}
+
+} // namespace
+
 double
 CpiStack::total() const
 {
@@ -31,8 +218,7 @@ CpiStack::perInstruction(std::uint64_t retired) const
 
 CoreModel::CoreModel(const CoreParams &params,
                      std::shared_ptr<MemoryBus> bus)
-    : params_(params), dispatchStep_(1.0 / params.dispatchWidth),
-      robCompletion_(params.robSize, 0.0),
+    : params_(params), robCompletion_(params.robSize, 0.0),
       robTag_(params.robSize, kTagCompute),
       mshrFree_(params.numMshrs, 0.0),
       bus_(bus ? std::move(bus) : std::make_shared<MemoryBus>())
@@ -65,143 +251,117 @@ CoreModel::retireBatch(const isa::UopClass *__restrict cls,
                        const std::uint8_t *__restrict mispredicted,
                        const std::uint8_t *__restrict dram, std::size_t n)
 {
-    // The accounting is written once, as this loop's body, so the
-    // serial state in `r` stays in registers for the whole batch. A
-    // helper called per op may be emitted out of line (GCC 12 at -O2
-    // does so even for a sole caller), and then every field is stored
-    // and reloaded around each call, on the FP dependence chain.
-    RetireRegs r = state_;
-    // Loop-invariant inputs, as the doubles the unsigned-to-double
-    // conversions in the accounting would produce, so hoisting them
-    // changes no sum.
-    const std::size_t rob_size = params_.robSize;
-    const std::size_t num_mshrs = mshrFree_.size();
-    const double dispatch_step = dispatchStep_;
-    const double resolve_latency = params_.branchResolveLatency;
-    const double mispredict_penalty = params_.mispredictPenalty;
-    using C = isa::UopClass;
-    double compute_lat[isa::kNumUopClasses] = {};
-    compute_lat[static_cast<std::size_t>(C::IntAlu)] = params_.intAluLatency;
-    compute_lat[static_cast<std::size_t>(C::IntMul)] = params_.intMulLatency;
-    compute_lat[static_cast<std::size_t>(C::IntDiv)] = params_.intDivLatency;
-    compute_lat[static_cast<std::size_t>(C::FpAdd)] = params_.fpAddLatency;
-    compute_lat[static_cast<std::size_t>(C::FpMul)] = params_.fpMulLatency;
-    compute_lat[static_cast<std::size_t>(C::FpDiv)] = params_.fpDivLatency;
-    MemoryBus &bus = *bus_;
-    double *__restrict const rob = robCompletion_.data();
-    std::uint8_t *__restrict const tags = robTag_.data();
-    double *__restrict const mshr = mshrFree_.data();
+    // The view holds the serial state by value, in a local whose
+    // address never escapes the inlined accounting, so it stays in
+    // registers for the whole batch.
+    struct HoistedCore
+    {
+        RetireRegs r;
+        double *rob;
+        std::uint8_t *tags;
+        double *mshr;
+        MemoryBus &bus;
+    } core{state_, robCompletion_.data(), robTag_.data(), mshrFree_.data(),
+           *bus_};
+    const RetireConsts c(params_);
 
     for (std::size_t i = 0; i < n; ++i) {
-        const C op_cls = cls[i];
-        const bool on_load = (flags[i] & trace::kFlagDepOnLoad) != 0;
-        const bool on_prev = (flags[i] & trace::kFlagDepOnPrev) != 0;
-        const unsigned latency = mem_latency[i];
-        const bool missed = l1_miss[i] != 0;
-        const unsigned stall = fetch_stall[i];
+        const OpInputs op =
+            opInputs(i, flags, mem_latency, l1_miss, fetch_stall, dram);
         const bool mispred = mispredicted[i] != 0;
-        const std::uint8_t dram_lines = dram[i];
-
-        // (2) ROB window: the slot we are about to occupy still holds
-        // the completion time of uop (i - robSize); dispatch must wait
-        // for it.
-        const std::size_t slot = r.robSlot;
-        if (++r.robSlot == rob_size)
-            r.robSlot = 0;
-        if (rob[slot] > r.dispatchCycle) {
-            const double wait = rob[slot] - r.dispatchCycle;
-            if (tags[slot] == kTagMemory)
-                r.stack.memory += wait;
-            else
-                r.stack.compute += wait;
-            r.dispatchCycle = rob[slot];
-        }
-
-        // Front-end: I-cache miss stalls fetch/dispatch.
-        if (stall > 0) {
-            r.dispatchCycle += stall;
-            r.stack.frontend += stall;
-        }
-
-        // (1) dispatch bandwidth.
-        r.dispatchCycle += dispatch_step;
-        r.stack.base += dispatch_step;
-
-        double completion;
-        switch (op_cls) {
-          case C::Load: {
-            double start = r.dispatchCycle;
-            if (on_load)
-                start = std::max(start, r.chainReady);
-            if (on_prev)
-                start = std::max(start, r.computeChainTail);
-            if (missed) {
-                // (3) allocate an MSHR: take the earliest-free slot;
-                // if every slot is still busy past `start`, stall
-                // until one frees up.
-                double *slot_it = std::min_element(mshr, mshr + num_mshrs);
-                start = std::max(start, *slot_it);
-                if (dram_lines != 0)
-                    start = bus.acquire(start, dram_lines);
-                completion = start + latency;
-                *slot_it = completion;
-            } else {
-                completion = start + latency;
-            }
-            if (on_load)
-                r.chainReady = completion;
-            // Most recent load in program order: the producer proxy
-            // for later depOnLoad branches.
-            r.lastLoadCompletion = completion;
+        switch (cls[i]) {
+          case C::Load:
+            retireOp<C::Load>(core, c, op, mispred, 0.0);
             break;
-          }
           case C::Store:
-            // Stores drain through the store buffer off the critical
-            // path; they retire one cycle after dispatch, but a store
-            // that misses to DRAM still consumes channel bandwidth
-            // (RFO plus eventual writeback), delaying later demand
-            // fills.
-            if (dram_lines != 0)
-                bus.acquire(r.dispatchCycle, dram_lines);
-            completion = r.dispatchCycle + 1.0;
+            retireOp<C::Store>(core, c, op, mispred, 0.0);
             break;
-          case C::Branch: {
-            double resolve = r.dispatchCycle + resolve_latency;
-            if (on_load) {
-                // A branch fed by a load resolves no earlier than the
-                // load's data returns (mcf-style late mispredicts).
-                resolve = std::max(resolve, r.lastLoadCompletion + 1.0);
-            }
-            if (mispred) {
-                const double squash =
-                    resolve + mispredict_penalty - r.dispatchCycle;
-                if (squash > 0.0) {
-                    r.stack.branch += squash;
-                    r.dispatchCycle += squash;
-                }
-            }
-            completion = resolve;
+          case C::Branch:
+            retireOp<C::Branch>(core, c, op, mispred, 0.0);
             break;
-          }
+          default:
+            retireOp<C::IntAlu>(
+                core, c, op, mispred,
+                c.computeLat[static_cast<std::size_t>(cls[i])]);
+            break;
+        }
+    }
+    state_ = core.r;
+    retired_ += n;
+}
+
+void
+CoreModel::retireGroup(std::span<CoreModel *const> cores,
+                       std::span<const std::uint8_t *const> mispredicted,
+                       const isa::UopClass *cls, const std::uint8_t *flags,
+                       const unsigned *mem_latency,
+                       const std::uint8_t *l1_miss,
+                       const unsigned *fetch_stall,
+                       const std::uint8_t *dram, std::size_t n)
+{
+    SPEC17_ASSERT(cores.size() == mispredicted.size(),
+                  "one mispredict lane per core");
+    if (cores.empty())
+        return;
+    for (std::size_t a = 0; a < cores.size(); ++a) {
+        SPEC17_ASSERT(cores[a]->params_ == cores[0]->params_,
+                      "a clone group's cores share one CoreParams");
+        for (std::size_t b = 0; b < a; ++b)
+            SPEC17_ASSERT(cores[a]->bus_ != cores[b]->bus_,
+                          "a clone group's cores must not share a bus");
+    }
+
+    // Each core's view reaches its state in place: unlike
+    // retireBatch's one core, a group's cores do not fit in registers,
+    // and their independent dependence chains overlap in the
+    // out-of-order window instead.
+    struct GroupCore
+    {
+        RetireRegs &r;
+        double *rob;
+        std::uint8_t *tags;
+        double *mshr;
+        MemoryBus &bus;
+        const std::uint8_t *mispredicted;
+    };
+    std::vector<GroupCore> group;
+    group.reserve(cores.size());
+    for (std::size_t k = 0; k < cores.size(); ++k) {
+        CoreModel &core = *cores[k];
+        group.push_back({core.state_, core.robCompletion_.data(),
+                         core.robTag_.data(), core.mshrFree_.data(),
+                         *core.bus_, mispredicted[k]});
+    }
+    const RetireConsts c(cores[0]->params_);
+
+    for (std::size_t i = 0; i < n; ++i) {
+        const OpInputs op =
+            opInputs(i, flags, mem_latency, l1_miss, fetch_stall, dram);
+        switch (cls[i]) {
+          case C::Load:
+            for (GroupCore &core : group)
+                retireOp<C::Load>(core, c, op, false, 0.0);
+            break;
+          case C::Store:
+            for (GroupCore &core : group)
+                retireOp<C::Store>(core, c, op, false, 0.0);
+            break;
+          case C::Branch:
+            for (GroupCore &core : group)
+                retireOp<C::Branch>(core, c, op,
+                                    core.mispredicted[i] != 0, 0.0);
+            break;
           default: {
-            double start = r.dispatchCycle;
-            if (on_load)
-                start = std::max(start, r.chainReady);
-            if (on_prev)
-                start = std::max(start, r.computeChainTail);
-            completion = start + compute_lat[static_cast<std::size_t>(op_cls)];
-            if (on_prev)
-                r.computeChainTail = completion;
+            const double latency =
+                c.computeLat[static_cast<std::size_t>(cls[i])];
+            for (GroupCore &core : group)
+                retireOp<C::IntAlu>(core, c, op, false, latency);
             break;
           }
         }
-
-        rob[slot] = completion;
-        tags[slot] = op_cls == C::Load && missed ? kTagMemory : kTagCompute;
-        r.maxCompletion = std::max(r.maxCompletion, completion);
     }
-    state_ = r;
-    retired_ += n;
+    for (CoreModel *core : cores)
+        core->retired_ += n;
 }
 
 double

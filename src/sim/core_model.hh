@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "isa/uop.hh"
@@ -82,6 +83,8 @@ struct CoreParams
     unsigned fpDivLatency = 24;
     /** Reference clock in GHz (E5-2650L v3 base clock). */
     double frequencyGHz = 1.8;
+
+    bool operator==(const CoreParams &) const = default;
 };
 
 /**
@@ -103,8 +106,9 @@ struct CpiStack
 
 /**
  * Per-uop cycle accounting. Feed every retired micro-op through
- * retireBatch() (or retire(), one op at a time) with its resolved
- * memory latency / misprediction flags; read cycles() at the end.
+ * retireBatch() (or retire(), one op at a time, or retireGroup(), one
+ * clone group at a time) with its resolved memory latency /
+ * misprediction flags; read cycles() at the end.
  */
 class CoreModel
 {
@@ -143,14 +147,14 @@ class CoreModel
                 std::uint8_t dram = 0);
 
     /**
-     * Accounts @p n micro-ops from SoA lanes; the one retire body.
-     * Lane slot i holds op i's class and MicroOpBatch flags byte (of
-     * which only the dependence bits are read) and what the memory
-     * side and the branch unit resolved for it, with retire()'s
-     * meanings; @p l1_miss and @p mispredicted are bools (nonzero is
-     * true). The serial core state stays in registers for the whole
-     * batch (see RetireRegs), and results are bit-identical to n
-     * retire() calls in op order, at any batch size.
+     * Accounts @p n micro-ops from SoA lanes. Lane slot i holds op
+     * i's class and MicroOpBatch flags byte (of which only the
+     * dependence bits are read) and what the memory side and the
+     * branch unit resolved for it, with retire()'s meanings;
+     * @p l1_miss and @p mispredicted are bools (nonzero is true). The
+     * serial core state stays in registers for the whole batch (see
+     * RetireRegs), and results are bit-identical to n retire() calls
+     * in op order, at any batch size.
      */
     void retireBatch(const isa::UopClass *__restrict cls,
                      const std::uint8_t *__restrict flags,
@@ -159,6 +163,29 @@ class CoreModel
                      const unsigned *__restrict fetch_stall,
                      const std::uint8_t *__restrict mispredicted,
                      const std::uint8_t *__restrict dram, std::size_t n);
+
+    /**
+     * retireBatch() for every core of a clone group at once: the
+     * cores retire one op stream and differ only in their mispredict
+     * lanes, @p mispredicted[c] being @p cores[c]'s. The loop is
+     * op-major: it dispatches each op's class once and then accounts
+     * the op on every core in turn, so the group pays for one
+     * data-dependent class branch per op, not one per core and op.
+     * Each core runs the same floating-point operations in the same
+     * order as in its own retireBatch() over these lanes, so every
+     * core's results are bit-identical to that call's. The cores must
+     * share one CoreParams and must not share a bus (interleaving
+     * their bus acquisitions op by op would reorder them).
+     */
+    static void retireGroup(std::span<CoreModel *const> cores,
+                            std::span<const std::uint8_t *const>
+                                mispredicted,
+                            const isa::UopClass *cls,
+                            const std::uint8_t *flags,
+                            const unsigned *mem_latency,
+                            const std::uint8_t *l1_miss,
+                            const unsigned *fetch_stall,
+                            const std::uint8_t *dram, std::size_t n);
 
     /** Total cycles consumed so far (never less than dispatch time). */
     double cycles() const;
@@ -179,17 +206,14 @@ class CoreModel
     const CoreParams &params() const { return params_; }
 
   private:
-    /** ROB-slot attribution classes. */
-    static constexpr std::uint8_t kTagCompute = 0;
-    static constexpr std::uint8_t kTagMemory = 1;
-
     /**
      * The serial cross-op retire state. retireBatch() copies it into
-     * a local once per call, works on the copy -- whose address is
-     * never taken, so the compiler keeps every field in a register
-     * across the batch -- and stores it back once at the end. The
-     * ROB ring, its tags and the MSHR array are bulk state and stay
-     * in memory.
+     * a local once per call, works on the copy -- so once the per-op
+     * accounting is inlined, the compiler keeps every field in a
+     * register across the batch -- and stores it back once at the
+     * end. retireGroup() updates each core's copy in place. The ROB
+     * ring, its tags and the MSHR array are bulk state and stay in
+     * memory.
      */
     struct RetireRegs
     {
@@ -212,8 +236,6 @@ class CoreModel
     };
 
     CoreParams params_;
-    /** 1 / dispatchWidth, hoisted out of the retire body. */
-    double dispatchStep_ = 0.25;
     RetireRegs state_;
     std::uint64_t retired_ = 0;
     std::vector<double> robCompletion_; //!< ring buffer, robSize slots

@@ -263,7 +263,8 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
     //    so it stays a final in-order pass fed by the per-op scratch
     //    lanes (fetchStall_/memLatency_/l1Miss_/mispredicted_/dram_)
     //    the earlier passes staged -- the same per-op scalars the
-    //    fused loop handed retire().
+    //    fused loop handed retire(). A clone-group leader records
+    //    the lanes instead and leaves the retire to the group step.
     //  - Counter increments accumulate in locals and flush once per
     //    batch (adds are commutative, observed only at step
     //    boundaries, and batches never straddle a step boundary).
@@ -437,7 +438,12 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
         }
     }
 
-    branchPass(lanes, base, n, branch_idx, branch_count);
+    // A leader's branch outcomes land at the batch's slots of its
+    // chunk-wide mispredict lane, read by the group retire.
+    const std::size_t lane_at =
+        record != nullptr ? record->fetchStall.size() : 0;
+    std::uint8_t *const mispred = mispredictLane(lane_at, n);
+    branchPass(lanes, base, n, branch_idx, branch_count, mispred);
 
     // Footprint pass: pc sub-pass, then data sub-pass, each with a
     // local last-page filter backed by a direct-mapped seen-page
@@ -495,17 +501,20 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
     // TLB passes (the branch pass writes only mispredicted_), so a
     // clone-group sibling replaying the identical stream can import
     // them, the footprint's new pages and the counter deltas instead
-    // of re-running the cache, TLB and footprint passes. One bulk
-    // append per lane.
+    // of re-running the cache, TLB and footprint passes, and the
+    // group retire reads them with the class and flag lanes for every
+    // cell. One bulk append per lane.
+    const std::uint8_t *const flags = lanes.flags.data() + base;
     if (record != nullptr) {
-        b.laneOffset =
-            static_cast<std::uint32_t>(record->fetchStall.size());
+        b.laneOffset = static_cast<std::uint32_t>(lane_at);
         b.branchOffset =
             static_cast<std::uint32_t>(record->branchIdx.size());
         b.branchCount = static_cast<std::uint32_t>(branch_count);
         b.pageOffset = static_cast<std::uint32_t>(page_offset);
         b.pageCount = static_cast<std::uint32_t>(
             record->pageAddrs.size() - page_offset);
+        record->cls.insert(record->cls.end(), classes, classes + n);
+        record->flags.insert(record->flags.end(), flags, flags + n);
         record->fetchStall.insert(record->fetchStall.end(), fetch_stall,
                                   fetch_stall + n);
         record->memLatency.insert(record->memLatency.end(), mem_lat,
@@ -522,9 +531,9 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
     // Retire pass: serial core timing fed by the staged scratch
     // lanes, with the cross-op state register-hoisted for the whole
     // batch (see CoreModel::retireBatch).
-    core_.retireBatch(classes, lanes.flags.data() + base, mem_lat,
-                      l1_missed, fetch_stall, mispredicted_.data(),
-                      dram_code, n);
+    if (record == nullptr)
+        core_.retireBatch(classes, flags, mem_lat, l1_missed, fetch_stall,
+                          mispred, dram_code, n);
 
     if (inst_repeat_hits != 0)
         hier.creditInstHits(inst_repeat_hits);
@@ -535,10 +544,18 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
     addBatchCounters(b);
 }
 
+std::uint8_t *
+CpuSimulator::mispredictLane(std::size_t at, std::size_t n)
+{
+    if (mispredicted_.size() < at + n)
+        mispredicted_.resize(at + n);
+    return mispredicted_.data() + at;
+}
+
 void
 CpuSimulator::branchPass(const trace::MicroOpBatch &lanes, std::size_t base,
                          std::size_t n, const std::uint32_t *branch_idx,
-                         std::size_t count)
+                         std::size_t count, std::uint8_t *mispredicted)
 {
     // Walks the branch index list in op order, so the predictor/BTB
     // see the exact consume() sequence. A branch's operand is its
@@ -550,9 +567,7 @@ CpuSimulator::branchPass(const trace::MicroOpBatch &lanes, std::size_t base,
         lanes.kind.data() + base;
     const std::uint8_t *__restrict const flagv =
         lanes.flags.data() + base;
-    if (mispredicted_.size() < n)
-        mispredicted_.resize(n);
-    std::uint8_t *__restrict const mispred = mispredicted_.data();
+    std::uint8_t *__restrict const mispred = mispredicted;
     std::fill(mispred, mispred + n, std::uint8_t{0});
     std::uint64_t num_mispredicts = 0;
     std::uint64_t kinds[isa::kNumBranchKinds + 1] = {};
@@ -598,10 +613,10 @@ CpuSimulator::consumeBatchImported(const trace::MicroOpBatch &lanes,
     // The imported half of consumeBatch: the cache, TLB and footprint
     // passes -- deterministic functions of the op stream and the
     // (identical) hierarchy/TLB configuration -- are replaced by the
-    // leader's recorded lanes, new pages and counter deltas, consumed
-    // in place. The branch pass is consumeBatch's and the retire pass
-    // is fed by the imported lanes, so this simulator's predictor
-    // state and core timing are exact.
+    // leader's recorded new pages and counter deltas, and the group
+    // retire reads its recorded lanes. The branch pass is
+    // consumeBatch's, so this simulator's predictor state and the
+    // mispredict lane its retire reads are its own.
     // The hierarchy, if any, and the TLBs are never touched.
     SPEC17_ASSERT(cursor < log.batches.size(),
                   "memory-lane log exhausted: the sibling's batch "
@@ -611,18 +626,8 @@ CpuSimulator::consumeBatchImported(const trace::MicroOpBatch &lanes,
                   "memory-lane batch size diverged from the log (have ",
                   n, ", recorded ", b.n, ")");
 
-    const unsigned *__restrict const fetch_stall =
-        log.fetchStall.data() + b.laneOffset;
-    const unsigned *__restrict const mem_lat =
-        log.memLatency.data() + b.laneOffset;
-    const std::uint8_t *__restrict const l1_missed =
-        log.l1Miss.data() + b.laneOffset;
-    const std::uint8_t *__restrict const dram_code =
-        log.dram.data() + b.laneOffset;
-    const std::uint32_t *__restrict const branch_idx =
-        log.branchIdx.data() + b.branchOffset;
-
-    branchPass(lanes, base, n, branch_idx, b.branchCount);
+    branchPass(lanes, base, n, log.branchIdx.data() + b.branchOffset,
+               b.branchCount, mispredictLane(b.laneOffset, n));
 
     // Footprint: the leader's page set equalled this one before the
     // batch, so touching exactly the addresses whose pages were new to
@@ -631,11 +636,6 @@ CpuSimulator::consumeBatchImported(const trace::MicroOpBatch &lanes,
         log.pageAddrs.data() + b.pageOffset;
     for (std::uint32_t k = 0; k < b.pageCount; ++k)
         footprint_.touch(page_addrs[k]);
-
-    // Retire pass on the imported lanes.
-    core_.retireBatch(lanes.cls.data() + base, lanes.flags.data() + base,
-                      mem_lat, l1_missed, fetch_stall, mispredicted_.data(),
-                      dram_code, n);
 
     // Counter flush: the leader's cache/TLB deltas (the branch pass
     // added the branch counts). The hierarchy stat credits
@@ -695,24 +695,80 @@ CpuSimulator::step(trace::TraceSource &source, std::uint64_t max_ops)
     return stepBatched(source, max_ops, nullptr, nullptr, nullptr);
 }
 
-std::uint64_t
-CpuSimulator::stepRecording(trace::TraceSource &source,
-                            std::uint64_t max_ops, MemoryLaneLog &log)
+void
+CpuSimulator::stepGroup(std::span<GroupCell> cells, std::uint64_t max_ops,
+                        MemoryLaneLog &log, bool timed)
 {
-    requireMemorySide("stepRecording()");
-    SPEC17_ASSERT(!unbatched_,
-                  "lane recording requires the batched lane");
-    return stepBatched(source, max_ops, &log, nullptr, nullptr);
-}
+    using Clock = std::chrono::steady_clock;
+    for (GroupCell &cell : cells) {
+        cell.got = 0;
+        cell.error = nullptr;
+        cell.spent = Clock::duration::zero();
+    }
+    if (cells.empty())
+        return;
+    // Runs one cell's passes, timed when asked; what they throw
+    // becomes the cell's error.
+    const auto run_passes = [timed](GroupCell &cell, const auto &passes) {
+        const Clock::time_point start =
+            timed ? Clock::now() : Clock::time_point();
+        try {
+            cell.got = passes(*cell.simulator, *cell.source);
+        } catch (...) {
+            cell.error = std::current_exception();
+        }
+        if (timed)
+            cell.spent += Clock::now() - start;
+    };
 
-std::uint64_t
-CpuSimulator::stepImporting(trace::TraceSource &source,
-                            std::uint64_t max_ops,
-                            const MemoryLaneLog &log, std::size_t &cursor)
-{
-    SPEC17_ASSERT(!unbatched_,
-                  "lane importing requires the batched lane");
-    return stepBatched(source, max_ops, nullptr, &log, &cursor);
+    log.clear();
+    GroupCell &leader = cells.front();
+    run_passes(leader, [&](CpuSimulator &sim, trace::TraceSource &source) {
+        sim.requireMemorySide("leading stepGroup()");
+        SPEC17_ASSERT(!sim.unbatched_,
+                      "lane recording requires the batched lane");
+        return sim.stepBatched(source, max_ops, &log, nullptr, nullptr);
+    });
+    if (leader.error)
+        return;
+
+    // The cells that reach the group retire, leader first.
+    std::vector<CoreModel *> cores{&leader.simulator->core_};
+    std::vector<const std::uint8_t *> mispredicted{
+        leader.simulator->mispredicted_.data()};
+    std::vector<GroupCell *> retiring{&leader};
+    for (GroupCell &sibling : cells.subspan(1)) {
+        run_passes(sibling, [&](CpuSimulator &sim,
+                                trace::TraceSource &source) {
+            SPEC17_ASSERT(!sim.unbatched_,
+                          "lane importing requires the batched lane");
+            std::size_t cursor = 0;
+            const std::uint64_t got =
+                sim.stepBatched(source, max_ops, nullptr, &log, &cursor);
+            SPEC17_ASSERT(got == leader.got
+                              && cursor == log.batches.size(),
+                          "a sibling's op stream diverged from its "
+                          "leader's (", got, " vs ", leader.got, " ops)");
+            return got;
+        });
+        if (sibling.error)
+            continue;
+        cores.push_back(&sibling.simulator->core_);
+        mispredicted.push_back(sibling.simulator->mispredicted_.data());
+        retiring.push_back(&sibling);
+    }
+
+    const Clock::time_point start =
+        timed ? Clock::now() : Clock::time_point();
+    CoreModel::retireGroup(cores, mispredicted, log.cls.data(),
+                           log.flags.data(), log.memLatency.data(),
+                           log.l1Miss.data(), log.fetchStall.data(),
+                           log.dram.data(), leader.got);
+    if (timed) {
+        const Clock::duration spent = Clock::now() - start;
+        for (GroupCell *cell : retiring)
+            cell->spent += spent;
+    }
 }
 
 std::uint64_t

@@ -9,8 +9,11 @@
 #ifndef SPEC17_SIM_SIMULATOR_HH_
 #define SPEC17_SIM_SIMULATOR_HH_
 
+#include <chrono>
+#include <exception>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "counters/perf_event.hh"
@@ -37,21 +40,23 @@ struct SimResult
 };
 
 /**
- * Recorded memory-side outcomes of a stepped chunk, batch by batch:
- * the post-TLB scratch lanes (fetch stall, memory latency, L1-miss
- * flag and DRAM code), the branch op-index list, an address in each
- * page the footprint pass added, and the counter deltas the cache
- * and TLB passes produced. A simulator with the identical hierarchy,
- * TLB and core configuration consuming the identical micro-op stream
- * computes exactly these values -- so a clone-group sibling in
- * multi-point fan-out can import the leader's log (stepImporting)
- * instead of running its own cache, TLB and footprint passes, and
+ * What a clone group's leader records of one stepped chunk, batch by
+ * batch (see CpuSimulator::stepGroup): the op class and flag lanes
+ * and the post-TLB memory-side lanes (fetch stall, memory latency,
+ * L1-miss flag and DRAM code) that the group retire reads, the branch
+ * op-index list, an address in each page the footprint pass added,
+ * and the counter deltas the cache and TLB passes produced. A
+ * simulator with the identical hierarchy, TLB and core configuration
+ * consuming the identical micro-op stream computes exactly these
+ * values -- so a sibling in multi-point fan-out imports the leader's
+ * log instead of running its own cache, TLB and footprint passes, and
  * needs no cache hierarchy at all: the sweep engine builds it in the
- * lane-importer form. Only the branch unit (and the timing it feeds)
- * runs per sibling.
+ * lane-importer form. Only the branch unit runs per sibling, and the
+ * chunk's one group retire feeds every cell's core model from these
+ * lanes and the cell's own mispredict lane.
  *
- * One log records one stepped chunk; clear() and reuse it per chunk
- * so the lane buffers stay allocated.
+ * One log holds one stepped chunk: stepGroup() clears and refills it,
+ * so a log kept across chunks keeps its lane buffers allocated.
  */
 struct MemoryLaneLog
 {
@@ -73,6 +78,8 @@ struct MemoryLaneLog
 
     std::vector<Batch> batches;
     /** Per-op lanes, all batches concatenated (see Batch::laneOffset). */
+    std::vector<isa::UopClass> cls;
+    std::vector<std::uint8_t> flags; //!< MicroOpBatch flags bytes
     std::vector<unsigned> fetchStall;
     std::vector<unsigned> memLatency;
     std::vector<std::uint8_t> l1Miss;
@@ -87,6 +94,8 @@ struct MemoryLaneLog
     clear()
     {
         batches.clear();
+        cls.clear();
+        flags.clear();
         fetchStall.clear();
         memLatency.clear();
         l1Miss.clear();
@@ -96,12 +105,41 @@ struct MemoryLaneLog
     }
 };
 
+class CpuSimulator;
+
+/**
+ * One cell of a clone-group step (CpuSimulator::stepGroup): the
+ * simulator, the source it pulls, and what the step did to it.
+ */
+struct GroupCell
+{
+    GroupCell(CpuSimulator &sim, trace::TraceSource &src)
+        : simulator(&sim), source(&src)
+    {
+    }
+
+    CpuSimulator *simulator;
+    trace::TraceSource *source;
+
+    /** @name Set by every stepGroup() call */
+    /// @{
+    /** Micro-ops consumed; 0 when the cell failed, or when the leader
+     *  failed and the cell never stepped. */
+    std::uint64_t got = 0;
+    /** What the cell's own passes threw, if anything. */
+    std::exception_ptr error;
+    /** Time spent on the cell, when the step is timed: its own passes
+     *  plus the whole group retire. */
+    std::chrono::steady_clock::duration spent{};
+    /// @}
+};
+
 /**
  * One core with private L1I/L1D/L2 and an (optionally shared) L3.
  * Construct per run; state is not reusable across runs.
  *
  * A simulator built in the lane-importer form (see LaneImporter) has
- * no memory side: it can only stepImporting() a leader's log.
+ * no memory side: it can only be a clone-group sibling in stepGroup().
  */
 class CpuSimulator
 {
@@ -135,13 +173,14 @@ class CpuSimulator
                           CpuSimulator *recycle = nullptr);
 
     /**
-     * Lane-importer form: builds only what stepImporting() reads --
-     * the branch unit, the core model with its private bus, the
-     * footprint tracker, the counters and the mispredict lane. It has
-     * no cache hierarchy, line memos, page-seen filters, staging lanes
-     * or batch buffer, so step(), stepRecording(), stepUnbatched(),
-     * prefillData() and hierarchy() panic on it. Multi-point fan-out
-     * builds every clone-group sibling this way.
+     * Lane-importer form: builds only what a clone-group sibling's
+     * part of stepGroup() reads -- the branch unit, the core model
+     * with its private bus, the footprint tracker, the counters and
+     * the mispredict lane. It has no cache hierarchy, line memos,
+     * page-seen filters, staging lanes or batch buffer, so step(),
+     * stepUnbatched(), prefillData(), hierarchy() and leading a
+     * stepGroup() panic on it. Multi-point fan-out builds every
+     * clone-group sibling this way.
      */
     CpuSimulator(LaneImporter, const SystemConfig &config);
 
@@ -184,37 +223,35 @@ class CpuSimulator
                                 std::uint64_t max_ops);
 
     /**
-     * step() that additionally appends every batch's memory-side
-     * outcomes to @p log (see MemoryLaneLog). Results are identical
-     * to step(); recording costs one lane copy per batch. Batched
-     * lane only (panics under setUnbatchedStepping).
+     * step() for every cell of a clone group at once: at most
+     * @p max_ops micro-ops each. @p cells[0] leads: a batched
+     * simulator with a memory side. Every later cell is a sibling --
+     * batched, typically in the lane-importer form -- whose hierarchy,
+     * TLB and core configuration, micro-op stream and batch size equal
+     * the leader's; only the branch side may differ. The step has
+     * three parts:
+     *  1. the leader runs its cache, TLB, branch and footprint passes
+     *     and records them in @p log (see MemoryLaneLog);
+     *  2. each sibling runs its branch pass over its own source and
+     *     imports the log's new footprint pages and counter deltas,
+     *     never touching its own TLBs or hierarchy, if any; it panics
+     *     if its op count or batch schedule diverges from the log;
+     *  3. one op-major retire (CoreModel::retireGroup) feeds every
+     *     cell still running from the log's lanes and the cell's own
+     *     mispredict lane.
+     * Every cell then reads exactly what step() over the same ops
+     * reads on a full simulator of its configuration, counters,
+     * cycles and footprint included: a sibling's page set stays the
+     * leader's, provided the two were equal when grouping began (both
+     * fresh in fan-out: prefill touches no pages) and it joins every
+     * step the leader takes. A cell whose passes throw keeps the
+     * exception in its `error` and leaves the chunk's group retire;
+     * when the leader throws, no sibling steps, since the log is then
+     * partial. With @p timed, each cell's `spent` is measured.
      */
-    std::uint64_t stepRecording(trace::TraceSource &source,
-                                std::uint64_t max_ops,
-                                MemoryLaneLog &log);
-
-    /**
-     * step() for a clone-group sibling: skips the cache, TLB and
-     * footprint passes entirely and consumes @p log -- recorded by a
-     * leader with the identical hierarchy, TLB and core configuration
-     * over the identical micro-op stream and the identical batch
-     * schedule -- for the memory-side lanes, the footprint's new
-     * pages and the counters. The branch and retire passes still run
-     * on this simulator, so per-point branch behavior and timing are
-     * exact. The footprint stays equal to the leader's provided the
-     * two were equal when importing began (both fresh in fan-out:
-     * prefill touches no pages) and this simulator imports every
-     * batch the leader records. This simulator's TLBs and cache
-     * hierarchy are never touched; the lane-importer form, which
-     * fan-out builds, has no hierarchy at all. @p cursor indexes
-     * log.batches and advances per consumed batch; reset it to 0 with
-     * each fresh log. Panics if the batch schedule diverges from the
-     * log.
-     */
-    std::uint64_t stepImporting(trace::TraceSource &source,
-                                std::uint64_t max_ops,
-                                const MemoryLaneLog &log,
-                                std::size_t &cursor);
+    static void stepGroup(std::span<GroupCell> cells,
+                          std::uint64_t max_ops, MemoryLaneLog &log,
+                          bool timed = false);
 
     /** Default micro-ops per batch on the fast lane. */
     static constexpr std::size_t kDefaultBatchOps = 256;
@@ -269,32 +306,38 @@ class CpuSimulator
      *  passes (see the implementation comment for the legality
      *  argument). @p lanes is either the simulator's own batch_ (the
      *  copying pull path) or a source-owned buffer served zero-copy
-     *  through TraceSource::nextLanes(). When @p record is set, the
-     *  post-TLB lanes, the footprint's new pages and the counter
-     *  deltas are appended to it. */
+     *  through TraceSource::nextLanes(). When @p record is set -- a
+     *  clone-group leader's part of stepGroup() -- the retire lanes,
+     *  the footprint's new pages and the counter deltas are appended
+     *  to it, the branch pass's outcomes land in the chunk-wide
+     *  mispredict lane, and the retire is left to the group. */
     void consumeBatch(const trace::MicroOpBatch &lanes,
                       std::size_t base, std::size_t n,
                       MemoryLaneLog *record = nullptr);
-    /** Lane-importing equivalent of consumeBatch for clone-group
-     *  siblings: branch + retire passes only; memory-side lanes, new
-     *  footprint pages and counters read from log.batches[cursor++]. */
+    /** A sibling's part of consumeBatch: the branch pass into the
+     *  chunk-wide mispredict lane, with the new footprint pages and
+     *  the counters read from log.batches[cursor++]. */
     void consumeBatchImported(const trace::MicroOpBatch &lanes,
                               std::size_t base, std::size_t n,
                               const MemoryLaneLog &log,
                               std::size_t &cursor);
     /** The branch pass of both: runs the @p count branch ops listed
      *  in @p branch_idx (slots of [base, base+n), in op order)
-     *  through the branch unit, leaves mispredicted_[0, n) flagging
+     *  through the branch unit, leaves @p mispredicted[0, n) flagging
      *  the mispredicted ones, and adds the branch counters. */
     void branchPass(const trace::MicroOpBatch &lanes, std::size_t base,
                     std::size_t n, const std::uint32_t *branch_idx,
-                    std::size_t count);
+                    std::size_t count, std::uint8_t *mispredicted);
+    /** mispredicted_ slots [at, at+n), grown to hold them: a step()
+     *  batch starts at slot 0, a group step's batch at its lane
+     *  offset in the chunk-wide lane. */
+    std::uint8_t *mispredictLane(std::size_t at, std::size_t n);
     /** The counter flush of both: adds @p b's retired ops and cache
      *  and TLB counter deltas. */
     void addBatchCounters(const MemoryLaneLog::Batch &b);
-    /** Shared batched-lane pull loop behind step()/stepRecording()/
-     *  stepImporting(): exactly one of record / (import, cursor) may
-     *  be set. */
+    /** Shared batched-lane pull loop behind step() and both parts of
+     *  stepGroup(): a leader sets @p record, a sibling @p import and
+     *  @p cursor (which indexes import->batches), step() neither. */
     std::uint64_t stepBatched(trace::TraceSource &source,
                               std::uint64_t max_ops,
                               MemoryLaneLog *record,
@@ -336,7 +379,9 @@ class CpuSimulator
      *  every op, the TLB passes add to the first three, the branch
      *  pass sets mispredicted_, and the retire pass consumes all
      *  five. dram_ encodes DRAM-channel occupancy: 0 = none, 1 = one
-     *  line transfer (load fill), 2 = two (store RFO + writeback). */
+     *  line transfer (load fill), 2 = two (store RFO + writeback).
+     *  In a group step mispredicted_ spans the whole chunk, because
+     *  the group retire runs once the chunk's passes are done. */
     /// @{
     std::vector<unsigned> fetchStall_;
     std::vector<unsigned> memLatency_;

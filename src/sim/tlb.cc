@@ -18,18 +18,6 @@ TlbConfig::validate() const
                   "page size must be a power of two >= 64");
 }
 
-double
-TlbStats::l1MissRate() const
-{
-    return accesses ? double(l1Misses) / double(accesses) : 0.0;
-}
-
-double
-TlbStats::walkRate() const
-{
-    return accesses ? double(walks) / double(accesses) : 0.0;
-}
-
 bool
 Tlb::Level::lookupAndTouch(std::uint64_t page)
 {

@@ -45,9 +45,6 @@ struct TlbStats
     std::uint64_t accesses = 0;
     std::uint64_t l1Misses = 0;
     std::uint64_t walks = 0; //!< missed both levels
-
-    double l1MissRate() const;
-    double walkRate() const;
 };
 
 /**

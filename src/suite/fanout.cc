@@ -53,7 +53,8 @@ appendTlbConfig(std::ostringstream &os, const sim::TlbConfig &tlb)
  * latencies bake into the recorded stall/latency lanes), and both
  * TLBs. The branch predictor and TAGE geometry are deliberately
  * absent: they only influence the per-sim branch pass, which
- * importing siblings still run themselves.
+ * importing siblings still run themselves, and the mispredict lane
+ * each sibling's core reads in the group retire.
  */
 std::string
 importCloneKey(const sim::SystemConfig &system)

@@ -30,9 +30,11 @@
  *    branch side form a clone group. Its leader records the lanes its
  *    cache, TLB and footprint passes produce; its siblings, built in
  *    CpuSimulator's lane-importer form with no cache hierarchy, import
- *    them and run only the branch and retire passes. Every other cell
- *    leads a group of its own. Groups share nothing but the arena, so
- *    a row holds one leader's cache hierarchy at a time;
+ *    them and run only their branch passes; and one op-major retire
+ *    per chunk times every cell of the group, dispatching each op's
+ *    class once for all of them. Every other cell leads a group of
+ *    its own and retires alone. Groups share nothing but the arena,
+ *    so a row holds one leader's cache hierarchy at a time;
  *  - simulator buffer recycling: each worker's dead leader donates its
  *    page-faulted heap buffers to that worker's next leader, in the
  *    same row or the next. A row with no lockstep cell frees the

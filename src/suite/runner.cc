@@ -235,7 +235,6 @@ runLockstep(const std::vector<LockstepCell> &cells,
         std::uint64_t executed = 0;
         Clock::duration spent = Clock::duration::zero();
         bool drained = false;
-        sim::MemoryLaneLog log; //!< cell 0's, recorded fresh each chunk
         CounterSet warm;
         double warmCycles = 0.0;
         std::uint64_t warmOps = 0;
@@ -246,48 +245,63 @@ runLockstep(const std::vector<LockstepCell> &cells,
     const std::uint64_t budget = options.pairDeadlineOps;
     std::vector<LockstepOutcome> out(n);
     std::vector<State> states(n);
+    sim::MemoryLaneLog log; //!< the leader's, refilled each chunk
+    std::vector<sim::GroupCell> stepped;
+    std::vector<std::size_t> index; //!< cell of each stepped entry
 
     // Every running cell has executed `done` ops. Steps each by one
-    // chunk, cut at the op budget's first op past it, then checks its
-    // watchdog and feeds its sampler. A sibling fails with cell 0,
-    // BEFORE it would import the (then partial) log. Returns whether
-    // any cell still runs.
+    // chunk, cut at the op budget's first op past it -- one cell
+    // through step(), a clone group through one group step -- then
+    // checks each cell's watchdog and feeds its sampler. A sibling
+    // fails with cell 0: never stepped after cell 0 failed, and
+    // failed at once when cell 0 fails in this chunk's checks.
+    // Returns whether any cell still runs.
     std::uint64_t done = 0;
     const auto step_row = [&](std::uint64_t chunk) {
         if (budget != 0 && budget - done < chunk)
             chunk = budget - done + 1;
         done += chunk;
-        bool running = false;
+        stepped.clear();
+        index.clear();
         for (std::size_t j = 0; j < n; ++j) {
-            const LockstepCell &cell = cells[j];
-            State &state = states[j];
             if (!out[j].error)
                 out[j].error = out[0].error;
-            if (out[j].error || state.drained)
+            if (out[j].error || states[j].drained)
+                continue;
+            stepped.emplace_back(*cells[j].simulator, *cells[j].source);
+            index.push_back(j);
+        }
+        if (n > 1) {
+            sim::CpuSimulator::stepGroup(stepped, chunk, log, timed);
+        } else if (!stepped.empty()) {
+            sim::GroupCell &cell = stepped.front();
+            const Clock::time_point start =
+                timed ? Clock::now() : Clock::time_point();
+            try {
+                cell.got = cell.simulator->step(*cell.source, chunk);
+            } catch (...) {
+                cell.error = std::current_exception();
+            }
+            if (timed)
+                cell.spent = Clock::now() - start;
+        }
+
+        bool running = false;
+        for (std::size_t s = 0; s < stepped.size(); ++s) {
+            const std::size_t j = index[s];
+            const sim::GroupCell &cell = stepped[s];
+            State &state = states[j];
+            out[j].error = cell.error ? cell.error : out[0].error;
+            if (out[j].error)
                 continue;
             try {
-                const Clock::time_point start =
-                    timed ? Clock::now() : Clock::time_point();
-                std::uint64_t got;
-                if (j != 0) {
-                    std::size_t cursor = 0;
-                    got = cell.simulator->stepImporting(
-                        *cell.source, chunk, states[0].log, cursor);
-                } else if (n > 1) {
-                    state.log.clear();
-                    got = cell.simulator->stepRecording(*cell.source,
-                                                        chunk, state.log);
-                } else {
-                    got = cell.simulator->step(*cell.source, chunk);
-                }
-                if (timed)
-                    state.spent += Clock::now() - start;
-                state.executed += got;
+                state.spent += cell.spent;
+                state.executed += cell.got;
                 checkDeadline(options, state.executed, state.spent);
                 if (state.sampler)
                     state.sampler->onProgress(state.executed
                                               - state.warmOps);
-                state.drained = got < chunk;
+                state.drained = cell.got < chunk;
                 running = running || !state.drained;
             } catch (...) {
                 out[j].error = std::current_exception();

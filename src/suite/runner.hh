@@ -447,7 +447,9 @@ FailureRecord recordFailedAttempt(const std::string &pair,
 /** One single-threaded simulation of a runLockstep() row. */
 struct LockstepCell
 {
-    sim::CpuSimulator *simulator = nullptr; //!< prefilled
+    /** Prefilled; with siblings, cell 0 has a memory side and every
+     *  later cell may be a lane importer. */
+    sim::CpuSimulator *simulator = nullptr;
     trace::TraceSource *source = nullptr;
     /** Sampled every sampleIntervalOps of the measured window when
      *  set. */
@@ -469,14 +471,19 @@ struct LockstepOutcome
  * The one stepping loop of every single-threaded simulation: steps
  * @p cells, one clone group, through @p options' warmup and then
  * until every source drains, in shared chunks of at most 16384
- * micro-ops. Cell 0 leads: with siblings it is batched, unsampled and
- * records its memory-side lanes each chunk, and every later cell
- * imports them (CpuSimulator::stepImporting) and fails with it. The
- * chunk is capped row-wide at the next sampling boundary and at the
- * op budget's first op past pairDeadlineOps, so interval rows land on
- * exact boundaries and an op-budget expiry reports pairDeadlineOps + 1
- * ops. Each cell's watchdog is checked after every chunk; its
- * wall-clock budget counts only the cell's own steps. Batch-size
+ * micro-ops. One cell steps through CpuSimulator::step(), its retire
+ * register-resident per batch. Two or more step each chunk as one
+ * group step (CpuSimulator::stepGroup): cell 0 leads -- batched,
+ * unsampled, with a memory side -- and records its memory-side lanes,
+ * every later cell runs its branch pass and imports them, and one
+ * op-major retire then feeds every cell's core; a sibling fails with
+ * cell 0, before it would import a partial log. The chunk is capped
+ * row-wide at the next sampling boundary and at the op budget's first
+ * op past pairDeadlineOps, so interval rows land on exact boundaries
+ * and an op-budget expiry reports pairDeadlineOps + 1 ops. Each
+ * cell's watchdog is checked and its sampler fed after every chunk,
+ * once its core has retired the chunk; its wall-clock budget counts
+ * its own passes and, in a group, the whole group retire. Batch-size
  * invariance makes the chunking result-neutral.
  */
 std::vector<LockstepOutcome> runLockstep(

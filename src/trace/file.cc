@@ -28,17 +28,22 @@ pack(const isa::MicroOp &op, unsigned char *out)
     std::memcpy(out + 20, &op.target, 8);
 }
 
-/** Unpacks a 28-byte record; panics on invalid enum or flags bytes
- *  and on an op the lanes cannot carry (see trace/file.hh). */
+/** Unpacks a 28-byte record of the trace file at @p path; fatal on
+ *  invalid enum or flags bytes, on a branch kind off a branch (or a
+ *  branch without one), and on an op the lanes cannot carry (see
+ *  trace/file.hh). */
 isa::MicroOp
-unpack(const unsigned char *in)
+unpack(const unsigned char *in, const std::string &path)
 {
-    SPEC17_ASSERT(in[0] < isa::kNumUopClasses,
-                  "corrupt trace record: bad uop class ", int(in[0]));
-    SPEC17_ASSERT(in[1] <= isa::kNumBranchKinds,
-                  "corrupt trace record: bad branch kind ", int(in[1]));
-    SPEC17_ASSERT(in[2] <= kFlagMask,
-                  "corrupt trace record: bad flags ", int(in[2]));
+    if (in[0] >= isa::kNumUopClasses)
+        SPEC17_FATAL("corrupt trace record: bad uop class ", int(in[0]),
+                     ": ", path);
+    if (in[1] > isa::kNumBranchKinds)
+        SPEC17_FATAL("corrupt trace record: bad branch kind ", int(in[1]),
+                     ": ", path);
+    if (in[2] > kFlagMask)
+        SPEC17_FATAL("corrupt trace record: bad flags ", int(in[2]), ": ",
+                     path);
     isa::MicroOp op;
     op.cls = static_cast<isa::UopClass>(in[0]);
     op.branch = static_cast<isa::BranchKind>(in[1]);
@@ -49,9 +54,14 @@ unpack(const unsigned char *in)
     std::memcpy(&op.pc, in + 4, 8);
     std::memcpy(&op.effAddr, in + 12, 8);
     std::memcpy(&op.target, in + 20, 8);
-    SPEC17_ASSERT(fitsLanes(op), "corrupt trace record: ",
-                  isa::uopClassName(op.cls), " op with effAddr ",
-                  op.effAddr, " and target ", op.target);
+    if ((op.cls == isa::UopClass::Branch)
+        != (op.branch != isa::BranchKind::None))
+        SPEC17_FATAL("corrupt trace record: ", isa::uopClassName(op.cls),
+                     " op with branch kind ", int(in[1]), ": ", path);
+    if (!fitsLanes(op))
+        SPEC17_FATAL("corrupt trace record: ", isa::uopClassName(op.cls),
+                     " op with effAddr ", op.effAddr, " and target ",
+                     op.target, ": ", path);
     return op;
 }
 
@@ -103,7 +113,18 @@ FileTrace::FileTrace(const std::string &path) : path_(path)
     if (version != kVersion)
         SPEC17_FATAL("trace file version ", version,
                      " unsupported (want ", kVersion, "): ", path);
+    // The header's count must not promise more records than the file
+    // holds, so a cut-off file fails here, not partway through a run.
+    const std::streamoff records_at = in_.tellg();
+    in_.seekg(0, std::ios::end);
+    const std::uint64_t held =
+        static_cast<std::uint64_t>(in_.tellg() - records_at) / kRecordBytes;
+    in_.seekg(records_at);
+    if (!in_ || count_ > held)
+        SPEC17_FATAL("trace file truncated: the header counts ", count_,
+                     " records, the file holds ", held, ": ", path);
     buffer_.reserve(kBufferRecords);
+    raw_.resize(kBufferRecords * kRecordBytes);
 }
 
 void
@@ -116,13 +137,14 @@ FileTrace::refill()
         std::min<std::uint64_t>(remaining, kBufferRecords));
     if (want == 0)
         return;
-    std::vector<unsigned char> raw(want * kRecordBytes);
-    in_.read(reinterpret_cast<char *>(raw.data()),
-             static_cast<std::streamsize>(raw.size()));
-    SPEC17_ASSERT(static_cast<std::size_t>(in_.gcount()) == raw.size(),
-                  "trace file truncated: ", path_);
+    const std::size_t bytes = want * kRecordBytes;
+    in_.read(reinterpret_cast<char *>(raw_.data()),
+             static_cast<std::streamsize>(bytes));
+    if (static_cast<std::size_t>(in_.gcount()) != bytes)
+        SPEC17_FATAL("trace file truncated: a read of ", want,
+                     " records came up short: ", path_);
     for (std::size_t i = 0; i < want; ++i)
-        buffer_.push_back(unpack(raw.data() + i * kRecordBytes));
+        buffer_.push_back(unpack(raw_.data() + i * kRecordBytes, path_));
 }
 
 bool

@@ -14,9 +14,12 @@
  *            u64 effAddr, u64 target
  *
  * A record the SoA lanes cannot carry (an undefined enum or flag bit,
- * or !fitsLanes) is a fatal error when decoded, so a batched pull --
- * the base adapter, next() into MicroOpBatch::set() -- never delivers
- * a different op than next() does.
+ * a branch kind off a branch or a branch without one, or !fitsLanes)
+ * is a fatal error when decoded, so a batched pull -- the base
+ * adapter, next() into MicroOpBatch::set() -- never delivers a
+ * different op than next() does, and the simulator never sees an op
+ * a trace arena would reject. So is a header that counts more records
+ * than the file holds, caught when the file is opened.
  */
 
 #ifndef SPEC17_TRACE_FILE_HH_
@@ -44,7 +47,8 @@ std::uint64_t writeTrace(const std::string &path, TraceSource &source);
 class FileTrace : public TraceSource
 {
   public:
-    /** Opens and validates @p path; fatal on missing/corrupt files. */
+    /** Opens and validates @p path; fatal on missing, corrupt or
+     *  truncated files. */
     explicit FileTrace(const std::string &path);
 
     bool next(isa::MicroOp &op) override;
@@ -63,6 +67,7 @@ class FileTrace : public TraceSource
     std::uint64_t delivered_ = 0;
     std::vector<isa::MicroOp> buffer_;
     std::size_t bufferPos_ = 0;
+    std::vector<unsigned char> raw_; //!< one refill's records, reused
 };
 
 } // namespace trace

@@ -270,15 +270,6 @@ TEST(BranchUnit, IndirectJumpMispredictsOnTargetChange)
         0x5000, BranchKind::IndirectJumpNonCallRet, true, 0xc000)));
 }
 
-TEST(BranchUnit, MispredictRateHelper)
-{
-    BranchStats stats;
-    EXPECT_DOUBLE_EQ(stats.mispredictRate(), 0.0);
-    stats.executed = 200;
-    stats.mispredicted = 5;
-    EXPECT_DOUBLE_EQ(stats.mispredictRate(), 0.025);
-}
-
 TEST(BranchUnitDeathTest, RejectsNonBranchOps)
 {
     BranchUnit unit(makeDirectionPredictor("gshare"));

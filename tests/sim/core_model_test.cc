@@ -1,6 +1,13 @@
 #include "sim/core_model.hh"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "trace/synthetic.hh"
 
 namespace spec17 {
 namespace sim {
@@ -229,6 +236,169 @@ TEST(CoreModel, RetiredCountTracksOps)
     CoreModel core(defaults());
     runIndependentAlus(core, 123);
     EXPECT_EQ(core.retired(), 123u);
+}
+
+/** One op stream's retire lanes, as a clone group's leader records
+ *  them, plus one mispredict lane per core. */
+struct GroupLanes
+{
+    trace::MicroOpBatch ops;
+    std::vector<unsigned> memLatency;
+    std::vector<unsigned> fetchStall;
+    std::vector<std::uint8_t> l1Miss;
+    std::vector<std::uint8_t> dram;
+    std::vector<std::vector<std::uint8_t>> mispredicted;
+};
+
+/** @p n generator ops with L1 misses, DRAM codes 1 (load fills) and 2
+ *  (store RFO plus writeback), fetch stalls, and @p cores mispredict
+ *  lanes that differ from one another. */
+GroupLanes
+groupLanes(std::size_t n, std::size_t cores)
+{
+    trace::SyntheticTraceParams params;
+    params.numOps = n;
+    params.fpFrac = 0.3;
+    params.divFrac = 0.05;
+    params.regions = {
+        {trace::AccessPattern::Random, 1 << 20, 64, 1.0, 1.0},
+    };
+    trace::SyntheticTraceGenerator gen(params);
+    GroupLanes lanes;
+    gen.nextBatchSoA(lanes.ops, 0, n);
+    lanes.memLatency.assign(n, 0);
+    lanes.fetchStall.assign(n, 0);
+    lanes.l1Miss.assign(n, 0);
+    lanes.dram.assign(n, 0);
+    lanes.mispredicted.assign(cores, std::vector<std::uint8_t>(n, 0));
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i % 97 == 0)
+            lanes.fetchStall[i] = 14;
+        switch (lanes.ops.cls[i]) {
+          case isa::UopClass::Load:
+            lanes.memLatency[i] = i % 5 == 0 ? 230 : i % 3 == 0 ? 12 : 4;
+            lanes.l1Miss[i] = i % 3 == 0 || i % 5 == 0;
+            lanes.dram[i] = i % 5 == 0;
+            break;
+          case isa::UopClass::Store:
+            lanes.dram[i] = i % 4 == 0 ? 2 : 0;
+            break;
+          case isa::UopClass::Branch:
+            for (std::size_t k = 0; k < cores; ++k)
+                lanes.mispredicted[k][i] = (i / 3 + k) % (4 + k) == 0;
+            break;
+          default:
+            break;
+        }
+    }
+    return lanes;
+}
+
+/** Retires ops [from, to) of @p lanes on @p core alone, in batches of
+ *  @p batch ops, reading mispredict lane @p k. */
+void
+retireAlone(CoreModel &core, const GroupLanes &lanes, std::size_t k,
+            std::size_t from, std::size_t to, std::size_t batch)
+{
+    for (std::size_t at = from; at < to; at += batch) {
+        const std::size_t n = std::min(batch, to - at);
+        core.retireBatch(lanes.ops.cls.data() + at,
+                         lanes.ops.flags.data() + at,
+                         lanes.memLatency.data() + at,
+                         lanes.l1Miss.data() + at,
+                         lanes.fetchStall.data() + at,
+                         lanes.mispredicted[k].data() + at,
+                         lanes.dram.data() + at, n);
+    }
+}
+
+/** Whether two doubles hold the same bits. */
+::testing::AssertionResult
+sameBits(double a, double b)
+{
+    if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b))
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << ::testing::PrintToString(a) << " vs "
+           << ::testing::PrintToString(b);
+}
+
+/** Every result @p core exposes equals @p alone's, bit for bit. */
+void
+expectSameCore(const CoreModel &core, const CoreModel &alone)
+{
+    EXPECT_TRUE(sameBits(core.cycles(), alone.cycles()));
+    const CpiStack &got = core.cpiStack();
+    const CpiStack &want = alone.cpiStack();
+    EXPECT_TRUE(sameBits(got.base, want.base)) << "base";
+    EXPECT_TRUE(sameBits(got.frontend, want.frontend)) << "frontend";
+    EXPECT_TRUE(sameBits(got.branch, want.branch)) << "branch";
+    EXPECT_TRUE(sameBits(got.memory, want.memory)) << "memory";
+    EXPECT_TRUE(sameBits(got.compute, want.compute)) << "compute";
+    EXPECT_EQ(core.retired(), alone.retired());
+}
+
+TEST(CoreModel, GroupRetireMatchesSeparateRetires)
+{
+    // A clone group's cores retire one op stream and differ only in
+    // their mispredict lanes. The op-major group retire must leave
+    // each core exactly where its own retireBatch() calls over the
+    // same lanes leave it, at any batch size -- and with the ROB
+    // ring, the MSHRs and the bus in the same state, which one more
+    // retireBatch() per core then reads.
+    constexpr std::size_t kOps = 40000;
+    constexpr std::size_t kTail = 5000;
+    constexpr std::size_t kMaxCores = 5;
+    const GroupLanes lanes = groupLanes(kOps + kTail, kMaxCores);
+    const auto has_flag = [&](std::uint8_t flag) {
+        return std::any_of(lanes.ops.flags.begin(), lanes.ops.flags.end(),
+                           [&](std::uint8_t f) { return (f & flag) != 0; });
+    };
+    ASSERT_TRUE(has_flag(trace::kFlagDepOnLoad));
+    ASSERT_TRUE(has_flag(trace::kFlagDepOnPrev));
+
+    for (const std::size_t cores : {1u, 2u, 5u}) {
+        for (const std::size_t batch : {1u, 7u, 256u, 16384u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "cores=" << cores << " batch=" << batch);
+            std::vector<CoreModel> grouped;
+            std::vector<CoreModel> alone;
+            grouped.reserve(cores);
+            alone.reserve(cores);
+            std::vector<CoreModel *> group;
+            for (std::size_t k = 0; k < cores; ++k) {
+                group.push_back(&grouped.emplace_back(defaults()));
+                alone.emplace_back(defaults());
+            }
+            for (std::size_t at = 0; at < kOps; at += batch) {
+                const std::size_t n = std::min(batch, kOps - at);
+                std::vector<const std::uint8_t *> mispredicted;
+                for (std::size_t k = 0; k < cores; ++k)
+                    mispredicted.push_back(lanes.mispredicted[k].data()
+                                           + at);
+                CoreModel::retireGroup(
+                    group, mispredicted, lanes.ops.cls.data() + at,
+                    lanes.ops.flags.data() + at,
+                    lanes.memLatency.data() + at, lanes.l1Miss.data() + at,
+                    lanes.fetchStall.data() + at, lanes.dram.data() + at,
+                    n);
+            }
+            for (std::size_t k = 0; k < cores; ++k)
+                retireAlone(alone[k], lanes, k, 0, kOps, batch);
+            for (std::size_t k = 0; k < cores; ++k) {
+                SCOPED_TRACE(::testing::Message() << "core " << k);
+                expectSameCore(grouped[k], alone[k]);
+                retireAlone(grouped[k], lanes, k, kOps, kOps + kTail, 256);
+                retireAlone(alone[k], lanes, k, kOps, kOps + kTail, 256);
+                expectSameCore(grouped[k], alone[k]);
+            }
+            if (cores > 1) {
+                // The lanes do tell the cores apart.
+                EXPECT_FALSE(sameBits(grouped[0].cycles(),
+                                      grouped[1].cycles()));
+            }
+        }
+    }
 }
 
 TEST(CoreModelDeathTest, RejectsDegenerateParams)

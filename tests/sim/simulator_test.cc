@@ -1,5 +1,10 @@
 #include "sim/simulator.hh"
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sim/multicore.hh"
@@ -164,62 +169,82 @@ TEST(Simulator, DeterministicAcrossRuns)
 
 TEST(Simulator, ImportingSiblingMatchesItsOwnRun)
 {
-    // A clone-group sibling differs from its leader only in the branch
-    // predictor, so it imports the leader's memory-side lanes and new
-    // footprint pages instead of running those passes, and is built
-    // -- as the sweep engine builds it -- in the lane-importer form,
-    // with no cache hierarchy. After every chunk it must read exactly
-    // what the same configuration reads when it simulates the stream
-    // itself -- the RSS gauge included, which random accesses over
-    // 64 MiB keep growing.
+    // Clone-group siblings differ from their leader only in the branch
+    // predictor, so in a group step each imports the leader's new
+    // footprint pages and counter deltas instead of running the cache,
+    // TLB and footprint passes, and the group retire feeds every
+    // cell's core from the leader's recorded lanes and the cell's own
+    // mispredict lane. Each sibling is built -- as the sweep engine
+    // builds it -- in the lane-importer form, with no cache hierarchy.
+    // After every chunk each cell must read exactly what the same
+    // configuration reads when it simulates the stream itself -- the
+    // RSS gauge included, which random accesses over 64 MiB keep
+    // growing.
     trace::SyntheticTraceParams params;
     params.numOps = 40000;
     params.regions = {
         {trace::AccessPattern::Random, 64 * 1024 * 1024, 64, 1.0, 1.0},
     };
-    SystemConfig sibling_config = machine();
-    sibling_config.branchPredictor = "tage";
-    ASSERT_NE(machine().branchPredictor, sibling_config.branchPredictor);
+    std::vector<SystemConfig> configs(3, machine());
+    configs[1].branchPredictor = "tage";
+    configs[2].branchPredictor = "gshare";
+    ASSERT_NE(configs[0].branchPredictor, configs[1].branchPredictor);
+    ASSERT_NE(configs[0].branchPredictor, configs[2].branchPredictor);
     constexpr std::uint64_t kChunk = 5000;
     for (const std::size_t batch : {1u, 7u, 256u}) {
         SCOPED_TRACE(::testing::Message() << "batch=" << batch);
-        trace::SyntheticTraceGenerator leader_gen(params);
-        trace::SyntheticTraceGenerator sibling_gen(params);
-        trace::SyntheticTraceGenerator own_gen(params);
-        CpuSimulator leader(machine());
-        CpuSimulator sibling(CpuSimulator::LaneImporter{},
-                             sibling_config);
-        CpuSimulator own(sibling_config);
-        for (CpuSimulator *sim : {&leader, &sibling, &own})
-            sim->setBatchOps(batch);
+        std::vector<std::unique_ptr<trace::SyntheticTraceGenerator>> gens;
+        std::vector<std::unique_ptr<trace::SyntheticTraceGenerator>>
+            own_gens;
+        std::vector<std::unique_ptr<CpuSimulator>> cells;
+        std::vector<std::unique_ptr<CpuSimulator>> owns;
+        std::vector<GroupCell> group;
+        for (std::size_t c = 0; c < configs.size(); ++c) {
+            gens.push_back(
+                std::make_unique<trace::SyntheticTraceGenerator>(params));
+            own_gens.push_back(
+                std::make_unique<trace::SyntheticTraceGenerator>(params));
+            cells.push_back(
+                c == 0 ? std::make_unique<CpuSimulator>(configs[c])
+                       : std::make_unique<CpuSimulator>(
+                             CpuSimulator::LaneImporter{}, configs[c]));
+            owns.push_back(std::make_unique<CpuSimulator>(configs[c]));
+            cells.back()->setBatchOps(batch);
+            owns.back()->setBatchOps(batch);
+            group.emplace_back(*cells.back(), *gens.back());
+        }
 
         MemoryLaneLog log;
         for (std::uint64_t done = 0; done < params.numOps;
              done += kChunk) {
             SCOPED_TRACE(::testing::Message() << "ops=" << done + kChunk);
-            log.clear();
-            ASSERT_EQ(leader.stepRecording(leader_gen, kChunk, log),
-                      kChunk);
-            std::size_t cursor = 0;
-            ASSERT_EQ(sibling.stepImporting(sibling_gen, kChunk, log,
-                                            cursor),
-                      kChunk);
-            EXPECT_EQ(cursor, log.batches.size());
-            ASSERT_EQ(own.step(own_gen, kChunk), kChunk);
+            CpuSimulator::stepGroup(group, kChunk, log);
+            for (std::size_t c = 0; c < configs.size(); ++c) {
+                SCOPED_TRACE(::testing::Message() << "cell " << c);
+                ASSERT_FALSE(group[c].error);
+                ASSERT_EQ(group[c].got, kChunk);
+                ASSERT_EQ(owns[c]->step(*own_gens[c], kChunk), kChunk);
 
-            const counters::CounterSet imported = sibling.snapshot();
-            const counters::CounterSet simulated = own.snapshot();
-            for (std::size_t i = 0; i < counters::kNumPerfEvents; ++i) {
-                const auto event = static_cast<PerfEvent>(i);
-                EXPECT_EQ(imported.get(event), simulated.get(event))
-                    << counters::perfEventName(event);
+                const counters::CounterSet stepped = cells[c]->snapshot();
+                const counters::CounterSet simulated = owns[c]->snapshot();
+                for (std::size_t i = 0; i < counters::kNumPerfEvents;
+                     ++i) {
+                    const auto event = static_cast<PerfEvent>(i);
+                    EXPECT_EQ(stepped.get(event), simulated.get(event))
+                        << counters::perfEventName(event);
+                }
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                              cells[c]->core().cycles()),
+                          std::bit_cast<std::uint64_t>(
+                              owns[c]->core().cycles()));
             }
-            EXPECT_EQ(sibling.core().cycles(), own.core().cycles());
         }
-        EXPECT_GT(own.snapshot().get(PerfEvent::RssBytes), 0u);
-        // The sibling ran its own predictor, not the leader's.
-        EXPECT_NE(sibling.snapshot().get(PerfEvent::BrMispExecAllBranches),
-                  leader.snapshot().get(PerfEvent::BrMispExecAllBranches));
+        EXPECT_GT(owns[0]->snapshot().get(PerfEvent::RssBytes), 0u);
+        // Each sibling ran its own predictor, not the leader's.
+        for (std::size_t c = 1; c < configs.size(); ++c)
+            EXPECT_NE(
+                cells[c]->snapshot().get(PerfEvent::BrMispExecAllBranches),
+                cells[0]->snapshot().get(PerfEvent::BrMispExecAllBranches));
     }
 }
 

@@ -74,7 +74,8 @@ TEST(Tlb, HugeWorkingSetThrashes)
     // 64k pages >> 1024-entry L2.
     for (int i = 0; i < 20000; ++i)
         tlb.access(rng.nextBounded(65536) * 4096);
-    EXPECT_GT(tlb.stats().walkRate(), 0.9);
+    const TlbStats &stats = tlb.stats();
+    EXPECT_GT(double(stats.walks) / double(stats.accesses), 0.9);
 }
 
 TEST(Tlb, FlushForgetsEverything)
@@ -128,8 +129,10 @@ TEST(TlbIntegration, CacheResidentCodeBarelyWalks)
     config.enableTlb = true;
     CpuSimulator simulator(config);
     simulator.run(stream);
-    EXPECT_LT(simulator.itlb().stats().walkRate(), 0.001);
-    EXPECT_LT(simulator.dtlb().stats().walkRate(), 0.001);
+    for (const Tlb *tlb : {&simulator.itlb(), &simulator.dtlb()}) {
+        const TlbStats &stats = tlb->stats();
+        EXPECT_LT(double(stats.walks) / double(stats.accesses), 0.001);
+    }
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "trace/kernels.hh"
 #include "trace/synthetic.hh"
@@ -92,31 +93,44 @@ TEST(TraceFileDeathTest, RejectsMissingAndCorruptFiles)
     std::remove(path.c_str());
 }
 
+/** Cuts the last @p drop bytes off the file at @p path, in place. */
+void
+chopFile(const std::string &path, std::size_t drop)
+{
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    const auto full = static_cast<std::size_t>(in.tellg());
+    std::ifstream src(path, std::ios::binary);
+    std::vector<char> bytes(full - drop);
+    src.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
 TEST(TraceFileDeathTest, TruncationIsDetected)
 {
+    // A header that counts more records than the file holds fails when
+    // the file is opened, not partway through a replay, and as a
+    // contained fatal error rather than an abort.
     StreamKernel kernel(4096, 100);
     const std::string path = tempTrace("truncated");
     writeTrace(path, kernel);
-    // Chop the last record in half.
-    {
-        std::ifstream in(path, std::ios::binary | std::ios::ate);
-        const auto full = in.tellg();
-        std::ifstream src(path, std::ios::binary);
-        std::vector<char> bytes(static_cast<std::size_t>(full) - 10);
-        src.read(bytes.data(),
-                 static_cast<std::streamsize>(bytes.size()));
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-    }
-    FileTrace replay(path);
-    isa::MicroOp op;
-    EXPECT_DEATH(
+    chopFile(path, 10); // the last record, in half
+    EXPECT_EXIT(FileTrace{path}, ::testing::ExitedWithCode(1),
+                "truncated");
+
+    // A file cut short after it was opened fails at the short read.
+    StreamKernel rewritten(4096, 100);
+    writeTrace(path, rewritten);
+    EXPECT_EXIT(
         {
+            FileTrace replay(path);
+            chopFile(path, 28 * 50);
+            isa::MicroOp op;
             while (replay.next(op)) {
             }
         },
-        "truncated");
+        ::testing::ExitedWithCode(1),
+        "truncated: a read of .* came up short");
     std::remove(path.c_str());
 }
 
@@ -179,6 +193,65 @@ TEST(TraceFileDeathTest, RecordsTheLanesCannotCarryAreRejected)
                 }
             },
             c.message);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TraceFileDeathTest, BranchKindMustMatchTheClass)
+{
+    // A branch without a kind, or a kind on a non-branch, is rejected
+    // when decoded, as a trace arena spill rejects it, rather than
+    // reaching the simulator's branch pass.
+    StreamKernel kernel(4096, 100); // load, alu, branch per iteration
+    const std::string path = tempTrace("kind");
+    writeTrace(path, kernel);
+    std::string clean;
+    {
+        std::ifstream in(path, std::ios::binary);
+        clean.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    constexpr std::size_t kHeader = 24, kRecord = 28;
+    ASSERT_EQ(clean[kHeader + kRecord + 0], char(isa::UopClass::IntAlu));
+    ASSERT_EQ(clean[kHeader + 2 * kRecord], char(isa::UopClass::Branch));
+
+    struct Corruption
+    {
+        std::size_t offset; //!< branch-kind byte patched
+        char kind;
+        const char *message;
+    };
+    const Corruption cases[] = {
+        {kHeader + 2 * kRecord + 1, char(isa::BranchKind::None),
+         "branch op with branch kind 0"},
+        {kHeader + kRecord + 1, char(isa::BranchKind::Conditional),
+         "int_alu op with branch kind 1"},
+    };
+    for (const Corruption &c : cases) {
+        SCOPED_TRACE(c.message);
+        std::string bytes = clean;
+        bytes[c.offset] = c.kind;
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(bytes.data(),
+                      static_cast<std::streamsize>(bytes.size()));
+        }
+        EXPECT_EXIT(
+            {
+                FileTrace replay(path);
+                isa::MicroOp op;
+                while (replay.next(op)) {
+                }
+            },
+            ::testing::ExitedWithCode(1), c.message);
+        EXPECT_EXIT(
+            {
+                FileTrace replay(path);
+                MicroOpBatch lanes;
+                while (replay.nextBatchSoA(lanes, 0, 64) == 64) {
+                }
+            },
+            ::testing::ExitedWithCode(1), c.message);
     }
     std::remove(path.c_str());
 }
