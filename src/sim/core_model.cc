@@ -88,14 +88,13 @@ opInputs(std::size_t i, const std::uint8_t *__restrict flags,
  * @p compute_latency. The callers dispatch the op's class and pick
  * the instance, so the body tests no class.
  *
- * Each instance is called from one place -- the two views are
- * distinct types -- so GCC inlines it whatever its size, as it
- * inlines any internal function with a single call site. With one
- * instance for both callers, GCC 12 at -O2 emitted the Load body out
- * of line, and retireBatch's state went back to memory.
+ * Always inlined: emitted out of line, as GCC 12 at -O2 emits even a
+ * sole caller's helper, it would take retireBatch's view by address,
+ * and the serial state would be stored and reloaded around every op,
+ * on the FP dependence chain.
  */
 template <C kClass, typename Core>
-void
+[[gnu::always_inline]] inline void
 retireOp(Core &core, const RetireConsts &c, const OpInputs &op,
          bool mispred, double compute_latency)
 {
@@ -303,6 +302,11 @@ CoreModel::retireGroup(std::span<CoreModel *const> cores,
                   "one mispredict lane per core");
     if (cores.empty())
         return;
+    if (cores.size() == 1) {
+        cores[0]->retireBatch(cls, flags, mem_latency, l1_miss,
+                              fetch_stall, mispredicted[0], dram, n);
+        return;
+    }
     for (std::size_t a = 0; a < cores.size(); ++a) {
         SPEC17_ASSERT(cores[a]->params_ == cores[0]->params_,
                       "a clone group's cores share one CoreParams");

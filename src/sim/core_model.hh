@@ -175,7 +175,9 @@ class CoreModel
      * order as in its own retireBatch() over these lanes, so every
      * core's results are bit-identical to that call's. The cores must
      * share one CoreParams and must not share a bus (interleaving
-     * their bus acquisitions op by op would reorder them).
+     * their bus acquisitions op by op would reorder them). A group of
+     * one core takes retireBatch(), whose register-resident state
+     * beats an op-major pass over one core.
      */
     static void retireGroup(std::span<CoreModel *const> cores,
                             std::span<const std::uint8_t *const>

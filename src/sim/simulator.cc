@@ -721,8 +721,18 @@ CpuSimulator::stepGroup(std::span<GroupCell> cells, std::uint64_t max_ops,
             cell.spent += Clock::now() - start;
     };
 
-    log.clear();
     GroupCell &leader = cells.front();
+    if (cells.size() == 1) {
+        // A cell alone steps as step() does: per batch, its retire
+        // register-resident (CoreModel::retireBatch).
+        run_passes(leader, [&](CpuSimulator &sim,
+                               trace::TraceSource &source) {
+            return sim.step(source, max_ops);
+        });
+        return;
+    }
+
+    log.clear();
     run_passes(leader, [&](CpuSimulator &sim, trace::TraceSource &source) {
         sim.requireMemorySide("leading stepGroup()");
         SPEC17_ASSERT(!sim.unbatched_,

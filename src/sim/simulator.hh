@@ -247,7 +247,10 @@ class CpuSimulator
      * step the leader takes. A cell whose passes throw keeps the
      * exception in its `error` and leaves the chunk's group retire;
      * when the leader throws, no sibling steps, since the log is then
-     * partial. With @p timed, each cell's `spent` is measured.
+     * partial. A span of one cell is step() itself, with no log:
+     * its retire stays per batch and register-resident
+     * (CoreModel::retireBatch). With @p timed, each cell's `spent` is
+     * measured.
      */
     static void stepGroup(std::span<GroupCell> cells,
                           std::uint64_t max_ops, MemoryLaneLog &log,

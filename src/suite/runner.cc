@@ -249,12 +249,11 @@ runLockstep(const std::vector<LockstepCell> &cells,
     std::vector<sim::GroupCell> stepped;
     std::vector<std::size_t> index; //!< cell of each stepped entry
 
-    // Every running cell has executed `done` ops. Steps each by one
-    // chunk, cut at the op budget's first op past it -- one cell
-    // through step(), a clone group through one group step -- then
-    // checks each cell's watchdog and feeds its sampler. A sibling
-    // fails with cell 0: never stepped after cell 0 failed, and
-    // failed at once when cell 0 fails in this chunk's checks.
+    // Every running cell has executed `done` ops. Steps them by one
+    // chunk in one group step, cut at the op budget's first op past
+    // it, then checks each cell's watchdog and feeds its sampler. A
+    // sibling fails with cell 0: never stepped after cell 0 failed,
+    // and failed at once when cell 0 fails in this chunk's checks.
     // Returns whether any cell still runs.
     std::uint64_t done = 0;
     const auto step_row = [&](std::uint64_t chunk) {
@@ -271,20 +270,7 @@ runLockstep(const std::vector<LockstepCell> &cells,
             stepped.emplace_back(*cells[j].simulator, *cells[j].source);
             index.push_back(j);
         }
-        if (n > 1) {
-            sim::CpuSimulator::stepGroup(stepped, chunk, log, timed);
-        } else if (!stepped.empty()) {
-            sim::GroupCell &cell = stepped.front();
-            const Clock::time_point start =
-                timed ? Clock::now() : Clock::time_point();
-            try {
-                cell.got = cell.simulator->step(*cell.source, chunk);
-            } catch (...) {
-                cell.error = std::current_exception();
-            }
-            if (timed)
-                cell.spent = Clock::now() - start;
-        }
+        sim::CpuSimulator::stepGroup(stepped, chunk, log, timed);
 
         bool running = false;
         for (std::size_t s = 0; s < stepped.size(); ++s) {

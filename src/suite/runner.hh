@@ -471,13 +471,14 @@ struct LockstepOutcome
  * The one stepping loop of every single-threaded simulation: steps
  * @p cells, one clone group, through @p options' warmup and then
  * until every source drains, in shared chunks of at most 16384
- * micro-ops. One cell steps through CpuSimulator::step(), its retire
- * register-resident per batch. Two or more step each chunk as one
- * group step (CpuSimulator::stepGroup): cell 0 leads -- batched,
- * unsampled, with a memory side -- and records its memory-side lanes,
- * every later cell runs its branch pass and imports them, and one
- * op-major retire then feeds every cell's core; a sibling fails with
- * cell 0, before it would import a partial log. The chunk is capped
+ * micro-ops, each chunk one group step (CpuSimulator::stepGroup) of
+ * the cells still running. A cell left to step alone steps as step()
+ * does, its retire register-resident per batch. With two or more,
+ * cell 0 leads -- batched, unsampled, with a memory side -- and
+ * records its memory-side lanes, every later cell runs its branch
+ * pass and imports them, and one op-major retire then feeds every
+ * cell's core; a sibling fails with cell 0, before it would import a
+ * partial log. The chunk is capped
  * row-wide at the next sampling boundary and at the op budget's first
  * op past pairDeadlineOps, so interval rows land on exact boundaries
  * and an op-budget expiry reports pairDeadlineOps + 1 ops. Each
