@@ -1,13 +1,15 @@
 /**
  * @file
  * Google-benchmark micro-benchmarks of the framework's hot paths:
- * cache access, branch prediction, full-simulator throughput, the
- * core model's retire pass, PCA, and agglomerative clustering at the
- * study's problem sizes. These guard the "fast enough to sweep 194
- * pairs" property the result cache and benches rely on.
+ * cache access, branch prediction, trace generation and read-ahead,
+ * full-simulator throughput, the core model's retire pass, PCA, and
+ * agglomerative clustering at the study's problem sizes. These guard
+ * the "fast enough to sweep 194 pairs" property the result cache and
+ * benches rely on.
  */
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -15,8 +17,10 @@
 #include "cluster/hierarchical.hh"
 #include "sim/simulator.hh"
 #include "stats/pca.hh"
+#include "trace/read_ahead.hh"
 #include "trace/synthetic.hh"
 #include "util/random.hh"
+#include "workloads/builder.hh"
 
 using namespace spec17;
 
@@ -83,6 +87,75 @@ BM_SyntheticTraceGeneration(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SyntheticTraceGeneration);
+
+/**
+ * The consumer thread's wall time per op, pulling one ref pair's
+ * 1.3 M-op trace (ref17_sweep's sample plus warmup) in 256-op pulls
+ * the way the simulator's batched lane does: from the bare generator
+ * (arg 0) or read a block ahead on a helper thread (arg 1). Per op the
+ * consumer folds a fixed chain of dependent multiplies over the op's
+ * lanes, standing in for simulation, so the helper has time to run
+ * ahead; the difference between the two is the generation the
+ * consumer no longer pays. The generator's construction is untimed.
+ */
+void
+BM_ReadAheadPull(benchmark::State &state)
+{
+    const auto &suite = workloads::cpu2017Suite();
+    const workloads::AppInputPair pair{
+        &workloads::findProfile(suite, "505.mcf_r"),
+        workloads::InputSize::Ref, 0};
+    workloads::BuildOptions build;
+    build.sampleOps = 1'300'000;
+    const trace::SyntheticTraceParams params =
+        workloads::buildTraceParams(pair, build);
+    constexpr std::size_t kPull = 256;
+    trace::MicroOpBatch staging;
+    staging.ensure(kPull);
+    std::uint64_t ops = 0;
+    std::uint64_t fold = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::shared_ptr<trace::TraceSource> source =
+            std::make_shared<trace::SyntheticTraceGenerator>(params);
+        if (state.range(0) != 0)
+            source = std::make_shared<trace::ReadAheadSource>(source);
+        state.ResumeTiming();
+        while (true) {
+            std::size_t at = 0;
+            std::size_t got = 0;
+            const trace::MicroOpBatch *lanes =
+                source->nextLanes(kPull, at, got);
+            if (lanes == nullptr) {
+                at = 0;
+                got = source->nextBatchSoA(staging, 0, kPull);
+                lanes = &staging;
+            }
+            for (std::size_t i = at; i < at + got; ++i) {
+                std::uint64_t x = lanes->pc[i] ^ lanes->operand[i]
+                    ^ static_cast<std::uint64_t>(lanes->cls[i]);
+                for (int round = 0; round < 24; ++round)
+                    x = x * 0x9e3779b97f4a7c15ULL + fold;
+                fold ^= x;
+            }
+            ops += got;
+            if (got < kPull)
+                break;
+        }
+        state.PauseTiming();
+        source.reset();
+        state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(fold);
+    state.counters["ns_per_op"] = benchmark::Counter(
+        static_cast<double>(ops) * 1e-9,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ReadAheadPull)
+    ->Arg(0)
+    ->Arg(1)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_SimulatorThroughput(benchmark::State &state)

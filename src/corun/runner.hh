@@ -63,8 +63,9 @@ struct CorunOptions
     std::uint64_t seed = 0x5bec17;
     /** Input size the members run. */
     workloads::InputSize size = workloads::InputSize::Ref;
-    /** Worker threads for group sweeps (1 = sequential, 0 = hardware
-     *  concurrency). Byte-identical at any count; NOT in the key. */
+    /** Worker threads for group sweeps (1 = sequential, 0 = every CPU
+     *  the process may run on). Byte-identical at any count; NOT in
+     *  the key. */
     unsigned jobs = 1;
 
     /**

@@ -14,6 +14,7 @@
 #include "suite/arena_store.hh"
 #include "telemetry/registry.hh"
 #include "trace/arena.hh"
+#include "trace/read_ahead.hh"
 #include "util/logging.hh"
 
 namespace spec17 {
@@ -221,16 +222,22 @@ runFanoutPair(const AppInputPair &pair,
 
     // The generator gives prefill its region layout (prefill never
     // consumes ops). Every cell replays the row's arena; a lone cell
-    // the store holds nothing for simulates the generator itself.
-    trace::SyntheticTraceGenerator generator(
+    // the store holds nothing for simulates the generator itself,
+    // read a block ahead on a spare CPU when the pool leaves one.
+    const auto generator = std::make_shared<trace::SyntheticTraceGenerator>(
         workloads::buildTraceParams(pair, build, 0));
     const std::shared_ptr<const trace::TraceArena> arena = arenas.empty()
-        ? base.arenaStore->find(generator.params())
+        ? base.arenaStore->find(generator->params())
         : arenas.front();
 
     const std::size_t n = lockstep.size();
     SPEC17_ASSERT(arena != nullptr || n == 1,
                   "lockstep cells without an arena to share");
+    std::unique_ptr<trace::ReadAheadSource> ahead;
+    if (arena == nullptr
+        && readsAhead(sessions[lockstep.front()].runner.options(),
+                      profile.numThreads))
+        ahead = std::make_unique<trace::ReadAheadSource>(generator);
 
     // Clone groups, as lockstep indices with the leader first: a point
     // matching an earlier point in everything but the branch side
@@ -281,15 +288,17 @@ runFanoutPair(const AppInputPair &pair,
                     donors.take();
                 sims[c] = std::make_unique<sim::CpuSimulator>(
                     point.system, pair_seed, nullptr, nullptr, donor.get());
-                prefillSteadyState(*sims[c], generator);
+                prefillSteadyState(*sims[c], *generator);
             }
             if (point.batchOps != 0)
                 sims[c]->setBatchOps(point.batchOps);
             sims[c]->setUnbatchedStepping(point.unbatchedStepping);
             cells[c].simulator = sims[c].get();
-            cells[c].source = &generator;
+            cells[c].source = generator.get();
             if (arena != nullptr)
                 cells[c].source = &replays.emplace_back(arena);
+            else if (ahead != nullptr)
+                cells[c].source = ahead.get();
             // The runner's column order: the simulator's metrics, then
             // the consumed source's emission counter.
             if (point.sampleIntervalOps > 0) {
@@ -298,11 +307,15 @@ runFanoutPair(const AppInputPair &pair,
                 telemetry::registerSimulatorMetrics(*registries[c],
                                                     *sims[c]);
                 std::function<std::uint64_t()> emitted = [&generator] {
-                    return generator.emittedOps();
+                    return generator->emittedOps();
                 };
                 if (arena != nullptr)
                     emitted = [r = &replays.back()] {
                         return r->deliveredOps();
+                    };
+                else if (ahead != nullptr)
+                    emitted = [a = ahead.get()] {
+                        return a->deliveredOps();
                     };
                 telemetry::registerTraceMetrics(*registries[c],
                                                 std::move(emitted));
@@ -314,6 +327,8 @@ runFanoutPair(const AppInputPair &pair,
             outcomes[group[c]] = std::move(stepped[c]);
         donors.give(std::move(sims.front()));
     }
+    // Stop the helper before a failed cell's retries run.
+    ahead.reset();
 
     for (std::size_t j = 0; j < n; ++j) {
         const std::size_t p = lockstep[j];

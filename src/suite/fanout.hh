@@ -15,7 +15,7 @@
  * its running rows' arenas. A row with one cell -- every row of a
  * one-session sweep and of explore's resume tails -- captures
  * nothing: it replays what the store already holds, else generates
- * live.
+ * live, a block ahead on a helper thread when readsAhead() allows.
  *
  * With a store, a row steps each single-threaded, well-formed cell
  * (one pair under one session) whose session injects no faults in

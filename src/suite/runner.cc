@@ -10,12 +10,15 @@
 #include <sstream>
 #include <thread>
 
+#include <sched.h>
+
 #include "sim/multicore.hh"
 #include "sim/simulator.hh"
 #include "suite/arena_store.hh"
 #include "suite/journal.hh"
 #include "telemetry/registry.hh"
 #include "trace/arena.hh"
+#include "trace/read_ahead.hh"
 #include "util/logging.hh"
 #include "util/units.hh"
 
@@ -62,7 +65,8 @@ prefillSteadyState(sim::CpuSimulator &core,
 PairTrace
 openTrace(const trace::SyntheticTraceParams &params,
           std::shared_ptr<const trace::TraceArena> arena,
-          telemetry::MetricsRegistry *registry, const std::string &prefix)
+          telemetry::MetricsRegistry *registry, const std::string &prefix,
+          bool read_ahead)
 {
     PairTrace opened;
     opened.generator =
@@ -73,6 +77,11 @@ openTrace(const trace::SyntheticTraceParams &params,
             std::move(arena), params.addressOffset);
         emitted = [r = replay.get()] { return r->deliveredOps(); };
         opened.source = std::move(replay);
+    } else if (read_ahead) {
+        auto ahead =
+            std::make_shared<trace::ReadAheadSource>(opened.generator);
+        emitted = [a = ahead.get()] { return a->deliveredOps(); };
+        opened.source = std::move(ahead);
     } else {
         emitted = [g = opened.generator.get()] {
             return g->emittedOps();
@@ -117,13 +126,40 @@ shardPairs(const std::vector<AppInputPair> &pairs,
 }
 
 unsigned
+usableCpuCount()
+{
+    cpu_set_t mask;
+    if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+        const int cpus = CPU_COUNT(&mask);
+        if (cpus > 0)
+            return static_cast<unsigned>(cpus);
+    }
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
+unsigned
 resolveWorkerCount(unsigned jobs, std::size_t count)
 {
     if (jobs == 0)
-        jobs = std::max(1u, std::thread::hardware_concurrency());
+        jobs = usableCpuCount();
     if (count < jobs)
         jobs = static_cast<unsigned>(std::max<std::size_t>(count, 1));
     return jobs;
+}
+
+bool
+readAheadFits(unsigned jobs, unsigned cpus, unsigned threads,
+              bool unbatched)
+{
+    const std::uint64_t workers = jobs == 0 ? cpus : jobs;
+    return !unbatched && threads == 1 && 2 * workers <= cpus;
+}
+
+bool
+readsAhead(const RunnerOptions &options, unsigned threads)
+{
+    return readAheadFits(options.jobs, usableCpuCount(), threads,
+                         options.unbatchedStepping);
 }
 
 std::uint64_t
@@ -576,8 +612,10 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
         }
         const trace::SyntheticTraceParams params =
             workloads::buildTraceParams(pair, build, 0);
-        const PairTrace trace =
-            openTrace(params, arena_of(params), registry.get());
+        const PairTrace trace = openTrace(params, arena_of(params),
+                                          registry.get(), "",
+                                          readsAhead(options_,
+                                                     profile.numThreads));
         prefillSteadyState(simulator, *trace.generator);
         LockstepOutcome cell = std::move(
             runLockstep({{&simulator, trace.source.get(), registry.get()}},

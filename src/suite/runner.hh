@@ -54,9 +54,10 @@ void prefillSteadyState(sim::CpuSimulator &core,
  * The trace one simulated context consumes. `generator` always
  * exists: prefillSteadyState() reads its region layout without
  * consuming ops. `source` is the stream the simulator pulls -- the
- * generator itself when live, or a ReplaySource over its captured
- * arena. Replay is draw-for-draw identical to live generation, so
- * which one a caller got never shows in results or telemetry.
+ * generator itself when live, a ReadAheadSource over it when live
+ * and read ahead, or a ReplaySource over its captured arena. All
+ * three deliver the generator's stream, so which one a caller got
+ * never shows in results or telemetry.
  */
 struct PairTrace
 {
@@ -67,7 +68,9 @@ struct PairTrace
 /**
  * The one trace factory of the suite and co-run engines: opens the
  * trace for @p params, replaying @p arena at params.addressOffset when
- * one is given and generating live otherwise. The caller's store
+ * one is given and generating live otherwise -- on a helper thread a
+ * block ahead (trace::ReadAheadSource) when @p read_ahead is set,
+ * which the caller decides with readsAhead(). The caller's store
  * lookup picks the arena (suite/arena_store.hh): a runner attempt
  * passes find()'s result for the exact params, so it replays only
  * what the store already holds, unshifted, and never captures; the
@@ -80,7 +83,8 @@ struct PairTrace
 PairTrace openTrace(const trace::SyntheticTraceParams &params,
                     std::shared_ptr<const trace::TraceArena> arena,
                     telemetry::MetricsRegistry *registry = nullptr,
-                    const std::string &prefix = "");
+                    const std::string &prefix = "",
+                    bool read_ahead = false);
 
 /**
  * One shard of a sweep campaign: this process runs shard `index` of
@@ -138,10 +142,29 @@ std::vector<workloads::AppInputPair> shardPairs(
     const std::vector<workloads::AppInputPair> &pairs,
     const ShardSpec &shard);
 
+/** CPUs this process may run on: the CPUs in its affinity mask
+ *  (sched_getaffinity), so a `taskset`-narrowed process counts only
+ *  the CPUs it was given; hardware_concurrency() where the mask cannot
+ *  be read. At least 1. */
+unsigned usableCpuCount();
+
 /** Worker threads a pool of @p count items actually uses: resolves
- *  jobs == 0 to the hardware concurrency and never exceeds the item
- *  count (minimum 1). */
+ *  jobs == 0 to usableCpuCount() and never exceeds the item count
+ *  (minimum 1). */
 unsigned resolveWorkerCount(unsigned jobs, std::size_t count);
+
+/**
+ * Whether a simulated context of a @p threads-thread pair reads its
+ * live trace a block ahead on a helper thread (trace::ReadAheadSource).
+ * Only the batched lane reads ahead (@p unbatched steps the reference
+ * lane, which stays on the bare generator as the oracle), only a
+ * single-threaded pair does, and only when each of the pool's workers
+ * keeps a spare CPU for its helper: twice the worker count @p jobs
+ * resolves to (0 = every CPU) must fit in @p cpus. A pure function of
+ * its arguments; readsAhead() applies it to this process.
+ */
+bool readAheadFits(unsigned jobs, unsigned cpus, unsigned threads,
+                   bool unbatched);
 
 /**
  * The ordered worker pool every sweep runs on: executes
@@ -270,12 +293,15 @@ struct RunnerOptions
     /** @name Parallel execution */
     /// @{
     /**
-     * Worker threads a sweep runs on (1 = sequential, 0 = hardware
-     * concurrency). Results, aggregates and journal commits are
-     * byte-identical at any job count -- every pair's seed derives
-     * purely from (root seed, profile, size, input) and completions
-     * are committed in canonical pair order -- so this is
-     * deliberately NOT part of the config key.
+     * Worker threads a sweep runs on (1 = sequential, 0 = every CPU
+     * the process may run on, usableCpuCount()). A single-threaded
+     * pair's live trace is generated a block ahead on a helper thread
+     * when the pool leaves each worker a spare CPU (readsAhead()).
+     * Results, aggregates and journal commits are byte-identical at
+     * any job count -- every pair's seed derives purely from (root
+     * seed, profile, size, input) and completions are committed in
+     * canonical pair order -- so this is deliberately NOT part of the
+     * config key.
      */
     unsigned jobs = 1;
     /// @}
@@ -415,6 +441,10 @@ workloads::BuildOptions attemptBuildOptions(const RunnerOptions &options,
  *  seed and the pair identity (profile name, size, input index). */
 std::uint64_t pairSimSeed(const workloads::AppInputPair &pair,
                           std::uint64_t build_seed);
+
+/** readAheadFits() for a @p threads-thread pair under @p options'
+ *  pool and lane, on the CPUs this process may run on. */
+bool readsAhead(const RunnerOptions &options, unsigned threads);
 
 /** A PairResult shell for @p pair: identity fields plus the
  *  paper-errored flag, no measurements yet. */

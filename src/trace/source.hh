@@ -88,8 +88,12 @@ class TraceSource
      * destroyed; callers must not write through them. Sources without
      * a resident lane representation return nullptr (the default, and
      * then @p at / @p got are untouched); callers fall back to
-     * nextBatchSoA(). The replay arena (trace/arena.hh) overrides
-     * this to serve captured lanes without a copy.
+     * nextBatchSoA(). A source may also decline any single pull this
+     * way -- a shifted replay declines every pull, a read-ahead source
+     * (trace/read_ahead.hh) one that would straddle two of its blocks
+     * -- and the stream is unchanged: the declined pull consumed
+     * nothing. The replay arena (trace/arena.hh) overrides this to
+     * serve captured lanes without a copy.
      */
     virtual const MicroOpBatch *
     nextLanes(std::size_t n, std::size_t &at, std::size_t &got)

@@ -4,6 +4,8 @@
 
 #include <limits>
 
+#include <sched.h>
+
 #include "suite/result_cache.hh"
 
 namespace spec17 {
@@ -143,6 +145,59 @@ TEST(Runner, RetryBackoffClampsExponentAndDelay)
     EXPECT_EQ(retryBackoffDelayMs(
                   std::numeric_limits<std::uint64_t>::max(), 64),
               kMaxBackoffDelayMs);
+}
+
+TEST(Runner, ReadAheadKeepsASpareCpuPerWorker)
+{
+    // True only on the batched lane of a single-threaded pair whose
+    // pool leaves each worker a spare CPU: one worker on 2 or 4 CPUs,
+    // two on 4. jobs 0 takes every CPU and so never fits.
+    for (unsigned jobs : {0u, 1u, 2u, 4u}) {
+        for (unsigned cpus : {1u, 2u, 4u}) {
+            for (unsigned threads : {1u, 4u}) {
+                for (bool unbatched : {false, true}) {
+                    const bool fits = !unbatched && threads == 1
+                        && ((jobs == 1 && cpus >= 2)
+                            || (jobs == 2 && cpus == 4));
+                    EXPECT_EQ(readAheadFits(jobs, cpus, threads, unbatched),
+                              fits)
+                        << "jobs " << jobs << ", cpus " << cpus
+                        << ", threads " << threads << ", unbatched "
+                        << unbatched;
+                }
+            }
+        }
+    }
+}
+
+TEST(Runner, WorkerCountsReadTheAffinityMask)
+{
+    // Narrow this process to the first CPU it may run on: --jobs=0
+    // then starts one worker, and a jobs-1 sweep has no spare CPU for
+    // a read-ahead helper.
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int first = 0;
+    while (!CPU_ISSET(first, &saved))
+        ++first;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    RunnerOptions options = fastOptions();
+    options.jobs = 1;
+    const unsigned cpus = usableCpuCount();
+    const unsigned workers = resolveWorkerCount(0, 64);
+    const bool ahead = readsAhead(options, 1);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(cpus, 1u);
+    EXPECT_EQ(workers, 1u);
+    EXPECT_FALSE(ahead);
+
+    // Restored, the counts follow the whole mask again.
+    EXPECT_EQ(usableCpuCount(),
+              static_cast<unsigned>(CPU_COUNT(&saved)));
+    EXPECT_EQ(readsAhead(options, 1), CPU_COUNT(&saved) >= 2);
 }
 
 TEST(Runner, ConfigKeyReflectsOptions)

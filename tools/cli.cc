@@ -1313,8 +1313,8 @@ flagTable()
          "telemetry"},
         {"progress", "", "throttled sweep_progress events on stderr (pair "
          "k/N, ops/s, ETA)", "telemetry"},
-        {"jobs", "N", "sweep worker threads (default 1; 0=hardware "
-         "concurrency); results are byte-identical at any N",
+        {"jobs", "N", "sweep worker threads (default 1; 0=every CPU the "
+         "process may run on); results are byte-identical at any N",
          "parallel execution"},
         {"batch-ops", "N", "fast-lane micro-op batch size (default 256); "
          "results are byte-identical at any N >= 1", "batched hot path", 1},
