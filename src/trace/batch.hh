@@ -122,6 +122,8 @@ struct MicroOpBatch
                           && static_cast<int>(isa::BranchKind::None)
                               == 0,
                       "memset pre-fill relies on zero defaults");
+        if (n == 0)
+            return; // an empty batch's lanes have no data() to memset
         std::memset(cls.data() + at, 0, n * sizeof(cls[0]));
         std::memset(kind.data() + at, 0, n * sizeof(kind[0]));
         std::memset(operand.data() + at, 0, n * sizeof(operand[0]));
